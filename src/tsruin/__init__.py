@@ -6,7 +6,14 @@ importance-sampled Monte Carlo simulation under an exponential change of
 measure to a stable process.
 """
 from ._kernels import backend as kernel_backend
-from .laplace import InversionError, InversionSpec, invert_grid, levin_invert, talbot_invert
+from .laplace import (
+    InversionError,
+    InversionSpec,
+    invert_grid,
+    levin_invert,
+    talbot_grid,
+    talbot_invert,
+)
 from .model import (
     ClaimsModel,
     PhiConvergenceError,
@@ -22,6 +29,7 @@ from .model import (
     mean_y,
     min_loading_for_subcritical,
     phi,
+    phi_contour,
     premium_from_loading,
     rescale,
 )
@@ -35,6 +43,7 @@ from .ruin import (
     estimate_infinite_horizon,
     estimate_rft,
     estimate_tulta,
+    eventual_ruin_from_w,
     growth_diagnostic,
     make_b_transform,
     prob_eventual_ruin,

@@ -7,7 +7,8 @@ pre-drawn random inputs:
 * ``numpy`` -- vectorized fallback.
 
 Select with the environment variable ``TSRUIN_BACKEND=numba|numpy`` before
-import.  ``benchmarks/bench_kernels.py`` compares the two.
+import.  ``perfbench/run.py --trace 1`` times the kernels of the backend in
+use.
 
 All kernels consume angle/exponential draws (``u_ang`` uniform on
 (-pi/2, pi/2), ``w_exp`` standard exponential) rather than a generator, so

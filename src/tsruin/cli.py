@@ -37,6 +37,7 @@ from .ruin import (
     estimate_infinite_horizon,
     estimate_rft,
     estimate_tulta,
+    eventual_ruin_from_w,
     prob_eventual_ruin,
     scale_function,
 )
@@ -90,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", type=float, dest="t_max")
         p.add_argument("--t-steps", type=int, dest="t_steps")
         p.add_argument("--engine", choices=("talbot", "levin"))
-        p.add_argument("--digits", type=int, help="Talbot precision/terms M")
+        p.add_argument("--digits", type=int,
+                       help="terms M and working digits of the mpmath Talbot inversions "
+                            "of W and P(ruin ever); B uses a fixed double-precision "
+                            "contour with its own M=18/M=24 self-check")
         p.add_argument("--nodes", type=int, help="Levin basis size n")
         p.add_argument("--eps", type=float, help="Levin Bromwich abscissa")
         p.add_argument("--h", type=float, help="simulation time step")
@@ -230,7 +234,7 @@ def cmd_b(s: dict) -> int:
     spec = _inversion_spec(s)
     ts = _grid(s, "t")
     bf = BFunction(model, spec)
-    rows = [(float(t), bf.value(float(t))) for t in ts]
+    rows = list(zip(map(float, ts), bf.grid(ts)))
     _write_tsv(s.get("out"), ["t", "B"], rows)
     # keep stdout clean for the TSV when no output path was given
     info = sys.stdout if s.get("out") else sys.stderr
@@ -254,14 +258,18 @@ def cmd_ruin_surface(s: dict) -> int:
     header = ["u", "t", "value"] + (["stderr"] if method == "mc" else [])
     rows = []
     bf = BFunction(model, spec)
+    if method in ("rft", "tulta"):
+        bf.grid(ts)
     for u in map(float, us):
+        # P(ruin ever) depends on u alone
+        p_ever = prob_eventual_ruin(model, u, spec) if method in ("tulta", "infinite") else None
         for t in map(float, ts):
             if method == "rft":
                 rows.append((u, t, estimate_rft(model, u, t, spec, bf=bf).value))
             elif method == "tulta":
-                rows.append((u, t, estimate_tulta(model, u, t, spec, bf=bf).value))
+                rows.append((u, t, estimate_tulta(model, u, t, spec, bf=bf, p_ruin=p_ever).value))
             elif method == "infinite":
-                rows.append((u, t, estimate_infinite_horizon(model, u, spec).value))
+                rows.append((u, t, p_ever))
             else:
                 res = simulate_ruin_mc(model, u, t, _sim_plan(s))
                 est = RuinEstimate(u=u, t=t, value=res.mean,
@@ -302,11 +310,12 @@ def cmd_benchmark(s: dict) -> int:
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
     bf = BFunction(model, spec)
+    bf.grid(ts)
     rows = []
     for u in map(float, us):
         inf_est = estimate_infinite_horizon(model, u, spec).value
         for t in map(float, ts):
-            a = estimate_tulta(model, u, t, spec, bf=bf).value
+            a = estimate_tulta(model, u, t, spec, bf=bf, p_ruin=inf_est).value
             sim = simulate_ruin_mc(model, u, t, plan).mean
             rows.append((u, t, a, sim, inf_est, a / sim, inf_est / sim,
                          abs(a - sim) / sim, abs(inf_est - sim) / sim))
@@ -319,7 +328,7 @@ def cmd_scale_fn(s: dict) -> int:
     spec = _inversion_spec(s)
     us = _grid(s, "u")
     w_rows = [(float(u), scale_function(model, float(u), spec)) for u in us]
-    p_rows = [(float(u), prob_eventual_ruin(model, float(u), spec)) for u in us]
+    p_rows = [(u, eventual_ruin_from_w(model, u, w)) for u, w in w_rows]
     _write_tsv(s.get("out"), None, None,
                sections=[(["u", "W"], w_rows), (["u", "P_ruin"], p_rows)])
     return EXIT_OK

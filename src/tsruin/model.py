@@ -36,6 +36,7 @@ __all__ = [
     "min_loading_for_subcritical",
     "classify_regime",
     "phi",
+    "phi_contour",
     "levy_tail",
     "levy_tail_asymptotic",
     "rescale",
@@ -239,27 +240,33 @@ def _newton_tol(x) -> float:
     return 1e-14
 
 
-def _phi_real_seed(m: ClaimsModel, delta: float) -> float:
-    """Float-precision root of psi_X(beta) = delta on the decreasing branch."""
-    if delta == 0.0:
-        return 0.0
-    lo_mag = 1.0
+def _phi_real_seed(m: ClaimsModel, delta):
+    """Float-precision root of psi_X(beta) = delta on the decreasing branch.
+
+    ``delta`` is a float or an array of floats, all >= 0; arrays are
+    bracketed and bisected elementwise in one pass.
+    """
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    lo = np.full_like(d, -1.0)
     for _ in range(1100):
-        if m.psi_x(-lo_mag) >= delta:
+        short = m.psi_x(lo) < d
+        if not short.any():
             break
-        lo_mag *= 2.0
+        lo[short] *= 2.0
     else:
-        raise PhiConvergenceError(f"could not bracket phi({delta})")
-    lo, hi = -lo_mag, 0.0
+        raise PhiConvergenceError(f"could not bracket phi({d[short][0]})")
+    hi = np.zeros_like(d)
+    live = np.ones(d.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
             break
-        if m.psi_x(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        left = m.psi_x(mid) > d
+        lo = np.where(live & left, mid, lo)
+        hi = np.where(live & ~left, mid, hi)
+    root = np.where(d == 0.0, 0.0, 0.5 * (lo + hi))
+    return root if np.ndim(delta) else float(root[0])
 
 
 def _phi_newton(m: ClaimsModel, delta: Scalar, seed: Scalar, maxit: int = 120) -> Scalar:
@@ -327,6 +334,52 @@ def phi(m: ClaimsModel, delta: Scalar, hint: Optional[Scalar] = None) -> Scalar:
     if resid > 1e-12 * max(1.0, abs(delta)):
         raise PhiConvergenceError(f"phi({delta}) residual {resid:.3e} too large")
     return root
+
+
+def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
+                       maxit: int) -> np.ndarray:
+    """Newton on every entry of ``delta`` at once, each entry dropping out
+    once its residual meets the 1e-12 relative gate of ``phi``.  The step
+    computed there is still taken: the gate is absolute for |delta| < 1,
+    and roots only that close cost a double-precision Talbot sum of B up
+    to ~1e-8 relative.  Raises if any entry is still above the gate
+    after ``maxit`` iterations."""
+    beta = seed.copy()
+    gate = 1e-12 * np.maximum(1.0, np.abs(delta))
+    active = np.arange(delta.size)
+    for _ in range(maxit):
+        b = beta[active]
+        resid = m.psi_x(b) - delta[active]
+        beta[active] = b - resid / m.dpsi_x(b)
+        active = active[~(np.abs(resid) <= gate[active])]
+        if not active.size:
+            return beta
+    worst = int(active[np.argmax(np.abs(m.psi_x(beta[active]) - delta[active]))])
+    raise PhiConvergenceError(
+        f"Newton stalled for phi({delta[worst]}) after {maxit} iterations "
+        f"({active.size} of {delta.size} contour nodes unconverged)"
+    )
+
+
+def phi_contour(m: ClaimsModel, deltas: np.ndarray, maxit: int = 50) -> np.ndarray:
+    """Phi_X on a ``(rows, nodes)`` array of inversion contour points.
+
+    Each row is one contour, its columns in contour order starting from
+    the real crossing point ``deltas[:, 0]`` (real and positive).  The
+    real column is seeded from the float bisection on the decreasing
+    branch, and every later column from the roots of the column before it,
+    so each row is continued along its contour from the real solution.
+    Newton runs masked over a whole column at a time; every root meets the
+    same 1e-12 relative residual gate as ``phi`` (plus one polishing step),
+    and a node that does not within ``maxit`` iterations raises
+    ``PhiConvergenceError``.
+    """
+    deltas = np.asarray(deltas, dtype=complex)
+    roots = np.empty_like(deltas)
+    seed = _phi_real_seed(m, deltas[:, 0].real).astype(complex)
+    for j in range(deltas.shape[1]):
+        seed = roots[:, j] = _phi_newton_column(m, deltas[:, j], seed, maxit)
+    return roots
 
 
 class PhiContinuation:

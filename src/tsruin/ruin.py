@@ -6,9 +6,12 @@ transform
 
     B~(delta) = (Phi_X(delta) - alpha) / ((delta - psi_X(alpha))^2 Phi_X(delta)),
 
-valid for Re delta > max(0, psi_X(alpha)).  The eventual-ruin probability
-comes from the scale function W, whose transform 1/psi_X(-beta) needs no
-root finding at all.
+valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
+whole t-grid at once, in double precision on a Talbot contour shifted
+right of that abscissa; the mpmath ``talbot_invert`` of ``make_b_transform``
+is the high-precision reference.  The eventual-ruin probability comes from
+the scale function W, whose transform 1/psi_X(-beta) needs no root finding
+at all.
 """
 from __future__ import annotations
 
@@ -21,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .laplace import InversionError, InversionSpec, levin_invert, talbot_invert
-from .model import ClaimsModel, PhiContinuation, RegimeTag, classify_regime, levy_tail, phi
+from .laplace import InversionError, InversionSpec, levin_invert, talbot_grid, talbot_invert
+from .model import (ClaimsModel, PhiContinuation, RegimeTag, classify_regime, levy_tail, phi,
+                    phi_contour)
 
 __all__ = [
     "EstimateMethod",
@@ -34,6 +38,7 @@ __all__ = [
     "b_infinity",
     "scale_function",
     "prob_eventual_ruin",
+    "eventual_ruin_from_w",
     "estimate_rft",
     "estimate_tulta",
     "estimate_infinite_horizon",
@@ -41,6 +46,12 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# B's double-precision Talbot runs at both term counts; their gap is its
+# error estimate.  24 is about the most that double precision carries (the
+# rounding error grows like e^(2M/5) * 1e-16).
+B_TALBOT_TERMS = (18, 24)
+B_TALBOT_RTOL = 1e-8
 
 
 class RegimeError(ValueError):
@@ -93,11 +104,16 @@ def b_tilde(m: ClaimsModel, delta, continuation: Optional[PhiContinuation] = Non
     on the analytic branch.
     """
     root = continuation.solve(delta) if continuation is not None else phi(m, delta)
+    return _b_tilde_at(m, delta, root)
+
+
+def _b_tilde_at(m: ClaimsModel, delta, root):
+    """B~(delta) given root = Phi_X(delta); delta and root may be arrays."""
     return (root - m.alpha) / ((delta - m.psi_alpha) ** 2 * root)
 
 
 def make_b_transform(m: ClaimsModel):
-    """Transform closure for the engines, with fresh continuation state.
+    """Transform closure for the scalar engines, with fresh continuation state.
 
     The returned callable is serial (it mutates its continuation cache);
     engines evaluate it from a single thread.
@@ -105,8 +121,7 @@ def make_b_transform(m: ClaimsModel):
     cont = PhiContinuation(m)
 
     def transform(delta):
-        root = cont.solve(delta)
-        return (root - m.alpha) / ((delta - m.psi_alpha) ** 2 * root)
+        return b_tilde(m, delta, cont)
 
     transform.serial = True
     return transform
@@ -128,7 +143,10 @@ class BFunction:
 
     The cache is guarded by a lock so concurrent readers are safe; values
     are monotone increasing in t (B is an integral of a positive
-    function), which the test suite verifies on grids.
+    function), which the test suite verifies on grids.  On the plateau of
+    a subcritical profile the increments fall below the ~1e-12 relative
+    noise of the double-precision engine, and there monotonicity holds only
+    to that noise.
     """
 
     def __init__(self, model: ClaimsModel, spec: Optional[InversionSpec] = None):
@@ -142,40 +160,82 @@ class BFunction:
         return max(0.0, self.model.psi_alpha) + 1.0 / t
 
     def value(self, t: float) -> float:
-        """B(t) by numerical inversion, clamped to 0 for tiny negative noise near 0."""
-        if t <= 0.0:
-            raise ValueError(f"t must be positive, got {t}")
+        """B(t) by numerical inversion; one point of ``grid``."""
+        return self.grid([t])[0]
+
+    def grid(self, ts) -> list:
+        """B at every t of ``ts``, inverting all uncached points in one pass.
+
+        The Talbot engine inverts them together in double precision on the
+        contour shifted to max(0, psi_X(alpha)), at both term counts of
+        ``B_TALBOT_TERMS``, and raises ``InversionError`` wherever the two
+        differ by more than ``B_TALBOT_RTOL`` relative (this also catches a
+        Newton solve that left the analytic branch).  The Levin engine
+        inverts point by point.  Tiny negative noise near t = 0 is clamped
+        to 0; any other negative value raises.
+        """
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if t <= 0.0:
+                raise ValueError(f"t must be positive, got {t}")
         with self._lock:
-            if t in self._memo:
-                return self._memo[t]
-        F = make_b_transform(self.model)
-        if self.spec.engine == "talbot":
-            val = talbot_invert(F, t, M=self.spec.digits)
-        else:
-            val = levin_invert(
-                F, t, n=self.spec.nodes, U=self.spec.cutoff,
-                eps=self.spec.shift if self.spec.shift is not None else self._levin_shift(t),
+            todo = sorted({t for t in ts if t not in self._memo})
+        if todo:
+            if self.spec.engine == "talbot":
+                vals = self._talbot(todo)
+            else:
+                vals = [self._levin(t) for t in todo]
+            vals = [self._nonnegative(t, v) for t, v in zip(todo, vals)]
+            with self._lock:
+                self._memo.update(zip(todo, vals))
+        with self._lock:
+            return [self._memo[t] for t in ts]
+
+    def _talbot(self, ts: list) -> list:
+        m = self.model
+
+        def transform(deltas):
+            return _b_tilde_at(m, deltas, phi_contour(m, deltas))
+
+        # a non-finite value fails the check below and raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = (talbot_grid(transform, ts, M, shift=max(0.0, m.psi_alpha))
+                      for M in B_TALBOT_TERMS)
+            gap = np.abs(hi - lo) / np.abs(hi)
+        bad = np.flatnonzero(~(gap <= B_TALBOT_RTOL))
+        if bad.size:
+            i = bad[0]
+            if not np.isfinite(hi[i]):
+                raise InversionError(f"B({ts[i]}) is not finite in double precision ({hi[i]})")
+            raise InversionError(
+                f"B({ts[i]}) failed its Talbot self-check: M={B_TALBOT_TERMS[0]} and "
+                f"M={B_TALBOT_TERMS[1]} differ by {gap[i]:.3e} relative "
+                f"(tolerance {B_TALBOT_RTOL:g})"
             )
+        return hi.tolist()
+
+    def _levin(self, t: float) -> float:
+        return levin_invert(
+            make_b_transform(self.model), t, n=self.spec.nodes, U=self.spec.cutoff,
+            eps=self.spec.shift if self.spec.shift is not None else self._levin_shift(t),
+        )
+
+    @staticmethod
+    def _nonnegative(t: float, val: float) -> float:
         if val < 0.0:
             if t < 1e-6 and val > -1e-9:
                 logger.info("clamping B(%g) = %.3e to 0 (inversion noise near 0)", t, val)
-                val = 0.0
-            else:
-                raise InversionError(f"B({t}) inverted to a negative value {val:.6e}")
-        with self._lock:
-            self._memo[t] = val
+                return 0.0
+            raise InversionError(f"B({t}) inverted to a negative value {val:.6e}")
         return val
-
-    def grid(self, ts) -> list:
-        """B on a strictly increasing grid, one continuation pass per point."""
-        return [self.value(t) for t in ts]
 
     def derivative(self, t: float, h_fd: Optional[float] = None) -> float:
         """Centered finite-difference B'(t); step balances inversion noise
         against truncation."""
         h = h_fd if h_fd is not None else max(1e-4, 1e-3 * t)
         h = min(h, 0.5 * t)
-        return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
+        lo, hi = self.grid([t - h, t + h])
+        return (hi - lo) / (2.0 * h)
 
     def sup_moment(self, t: float) -> float:
         """E exp(alpha * sup_{s<=t} X_s) recovered from the density identity
@@ -205,7 +265,7 @@ class BFunction:
         if ts[-1] < T:
             ts.append(T)
         ts = np.array(ts)
-        vals = np.array([1.0 - self.value(float(t)) / binf for t in ts])
+        vals = 1.0 - np.array(self.grid(ts)) / binf
         integral = float(np.trapezoid(vals, ts))
         # the integrand is 1 on [0, ts[0]) to first order
         return integral + float(ts[0])
@@ -242,12 +302,17 @@ def scale_function(m: ClaimsModel, u: float, spec: Optional[InversionSpec] = Non
 
 
 def prob_eventual_ruin(m: ClaimsModel, u: float, spec: Optional[InversionSpec] = None) -> float:
-    """P(ruin ever) = 1 + E[X_1] * W(u), clamped to [0, 1].
+    """P(ruin ever) = 1 + E[X_1] * W(u), clamped to [0, 1]; see ``eventual_ruin_from_w``."""
+    return eventual_ruin_from_w(m, u, scale_function(m, u, spec))
+
+
+def eventual_ruin_from_w(m: ClaimsModel, u: float, w: float) -> float:
+    """P(ruin ever) = 1 + E[X_1] * w from an inverted w = W(u), clamped to [0, 1].
 
     Inversion noise can push the value marginally outside [0, 1]; excursions
     beyond 1e-6 are logged as warnings before clamping.
     """
-    val = 1.0 + m.drift_mean * scale_function(m, u, spec)
+    val = 1.0 + m.drift_mean * w
     if val < -1e-6 or val > 1.0 + 1e-6:
         logger.warning("prob_eventual_ruin(%g) = %.6g clamped into [0,1]", u, val)
     return min(1.0, max(0.0, val))
@@ -270,8 +335,13 @@ def estimate_rft(m: ClaimsModel, u: float, t: float,
 
 def estimate_tulta(m: ClaimsModel, u: float, t: float,
                    spec: Optional[InversionSpec] = None,
-                   bf: Optional[BFunction] = None) -> RuinEstimate:
-    """Normalized estimate P(ruin ever) * B(t)/B(inf); subcritical only."""
+                   bf: Optional[BFunction] = None,
+                   p_ruin: Optional[float] = None) -> RuinEstimate:
+    """Normalized estimate P(ruin ever) * B(t)/B(inf); subcritical only.
+
+    ``p_ruin`` is P(ruin ever) at this u when the caller already has it
+    (a grid over t shares one per u); it is computed otherwise.
+    """
     if u <= 0.0 or t <= 0.0:
         raise ValueError(f"u and t must be positive, got u={u}, t={t}")
     regime = classify_regime(m)
@@ -282,7 +352,9 @@ def estimate_tulta(m: ClaimsModel, u: float, t: float,
         )
     bf = bf or BFunction(m, spec)
     ratio = min(1.0, bf.value(t) / b_infinity(m))
-    value = prob_eventual_ruin(m, u, spec) * ratio
+    if p_ruin is None:
+        p_ruin = prob_eventual_ruin(m, u, spec)
+    value = p_ruin * ratio
     return RuinEstimate(u=u, t=t, value=value, method=EstimateMethod.TULTA)
 
 

@@ -11,6 +11,7 @@ from tsruin import (
     invert_grid,
     levin_invert,
     make_b_transform,
+    talbot_grid,
     talbot_invert,
 )
 
@@ -56,6 +57,36 @@ class TestTalbot:
 
         with pytest.raises(InversionError, match="transform evaluation failed"):
             talbot_invert(broken, 1.0, M=16)
+
+
+class TestTalbotGrid:
+    def test_known_pairs(self):
+        ts = np.array(TS)
+        assert np.allclose(talbot_grid(f_t, ts, M=24), ts, rtol=1e-11, atol=0.0)
+        # double precision resolves e^-t to ~1e-12 absolute, not relative
+        assert np.allclose(talbot_grid(f_exp, ts, M=24), np.exp(-ts), rtol=0.0, atol=1e-12)
+
+    def test_shift_past_a_double_pole(self):
+        # 1/(d-1)^2 <-> t e^t: the unshifted contour crosses the real axis at
+        # r = 2M/(5t) < 1 for t > 2M/5, leaving the pole right of the
+        # contour; shifted by 1 the contour stays right of it for every t
+        ts = np.array([1.0, 10.0, 50.0])
+        got = talbot_grid(lambda d: 1.0 / (d - 1.0) ** 2, ts, M=24, shift=1.0)
+        assert np.allclose(got, ts * np.exp(ts), rtol=1e-10, atol=0.0)
+
+    def test_matches_scalar_engine(self, paper_ref):
+        def w_transform(beta):
+            return 1.0 / paper_ref.psi_x(-beta)
+
+        got = talbot_grid(w_transform, [0.5, 4.0], M=24)
+        for u, g in zip([0.5, 4.0], got):
+            assert abs(g / talbot_invert(w_transform, u, M=32) - 1.0) < 1e-10
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            talbot_grid(f_t, [1.0, 0.0], M=24)
+        with pytest.raises(ValueError):
+            talbot_grid(f_t, [1.0], M=4)
 
 
 class TestLevin:

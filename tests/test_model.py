@@ -19,10 +19,11 @@ from tsruin import (
     mean_y,
     min_loading_for_subcritical,
     phi,
+    phi_contour,
     premium_from_loading,
     rescale,
 )
-from tsruin.model import PhiContinuation
+from tsruin.model import PhiContinuation, PhiConvergenceError
 
 from conftest import assert_close
 
@@ -209,6 +210,36 @@ class TestPhi:
             assert abs(paper_ref.psi_x(root) - 2.5) < mpmath.mpf("1e-30")
             croot = phi(paper_ref, mpmath.mpc(1.0, 3.0))
             assert abs(paper_ref.psi_x(croot) - mpmath.mpc(1.0, 3.0)) < mpmath.mpf("1e-28")
+
+
+def _talbot_nodes(ts, M=24, shift=0.0):
+    """Shifted fixed-Talbot nodes, one row per t, in contour order."""
+    theta = np.pi * np.arange(1, M) / M
+    path = np.concatenate([[1.0], theta * (1.0 / np.tan(theta) + 1j)])
+    return shift + (2.0 * M / (5.0 * np.asarray(ts)))[:, None] * path
+
+
+class TestPhiContour:
+    def test_matches_scalar_continuation(self, paper_ref, ig_model):
+        for m in (paper_ref, ig_model):
+            deltas = _talbot_nodes([0.01, 1.0, 50.0], shift=max(0.0, m.psi_alpha))
+            roots = phi_contour(m, deltas)
+            for row, got in zip(deltas, roots):
+                cont = PhiContinuation(m)
+                want = np.array([complex(cont.solve(d)) for d in row])
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_closed_form_inverse_gaussian(self, ig_model):
+        deltas = _talbot_nodes([1e-3, 0.5, 20.0, 900.0], shift=ig_model.psi_alpha)
+        roots = phi_contour(ig_model, deltas)
+        closed = _phi_ig_closed_form(ig_model, deltas)
+        assert np.all(np.abs(roots - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
+        resid = np.abs(ig_model.psi_x(roots) - deltas)
+        assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(deltas)))
+
+    def test_newton_cap_raises(self, paper_ref):
+        with pytest.raises(PhiConvergenceError, match="unconverged"):
+            phi_contour(paper_ref, _talbot_nodes([1.0, 10.0]), maxit=1)
 
 
 class TestLevyTail:

@@ -7,7 +7,9 @@ import pytest
 
 from tsruin import (
     BFunction,
+    ClaimsModel,
     EstimateMethod,
+    InversionError,
     InversionSpec,
     RegimeError,
     RuinEstimate,
@@ -19,10 +21,13 @@ from tsruin import (
     estimate_tulta,
     growth_diagnostic,
     levy_tail,
+    make_b_transform,
     prob_eventual_ruin,
     rescale,
     scale_function,
+    talbot_invert,
 )
+from tsruin import ruin
 
 from conftest import assert_close
 
@@ -120,6 +125,55 @@ class TestBFunction:
         assert 0.0 < m50 <= m100 <= m200
         # stabilization consistent with a finite mean of the limit law
         assert m200 - m100 < 1e-4
+
+
+class TestShiftedTalbotEngine:
+    """The double-precision grid engine against the mpmath Talbot oracle."""
+
+    @pytest.mark.parametrize("model, ts, M", [
+        ("paper_ref", [1e-3, 0.5, 5.0, 20.0, 100.0, 200.0], 32),
+        ("critical_model", [0.5, 10.0, 100.0, 1000.0], 32),
+        # the unshifted M=32 contour crosses the real axis at r = 12.8/t, which
+        # nears the double pole at psi_X(alpha) = 0.014 (reached at t = 903):
+        # that reference is off by more than 1e-10 from t ~ 600, M=64 is not
+        ("ig_model", [0.5, 10.0, 100.0, 300.0, 500.0], 32),
+        ("ig_model", [718.0, 850.0, 1000.0], 64),
+    ])
+    def test_agrees_with_mpmath_oracle(self, model, ts, M, request):
+        m = request.getfixturevalue(model)
+        got = BFunction(m).grid(ts)
+        for t, b in zip(ts, got):
+            want = talbot_invert(make_b_transform(m), t, M=M)
+            assert_close(b, want, rel=1e-10, msg=f"B({t})")
+
+    def test_supercritical_monotone_to_1000(self, ig_model):
+        vals = BFunction(ig_model).grid(np.linspace(0.5, 1000.0, 40))
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_grid_fills_memo_for_value(self, paper_ref):
+        bf = BFunction(paper_ref)
+        ts = [0.5, 2.0, 8.0]
+        vals = bf.grid(ts)
+        assert sorted(bf._memo) == ts
+        assert [bf.value(t) for t in ts] == vals
+        assert_close(BFunction(paper_ref).value(2.0), vals[1], rel=1e-13)
+
+    def test_self_check_disagreement_raises(self, paper_ref, monkeypatch):
+        exact = ruin.talbot_grid
+
+        def skewed(F, ts, M, shift=0.0):
+            vals = exact(F, ts, M, shift)
+            return vals * (1.0 + 1e-6) if M == ruin.B_TALBOT_TERMS[0] else vals
+
+        monkeypatch.setattr(ruin, "talbot_grid", skewed)
+        with pytest.raises(InversionError, match="self-check"):
+            BFunction(paper_ref).grid([1.0, 5.0])
+
+    def test_overflow_raises(self):
+        # psi_X(alpha) = 2.93: B(300) ~ e^879 is beyond double precision
+        m = ClaimsModel.from_loading(1.0, 2.0, 0.3, 0.5)
+        with pytest.raises(InversionError, match="not finite"):
+            BFunction(m).value(300.0)
 
 
 class TestScaleFunction:
