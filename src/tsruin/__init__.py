@@ -5,7 +5,6 @@ inversion of the asymptotic ruin-time profile, cross-checked by
 importance-sampled Monte Carlo simulation under an exponential change of
 measure to a stable process.
 """
-from ._kernels import backend as kernel_backend
 from .laplace import (
     InversionError,
     InversionSpec,

@@ -30,9 +30,7 @@ from .laplace import InversionError, InversionSpec
 from .model import ClaimsModel, PhiConvergenceError, classify_regime, RegimeTag
 from .ruin import (
     BFunction,
-    EstimateMethod,
     RegimeError,
-    RuinEstimate,
     b_infinity,
     estimate_infinite_horizon,
     estimate_rft,
@@ -260,10 +258,12 @@ def cmd_ruin_surface(s: dict) -> int:
     bf = BFunction(model, spec)
     if method in ("rft", "tulta"):
         bf.grid(ts)
-    for u in map(float, us):
+    if method == "mc":
+        res = simulate_ruin_mc(model, us, ts, _sim_plan(s))
+    for i, u in enumerate(map(float, us)):
         # P(ruin ever) depends on u alone
         p_ever = prob_eventual_ruin(model, u, spec) if method in ("tulta", "infinite") else None
-        for t in map(float, ts):
+        for j, t in enumerate(map(float, ts)):
             if method == "rft":
                 rows.append((u, t, estimate_rft(model, u, t, spec, bf=bf).value))
             elif method == "tulta":
@@ -271,10 +271,7 @@ def cmd_ruin_surface(s: dict) -> int:
             elif method == "infinite":
                 rows.append((u, t, p_ever))
             else:
-                res = simulate_ruin_mc(model, u, t, _sim_plan(s))
-                est = RuinEstimate(u=u, t=t, value=res.mean,
-                                   method=EstimateMethod.MONTE_CARLO, stderr=res.stderr)
-                rows.append((u, t, est.value, est.stderr))
+                rows.append((u, t, float(res.mean[i, j]), float(res.stderr[i, j])))
     _write_tsv(s.get("out"), header, rows)
     return EXIT_OK
 
@@ -287,14 +284,10 @@ def cmd_simulate(s: dict) -> int:
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
     simulate = simulate_ruin_mc if approach == "mc" else simulate_ruin_naive
-    rows = []
-    for u in map(float, us):
-        for t in map(float, ts):
-            if abs(round(t / plan.h) * plan.h - t) > 1e-9 * max(1.0, t):
-                raise UsageError(f"step h={plan.h} must divide t={t} exactly")
-            res = simulate(model, u, t, plan)
-            rows.append((u, t, res.mean, res.stderr, res.elapsed_seconds,
-                         plan.n, plan.N, plan.h, plan.seed))
+    res = simulate(model, us, ts, plan)
+    rows = [(u, t, float(res.mean[i, j]), float(res.stderr[i, j]), res.elapsed_seconds,
+             plan.n, plan.N, plan.h, plan.seed)
+            for i, u in enumerate(map(float, us)) for j, t in enumerate(map(float, ts))]
     _write_tsv(s.get("out"), ["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"], rows)
     return EXIT_OK
 
@@ -311,12 +304,13 @@ def cmd_benchmark(s: dict) -> int:
     us, ts = _grid(s, "u"), _grid(s, "t")
     bf = BFunction(model, spec)
     bf.grid(ts)
+    sims = simulate_ruin_mc(model, us, ts, plan).mean
     rows = []
-    for u in map(float, us):
+    for i, u in enumerate(map(float, us)):
         inf_est = estimate_infinite_horizon(model, u, spec).value
-        for t in map(float, ts):
+        for j, t in enumerate(map(float, ts)):
             a = estimate_tulta(model, u, t, spec, bf=bf, p_ruin=inf_est).value
-            sim = simulate_ruin_mc(model, u, t, plan).mean
+            sim = float(sims[i, j])
             rows.append((u, t, a, sim, inf_est, a / sim, inf_est / sim,
                          abs(a - sim) / sim, abs(inf_est - sim) / sim))
     _write_tsv(s.get("out"), ["u", "t", "a", "s", "i", "a/s", "i/s", "|a-s|/s", "|i-s|/s"], rows)

@@ -10,6 +10,14 @@ Two estimators of P(first passage above u by time t):
   increments are drawn exactly by exponential-tilting rejection from
   stable proposals, and the estimate is the plain hit fraction.
 
+Both take a u-vector and a t-vector and estimate every (u, t) cell from
+one path set per batch, simulated to the largest horizon: the hit flag
+and weight of horizon t are read off at step t/h.  The cells therefore
+share common random numbers; each keeps the same estimator in law, only
+their correlation changes.  A scalar (u, t) is the one-cell grid, and the
+largest-horizon column of any grid equals the one-cell run at that t
+bit for bit.
+
 Batches are deterministic: batch k draws from a generator seeded by
 ``SeedSequence((seed, k))``, so results are bit-identical for a fixed plan
 regardless of thread count or scheduling.
@@ -121,34 +129,39 @@ class SimPlan:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Aggregated batch statistics: mean over batch means and sigma/sqrt(N)."""
+    """Aggregated batch statistics: mean over batch means and sigma/sqrt(N),
+    floats for one cell and arrays of the grid's shape otherwise."""
 
-    mean: float
-    stderr: float
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
     elapsed_seconds: float
     batches: int
     paths_per_batch: int
 
     def __post_init__(self):
-        if self.mean < 0.0:
+        if np.min(self.mean) < 0.0:
             raise ValueError(f"mean must be nonnegative, got {self.mean}")
-        if self.stderr < 0.0:
+        if np.min(self.stderr) < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
 
 
 def _steps_for(t: float, h: float) -> int:
+    if h > t:
+        raise ValueError(f"step h={h} exceeds horizon t={t}")
     steps = round(t / h)
-    if steps < 1 or abs(steps * h - t) > 1e-9 * max(1.0, abs(t)):
+    if abs(steps * h - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"h={h} must divide the horizon t={t} exactly")
     return steps
 
 
-def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> BatchResult:
-    """Run ``job`` N times on independent deterministic streams.
+def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
+                  shape: tuple = ()) -> BatchResult:
+    """Run ``job`` N times and fold its per-cell batch means, cell by cell.
 
-    Batch k receives ``default_rng(SeedSequence((seed, k)))``.  Batches may
-    execute concurrently on ``plan.threads`` workers; aggregation is a fold
-    in batch-index order, so the output is independent of scheduling.
+    ``job`` returns one float or an array of cell means; the result holds
+    floats for ``shape == ()`` and arrays of ``shape`` otherwise.  Each
+    cell's N means are folded as one contiguous vector, so a cell's result
+    does not depend on the grid around it.
     """
     seed = plan.seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, k))) for k in range(plan.N)]
@@ -159,14 +172,17 @@ def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> B
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             means = list(pool.map(job, rngs))
     elapsed = time.perf_counter() - start
-    arr = np.asarray(means, dtype=np.float64)
+    cells = np.ascontiguousarray(np.asarray(means, dtype=np.float64).reshape(plan.N, -1).T)
+    mean = np.array([c.mean() for c in cells]).reshape(shape)
     if plan.N == 1:
         logger.warning("N=1 batch: stderr is degenerate, reporting 0")
-        stderr = 0.0
+        stderr = np.zeros(shape)
     else:
-        stderr = float(arr.std(ddof=1) / math.sqrt(plan.N))
+        stderr = np.array([c.std(ddof=1) / math.sqrt(plan.N) for c in cells]).reshape(shape)
+    if shape == ():
+        mean, stderr = float(mean), float(stderr)
     return BatchResult(
-        mean=float(arr.mean()),
+        mean=mean,
         stderr=stderr,
         elapsed_seconds=elapsed,
         batches=plan.N,
@@ -174,44 +190,69 @@ def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> B
     )
 
 
+def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> BatchResult:
+    """Run a one-cell ``job`` N times on independent deterministic streams.
+
+    Batch k receives ``default_rng(SeedSequence((seed, k)))``.  Batches may
+    execute concurrently on ``plan.threads`` workers; aggregation is a fold
+    in batch-index order, so the output is independent of scheduling.
+    """
+    return _fold_batches(job, plan)
+
+
 def _chunk_paths(steps: int) -> int:
     return max(1, _CHUNK_ELEMENTS // steps)
 
 
-def simulate_ruin_mc(m: ClaimsModel, u: float, t: float, plan: SimPlan) -> BatchResult:
-    """Measure-change estimator of P(ruin by t) at discrete step h.
+def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
+    """Every (u, t) cell from one path set per batch.
 
-    Per path: accumulate stable h-increments, flag a hit if the running
-    sum ever exceeds u at a step boundary, continue to the horizon, and
-    add the weight exp(-alpha * Z_t) for hit paths.  The batch mean is
-    multiplied by exp(psi_X(alpha) * t).
+    Every horizon is checked before any path is drawn.  Paths run to the
+    largest horizon in chunks of ``_chunk_paths`` rows; ``scan(rng, npaths,
+    steps, us, ends)`` draws a chunk and returns its per-(u, end) sums.
+    A cell's batch mean is its sum over the batch's paths divided by n,
+    times ``factor(t)``.
     """
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError(f"u and t must be positive, got u={u}, t={t}")
-    if plan.h > t:
-        raise ValueError(f"step h={plan.h} exceeds horizon t={t}")
-    steps = _steps_for(t, plan.h)
-    params = stable_increment_params(m, plan.h)
-    theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
-    weight_factor = math.exp(m.psi_alpha * t)
+    us = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if us.ndim != 1 or ts.ndim != 1 or not (us > 0.0).all() or not (ts > 0.0).all():
+        raise ValueError(f"u and t must be positive scalars or vectors, got u={u}, t={t}")
+    ends, col = np.unique([_steps_for(float(x), plan.h) for x in ts], return_inverse=True)
+    steps = int(ends[-1])
     chunk = _chunk_paths(steps)
+    factors = np.array([factor(float(x)) for x in ts])
 
-    def batch_job(rng: np.random.Generator) -> float:
-        wsum = 0.0
+    def batch_job(rng: np.random.Generator) -> np.ndarray:
+        total = 0
         done = 0
         while done < plan.n:
             npaths = min(chunk, plan.n - done)
-            u_ang = np.pi * (rng.random((npaths, steps)) - 0.5)
-            w_exp = rng.standard_exponential((npaths, steps))
-            ws, _ = _kernels.mc_weight_scan(
-                u_ang, w_exp, params.rho, theta0, scale0,
-                params.nu, params.mu, u, m.alpha,
-            )
-            wsum += ws
+            total = total + scan(rng, npaths, steps, us, ends)
             done += npaths
-        return wsum / plan.n * weight_factor
+        return total[:, col] / plan.n * factors
 
-    return run_batches(batch_job, plan)
+    return _fold_batches(batch_job, plan, np.shape(u) + np.shape(t))
+
+
+def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
+    """Measure-change estimator of P(ruin by t) at discrete step h.
+
+    Per path: accumulate stable h-increments, flag a hit at horizon t if
+    the running sum exceeded u at a step boundary up to t, and add the
+    weight exp(-alpha * Z_t) for hit paths.  The batch mean is multiplied
+    by exp(psi_X(alpha) * t).  ``u`` and ``t`` are scalars or vectors; the
+    result's mean and stderr have shape ``shape(u) + shape(t)``.
+    """
+    params = stable_increment_params(m, plan.h)
+    theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
+
+    def scan(rng, npaths, steps, us, ends):
+        u_ang = np.pi * (rng.random((npaths, steps)) - 0.5)
+        w_exp = rng.standard_exponential((npaths, steps))
+        return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
+                                       params.nu, params.mu, us, m.alpha, ends)[0]
+
+    return _simulate_grid(u, t, plan, scan, lambda x: math.exp(m.psi_alpha * x))
 
 
 def _tilted_subordinator_increments(
@@ -238,29 +279,19 @@ def _tilted_subordinator_increments(
     raise RuntimeError(f"tilting rejection exceeded {_MAX_REJECTION_ROUNDS} rounds")
 
 
-def simulate_ruin_naive(m: ClaimsModel, u: float, t: float, plan: SimPlan) -> BatchResult:
-    """Direct estimator: exact tempered stable increments, hit fraction."""
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError(f"u and t must be positive, got u={u}, t={t}")
-    if plan.h > t:
-        raise ValueError(f"step h={plan.h} exceeds horizon t={t}")
-    steps = _steps_for(t, plan.h)
+def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
+    """Direct estimator: exact tempered stable increments, hit fraction.
+    Takes scalar or vector ``u`` and ``t`` as ``simulate_ruin_mc`` does."""
     params = stable_increment_params(m, plan.h)  # mu unused: drift added below
     theta0, scale0 = _kernels.cms_constants(params.rho, 1.0)
     drift = -m.p * plan.h
-    chunk = _chunk_paths(steps)
 
-    def batch_job(rng: np.random.Generator) -> float:
-        hits = 0
-        done = 0
-        while done < plan.n:
-            npaths = min(chunk, plan.n - done)
-            v = _tilted_subordinator_increments(
-                rng, npaths * steps, params.nu, params.rho, m.alpha, theta0, scale0
-            )
-            incr = v.reshape(npaths, steps) + drift
-            hits += _kernels.first_passage_scan(incr, u)
-            done += npaths
-        return hits / plan.n
+    def scan(rng, npaths, steps, us, ends):
+        v = _tilted_subordinator_increments(
+            rng, npaths * steps, params.nu, params.rho, m.alpha, theta0, scale0
+        )
+        counts = np.zeros((len(us), len(ends)), dtype=np.int64)
+        _kernels.first_passage_scan(v.reshape(npaths, steps) + drift, us, ends, counts)
+        return counts
 
-    return run_batches(batch_job, plan)
+    return _simulate_grid(u, t, plan, scan, lambda x: 1.0)

@@ -155,12 +155,32 @@ class TestCmdSimulate:
         assert header == ["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"]
         assert rows[0][5] == "128" and rows[0][6] == "3" and rows[0][8] == "42"
 
-    def test_h_not_dividing_t(self):
+    def test_h_not_dividing_t(self, tmp_path):
         res = run_cli("simulate", "--preset", "paper-ref", "--approach", "mc",
                       "--u-min", "0.2", "--u-steps", "1", "--t-min", "1", "--t-steps", "1",
                       "--h", "0.3", "--paths", "16", "--batches", "2", "--seed", "1")
         assert res.returncode == 2
         assert "divide" in res.stderr
+        # t = 0.3 is a multiple of h, the last t = 1 is not: no row may be written
+        out = tmp_path / "sim.tsv"
+        res = run_cli("simulate", "--preset", "paper-ref", "--approach", "mc",
+                      "--u-min", "0.2", "--u-steps", "1", "--t-min", "0.3", "--t-max", "1",
+                      "--t-steps", "2", "--h", "0.3", "--paths", "16", "--batches", "2",
+                      "--seed", "1", "--out", str(out))
+        assert res.returncode == 2
+        assert "divide" in res.stderr and "t=1.0" in res.stderr
+        assert not out.exists()
+
+    def test_grid_rows_share_one_run(self, tmp_path):
+        out = tmp_path / "sim.tsv"
+        run_cli("simulate", "--preset", "paper-ref", "--approach", "naive",
+                "--u-min", "0.2", "--u-max", "0.4", "--u-steps", "2", "--t-min", "0.5",
+                "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "128",
+                "--batches", "3", "--seed", "42", "--out", str(out), check=True)
+        [(_, rows)] = read_tsv(out)
+        assert [(r[0], r[1]) for r in rows] == [("0.2", "0.5"), ("0.2", "1"),
+                                                ("0.4", "0.5"), ("0.4", "1")]
+        assert len({r[4] for r in rows}) == 1  # elapsed: the grid run's time
 
     def test_naive_rejects_rho_above_one(self):
         res = run_cli("simulate", "--c", "0.01", "--alpha", "1", "--rho", "1.5",

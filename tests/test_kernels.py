@@ -1,21 +1,11 @@
-"""Backend parity and selection tests for the hot kernels."""
-import os
+"""Tests for the hot kernels: grid scans against brute force, and the
+numpy kernels end to end in a fresh interpreter."""
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
-from tsruin import _kernels
-from tsruin._kernels import (
-    _HAVE_NUMBA,
-    _first_passage_scan_numpy,
-    _mc_weight_scan_numpy,
-    _stable_standard_numpy,
-    cms_constants,
-)
-
-needs_numba = pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not available")
+from tsruin._kernels import cms_constants, first_passage_scan, mc_weight_scan, stable_standard
 
 
 def _draws(seed=7, shape=(400, 50)):
@@ -25,66 +15,55 @@ def _draws(seed=7, shape=(400, 50)):
     return u_ang, w_exp
 
 
-@needs_numba
-class TestBackendParity:
-    def test_stable_transform_identical(self):
-        from tsruin._kernels import _stable_standard_numba
+class TestGridScans:
+    barriers = np.array([0.02, 0.05, 0.1])
+    ends = np.array([7, 20, 21, 50])
 
+    def test_first_passage_grid_matches_brute_force(self):
+        rng = np.random.default_rng(3)
+        incr = rng.normal(-0.001, 0.02, size=(3000, 50))
+        hits = np.zeros((3, 4), dtype=np.int64)
+        crossing = first_passage_scan(incr, self.barriers, self.ends, hits)
+        path = np.cumsum(incr, axis=1)
+        assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
+        for i, b in enumerate(self.barriers):
+            for j, e in enumerate(self.ends):
+                assert hits[i, j] == int((path[:, :e] > b).any(axis=1).sum())
+                assert hits[i, j] == first_passage_scan(incr[:, :e], float(b))
+
+    def test_mc_grid_matches_brute_force(self):
+        u_ang, w_exp = _draws(shape=(2000, 50))
+        theta0, scale0 = cms_constants(0.99, 1.0)
+        law = (0.99, theta0, scale0, 1.44e-4, -0.0119)
+        sums, crossing = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, self.ends)
+        path = np.cumsum(law[3] * stable_standard(u_ang, w_exp, *law[:3]) + law[4], axis=1)
+        for i, b in enumerate(self.barriers):
+            for j, e in enumerate(self.ends):
+                hit = (path[:, :e] > b).any(axis=1)
+                want = np.exp(-path[hit, e - 1]).sum()
+                assert sums[i, j] == want
+                assert sums[i, j] == mc_weight_scan(u_ang[:, :e], w_exp[:, :e], *law, float(b),
+                                                    1.0)[0]
+        assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
+
+    def test_scalar_call_returns_scalars(self):
         u_ang, w_exp = _draws()
         theta0, scale0 = cms_constants(0.99, 1.0)
-        a = _stable_standard_numpy(u_ang, w_exp, 0.99, theta0, scale0)
-        b = _stable_standard_numba(u_ang, w_exp, 0.99, theta0, scale0)
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-
-    def test_mc_scan_parity(self):
-        from tsruin._kernels import _mc_weight_scan_numba
-
-        u_ang, w_exp = _draws(shape=(2000, 80))
-        theta0, scale0 = cms_constants(0.99, 1.0)
-        args = (u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119, 0.05, 1.0)
-        ws_np, hits_np = _mc_weight_scan_numpy(*args)
-        ws_nb, hits_nb = _mc_weight_scan_numba(*args)
-        assert hits_np == hits_nb
-        assert abs(ws_np - ws_nb) <= 1e-12 * max(1.0, abs(ws_np))
-
-    def test_first_passage_parity(self):
-        from tsruin._kernels import _first_passage_scan_numba
-
-        rng = np.random.default_rng(3)
-        incr = rng.normal(-0.001, 0.02, size=(3000, 60))
-        assert _first_passage_scan_numpy(incr, 0.05) == _first_passage_scan_numba(incr, 0.05)
+        ws, hits = mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119, 0.05, 1.0)
+        assert isinstance(ws, float) and isinstance(hits, int)
+        assert isinstance(first_passage_scan(u_ang * 0.01, 0.05), int)
 
 
 class TestBackendSelection:
-    def test_active_backend_reported(self):
-        assert _kernels.backend() in ("numba", "numpy")
-
-    @pytest.mark.parametrize("name", ["numpy"] + (["numba"] if _HAVE_NUMBA else []))
-    def test_env_flag(self, name):
-        code = "import tsruin; print(tsruin.kernel_backend())"
-        env = dict(os.environ, TSRUIN_BACKEND=name)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == name
-
-    def test_env_flag_rejects_unknown(self):
-        code = "import tsruin"
-        env = dict(os.environ, TSRUIN_BACKEND="cuda")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode != 0
-
-    def test_numpy_backend_end_to_end(self, paper_ref):
-        # the full estimator runs under the fallback backend in a subprocess
+    def test_numpy_backend_end_to_end(self):
+        # the full estimator runs on the numpy kernels in a fresh interpreter
         code = (
             "import tsruin\n"
             "m = tsruin.ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)\n"
             "plan = tsruin.SimPlan(h=0.1, n=256, N=3, seed=4, threads=1)\n"
             "r = tsruin.simulate_ruin_mc(m, 0.2, 1.0, plan)\n"
-            "print(tsruin.kernel_backend(), r.mean)\n"
+            "print(r.mean)\n"
         )
-        env = dict(os.environ, TSRUIN_BACKEND="numpy")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        backend, mean = out.stdout.split()
-        assert backend == "numpy" and float(mean) >= 0.0
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert float(out.stdout) >= 0.0

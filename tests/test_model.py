@@ -243,16 +243,17 @@ class TestPhiContour:
 
 
 class TestLevyTail:
-    def test_incomplete_gamma_identity(self, paper_ref):
+    def test_incomplete_gamma_identity(self):
         # oracle: c * alpha^rho * Gamma(-rho, alpha*u) via mpmath
-        for u in [0.05, 0.3, 1.0, 5.0, 8.0, 20.0]:
-            with mpmath.workdps(30):
-                oracle = float(
-                    paper_ref.c
-                    * mpmath.mpf(paper_ref.alpha) ** paper_ref.rho
-                    * mpmath.gammainc(-mpmath.mpf(paper_ref.rho), paper_ref.alpha * u)
-                )
-            assert_close(levy_tail(paper_ref, u), oracle, rel=1e-10, msg=f"tail({u})")
+        for rho in [0.99, 0.5, 1.0 / 1.2]:
+            m = ClaimsModel.from_loading(0.01, 1.0, rho, 0.2)
+            for u in [0.05, 0.3, 1.0, 5.0, 8.0, 20.0, 30.0, 40.0]:
+                with mpmath.workdps(30):
+                    oracle = float(
+                        m.c * mpmath.mpf(m.alpha) ** m.rho
+                        * mpmath.gammainc(-mpmath.mpf(m.rho), m.alpha * u)
+                    )
+                assert_close(levy_tail(m, u), oracle, rel=1e-10, msg=f"tail({u}), rho={rho}")
 
     def test_asymptotic_agreement(self, paper_ref):
         # the relative gap is (1+rho)/(alpha u) to first order, so 5%

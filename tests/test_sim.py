@@ -140,6 +140,11 @@ class TestSimulators:
         an = simulate_ruin_naive(paper_ref, 0.2, 1.0, base)
         bn = simulate_ruin_naive(paper_ref, 0.2, 1.0, threaded)
         assert an.mean == bn.mean and an.stderr == bn.stderr
+        # whole grids too
+        for simulate in (simulate_ruin_mc, simulate_ruin_naive):
+            a = simulate(paper_ref, [0.1, 0.2], [0.5, 1.0], base)
+            b = simulate(paper_ref, [0.1, 0.2], [0.5, 1.0], threaded)
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
 
     def test_unreachable_barrier(self, paper_ref):
         plan = SimPlan(h=0.1, n=256, N=3, seed=1, threads=1)
@@ -177,6 +182,10 @@ class TestSimulators:
             simulate_ruin_mc(paper_ref, 0.5, 1.0, plan)
         with pytest.raises(ValueError, match="divide"):
             simulate_ruin_naive(paper_ref, 0.5, 1.0, plan)
+        # every horizon of a grid is checked, not only the first ones
+        for simulate in (simulate_ruin_mc, simulate_ruin_naive):
+            with pytest.raises(ValueError, match="divide"):
+                simulate(paper_ref, [0.5, 1.0], [0.6, 0.9, 1.0], plan)
 
     def test_h_larger_than_t(self, paper_ref):
         plan = SimPlan(h=2.0, n=16, N=2, seed=0, threads=1)
@@ -187,6 +196,62 @@ class TestSimulators:
         plan = SimPlan(h=0.1, n=16, N=2, seed=0, threads=1)
         with pytest.raises(ValueError):
             simulate_ruin_mc(paper_ref, 0.0, 1.0, plan)
+        with pytest.raises(ValueError, match="positive"):
+            simulate_ruin_naive(paper_ref, [0.5, -1.0], [0.6], plan)
+
+
+class TestGridEstimator:
+    """One path set per batch serves every (u, t) cell of a grid."""
+
+    us = [0.1, 0.2, 0.4]
+    ts = [0.5, 1.0, 1.5, 2.0]
+    plan = SimPlan(h=0.05, n=1024, N=6, seed=2024, threads=1)
+
+    @pytest.fixture(scope="class")
+    def grids(self, paper_ref):
+        return {f: f(paper_ref, self.us, self.ts, self.plan)
+                for f in (simulate_ruin_mc, simulate_ruin_naive)}
+
+    def test_one_cell_bits_pinned(self, paper_ref):
+        # recorded before the grid estimator replaced the per-cell runs
+        plan = SimPlan(h=0.05, n=512, N=5, seed=42, threads=1)
+        mc = simulate_ruin_mc(paper_ref, 0.2, 1.0, plan)
+        assert (mc.mean.hex(), mc.stderr.hex()) == ("0x1.25ed7660db010p-6", "0x1.0b61398a6da40p-9")
+        nv = simulate_ruin_naive(paper_ref, 0.2, 1.0, plan)
+        assert (nv.mean.hex(), nv.stderr.hex()) == ("0x1.2000000000000p-6", "0x1.deeea11683f49p-9")
+
+    def test_shape_follows_inputs(self, paper_ref, grids):
+        assert grids[simulate_ruin_mc].mean.shape == (3, 4)
+        row = simulate_ruin_mc(paper_ref, 0.2, self.ts, self.plan)
+        assert row.mean.shape == row.stderr.shape == (4,)
+        assert isinstance(simulate_ruin_mc(paper_ref, 0.2, 1.0, self.plan).mean, float)
+
+    @pytest.mark.parametrize("simulate", [simulate_ruin_mc, simulate_ruin_naive])
+    def test_last_horizon_equals_one_cell_runs(self, paper_ref, grids, simulate):
+        grid = grids[simulate]
+        for i, u in enumerate(self.us):
+            one = simulate(paper_ref, u, self.ts[-1], self.plan)
+            assert grid.mean[i, -1] == one.mean and grid.stderr[i, -1] == one.stderr
+
+    @pytest.mark.parametrize("simulate", [simulate_ruin_mc, simulate_ruin_naive])
+    def test_cells_agree_with_independent_runs(self, paper_ref, grids, simulate):
+        grid = grids[simulate]
+        other = SimPlan(h=0.05, n=1024, N=6, seed=77, threads=1)
+        for i, u in enumerate(self.us):
+            for j, t in enumerate(self.ts):
+                one = simulate(paper_ref, u, t, other)
+                band = 4.0 * math.hypot(grid.stderr[i, j], one.stderr)
+                assert abs(grid.mean[i, j] - one.mean) <= band, (u, t)
+
+    def test_naive_hits_monotone_exactly(self, grids):
+        mean = grids[simulate_ruin_naive].mean
+        assert (np.diff(mean, axis=1) >= 0.0).all()  # non-decreasing in t
+        assert (np.diff(mean, axis=0) <= 0.0).all()  # non-increasing in u
+        assert mean[0, -1] > 0.0
+
+    def test_mc_monotone_in_u(self, grids):
+        mean = grids[simulate_ruin_mc].mean
+        assert (mean[1:] <= mean[:-1] * (1.0 + 1e-12)).all()
 
 
 class TestRunBatches:
