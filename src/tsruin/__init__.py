@@ -8,7 +8,6 @@ measure to a stable process.
 from .laplace import (
     InversionError,
     InversionSpec,
-    invert_grid,
     levin_invert,
     talbot_grid,
     talbot_invert,
@@ -42,7 +41,6 @@ from .ruin import (
     estimate_infinite_horizon,
     estimate_rft,
     estimate_tulta,
-    eventual_ruin_from_w,
     growth_diagnostic,
     make_b_transform,
     prob_eventual_ruin,

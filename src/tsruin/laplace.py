@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath
 import numpy as np
 
-__all__ = ["InversionSpec", "InversionError", "talbot_invert", "talbot_grid", "levin_invert",
-           "invert_grid"]
+__all__ = ["InversionSpec", "InversionError", "talbot_invert", "talbot_grid", "levin_invert"]
 
 logger = logging.getLogger(__name__)
 
@@ -41,12 +40,11 @@ class InversionError(RuntimeError):
 
 @dataclass(frozen=True)
 class InversionSpec:
-    """Configuration for one inversion run.
+    """Configuration of B's inversion.
 
-    digits
-        Term count M of the mpmath Talbot inversions (W and P(ruin ever));
-        also their working precision in decimal digits.  B is inverted by
-        ``talbot_grid`` at fixed double-precision term counts instead.
+    engine
+        ``talbot`` (``talbot_grid`` at fixed double-precision term counts)
+        or ``levin``.  W and P(ruin ever) always use ``talbot_grid``.
     nodes
         Levin collocation basis size per panel.
     cutoff
@@ -61,7 +59,6 @@ class InversionSpec:
     """
 
     engine: str = "talbot"
-    digits: int = 32
     nodes: int = 24
     cutoff: Optional[float] = None
     shift: Optional[float] = None
@@ -69,8 +66,6 @@ class InversionSpec:
     def __post_init__(self):
         if self.engine not in ("talbot", "levin"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.digits < 8:
-            raise ValueError(f"digits must be >= 8, got {self.digits}")
         if self.nodes < 8:
             raise ValueError(f"nodes must be >= 8, got {self.nodes}")
         if self.cutoff is not None and self.cutoff <= 0.0:
@@ -273,28 +268,3 @@ def levin_invert(
         raise InversionError(f"transform evaluation failed on Levin contour at t={t}: {exc}") from exc
 
     return float(np.exp(eps * t) * (2.0 / np.pi) * total)
-
-
-# ---------------------------------------------------------------------------
-# grid driver
-# ---------------------------------------------------------------------------
-
-
-def invert_grid(F: TransformFn, ts: Sequence[float], spec: InversionSpec) -> list:
-    """Invert F at each t in a strictly increasing grid, one scalar
-    inversion per point in ascending order.  Per-point failures are
-    re-raised with the offending index.
-    """
-    ts = list(ts)
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("ts must be strictly increasing")
-    out = []
-    for i, t in enumerate(ts):
-        try:
-            if spec.engine == "talbot":
-                out.append(talbot_invert(F, t, M=spec.digits))
-            else:
-                out.append(levin_invert(F, t, n=spec.nodes, U=spec.cutoff, eps=spec.shift))
-        except (InversionError, ValueError) as exc:
-            raise InversionError(f"inversion failed at grid index {i} (t={t}): {exc}") from exc
-    return out

@@ -9,9 +9,11 @@ transform
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
 whole t-grid at once, in double precision on a Talbot contour shifted
 right of that abscissa; the mpmath ``talbot_invert`` of ``make_b_transform``
-is the high-precision reference.  The eventual-ruin probability comes from
-the scale function W, whose transform 1/psi_X(-beta) needs no root finding
-at all.
+is the high-precision reference.  The eventual-ruin probability P(u) is
+inverted the same way for a whole u-grid, from its own transform written
+without cancellation (``_eventual_ruin_transform``); the scale function is
+read off it, W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P
+is small.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .laplace import InversionError, InversionSpec, levin_invert, talbot_grid, talbot_invert
+from .laplace import InversionError, InversionSpec, levin_invert, talbot_grid
+from .laplace import talbot_invert  # noqa: F401 (unused; perfbench spans it at this lookup site)
 from .model import (ClaimsModel, PhiContinuation, RegimeTag, classify_regime, levy_tail, phi,
                     phi_contour)
 
@@ -38,7 +41,6 @@ __all__ = [
     "b_infinity",
     "scale_function",
     "prob_eventual_ruin",
-    "eventual_ruin_from_w",
     "estimate_rft",
     "estimate_tulta",
     "estimate_infinite_horizon",
@@ -47,11 +49,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# B's double-precision Talbot runs at both term counts; their gap is its
-# error estimate.  24 is about the most that double precision carries (the
-# rounding error grows like e^(2M/5) * 1e-16).
-B_TALBOT_TERMS = (18, 24)
+# Every double-precision Talbot inversion runs at both term counts; their
+# gap is its error estimate.  24 is about the most that double precision
+# carries (the rounding error grows like e^(2M/5) * 1e-16).
+TALBOT_TERMS = (18, 24)
 B_TALBOT_RTOL = 1e-8
+# at u in [100, 150] P's M=18/M=24 gap reaches 2.4e-8 while M=24 stays
+# within 5e-9 of a 64-digit reference
+P_TALBOT_RTOL = 1e-7
+# R2(x)/x^2 for |x| < 1/2 in 60 binomial terms: the last is below 2^-59 of the first
+_BINOMIAL_TERMS = 60
+_TINY = np.finfo(float).tiny
 
 
 class RegimeError(ValueError):
@@ -138,6 +146,29 @@ def b_infinity(m: ClaimsModel) -> float:
     return m.alpha * abs(m.drift_mean) / m.psi_alpha ** 2
 
 
+def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
+    """``talbot_grid`` of F on every point of ``xs`` at both ``TALBOT_TERMS``; the
+    M=24 values.  Raises ``InversionError`` at the first point whose value is
+    not finite, is below the smallest positive normal double (it would print
+    as 0 or with wrong digits), or differs between the term counts by more
+    than ``rtol`` relative."""
+    # a non-finite value fails the checks below and raises
+    with np.errstate(all="ignore"):
+        lo, hi = (talbot_grid(F, xs, M, shift=shift) for M in TALBOT_TERMS)
+        gap = np.abs(hi - lo) / np.abs(hi)
+    bad = np.flatnonzero(~((gap <= rtol) & (hi >= _TINY)))
+    if bad.size:
+        i, x, v = bad[0], xs[bad[0]], hi[bad[0]]
+        if not np.isfinite(v):
+            raise InversionError(f"{name}({x}) is not finite in double precision ({v})")
+        if not v >= _TINY:
+            raise InversionError(f"{name}({x}) = {v:.6e} is not a positive normal double")
+        raise InversionError(
+            f"{name}({x}) failed its Talbot self-check: M={TALBOT_TERMS[0]} and "
+            f"M={TALBOT_TERMS[1]} differ by {gap[i]:.3e} relative (tolerance {rtol:g})")
+    return hi
+
+
 class BFunction:
     """Memoized evaluator of B(t) for one model and inversion spec.
 
@@ -166,13 +197,12 @@ class BFunction:
     def grid(self, ts) -> list:
         """B at every t of ``ts``, inverting all uncached points in one pass.
 
-        The Talbot engine inverts them together in double precision on the
-        contour shifted to max(0, psi_X(alpha)), at both term counts of
-        ``B_TALBOT_TERMS``, and raises ``InversionError`` wherever the two
-        differ by more than ``B_TALBOT_RTOL`` relative (this also catches a
-        Newton solve that left the analytic branch).  The Levin engine
-        inverts point by point.  Tiny negative noise near t = 0 is clamped
-        to 0; any other negative value raises.
+        The Talbot engine inverts them together by ``_talbot_checked`` on
+        the contour shifted to max(0, psi_X(alpha)), with tolerance
+        ``B_TALBOT_RTOL`` (the check also catches a Newton solve that left
+        the analytic branch).  The Levin engine inverts point by point;
+        there tiny negative noise near t = 0 is clamped to 0, and any other
+        negative value raises.
         """
         ts = [float(t) for t in ts]
         for t in ts:
@@ -197,22 +227,7 @@ class BFunction:
         def transform(deltas):
             return _b_tilde_at(m, deltas, phi_contour(m, deltas))
 
-        # a non-finite value fails the check below and raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = (talbot_grid(transform, ts, M, shift=max(0.0, m.psi_alpha))
-                      for M in B_TALBOT_TERMS)
-            gap = np.abs(hi - lo) / np.abs(hi)
-        bad = np.flatnonzero(~(gap <= B_TALBOT_RTOL))
-        if bad.size:
-            i = bad[0]
-            if not np.isfinite(hi[i]):
-                raise InversionError(f"B({ts[i]}) is not finite in double precision ({hi[i]})")
-            raise InversionError(
-                f"B({ts[i]}) failed its Talbot self-check: M={B_TALBOT_TERMS[0]} and "
-                f"M={B_TALBOT_TERMS[1]} differ by {gap[i]:.3e} relative "
-                f"(tolerance {B_TALBOT_RTOL:g})"
-            )
-        return hi.tolist()
+        return _talbot_checked(transform, ts, max(0.0, m.psi_alpha), B_TALBOT_RTOL, "B").tolist()
 
     def _levin(self, t: float) -> float:
         return levin_invert(
@@ -276,46 +291,67 @@ class BFunction:
 # ---------------------------------------------------------------------------
 
 
-def _w_transform(m: ClaimsModel):
-    """Transform of the scale function, 1/psi_X(-beta); closed form, no phi."""
+def _eventual_ruin_transform(m: ClaimsModel):
+    """Transform of P(ruin ever) on an array of nodes b, with k = -c Gamma(-rho):
 
-    def transform(beta):
-        return 1.0 / m.psi_x(-beta)
+        Psi~(b) = 1/b + E[X_1]/psi_X(-b) = Q/(E[X_1] + b Q),
+        Q = k a^(rho-2) R2(b/a)/(b/a)^2,  R2(x) = (1+x)^rho - 1 - rho x.
+
+    psi_X(-b) = -b (E[X_1] + b Q) exactly, so the second form removes the
+    pole at b = 0 algebraically: in the first, rounding leaves
+    E[X_1] != psi_X'(0) and a residual pole whose residue (~1e-16) any
+    contour enclosing b = 0 adds to P.  R2(x)/x^2 is summed as its binomial
+    series for |x| < 1/2, so nothing cancels; at b = 0, a node for
+    u = 2M/(5 |shift|), Q is the limit k a^(rho-2) C(rho, 2).
+    """
+    rho, k_a, e1 = m.rho, m.tilt_coefficient * m.alpha ** (m.rho - 2.0), m.drift_mean  # k a^(rho-2)
+    n = np.arange(2, _BINOMIAL_TERMS + 1)
+    coef = np.cumprod(np.r_[rho * (rho - 1.0) / 2.0, (rho - n) / (n + 1)])  # C(rho, 2), ...
+
+    def transform(b):
+        x = b / m.alpha
+        near = np.abs(x) < 0.5
+        s = np.empty_like(x)  # R2(x)/x^2
+        s[near] = np.polyval(coef[::-1], x[near])
+        xf = x[~near]
+        s[~near] = ((1.0 + xf) ** rho - 1.0 - rho * xf) / xf ** 2
+        q = k_a * s
+        return q / (e1 + b * q)
 
     return transform
 
 
-def scale_function(m: ClaimsModel, u: float, spec: Optional[InversionSpec] = None) -> float:
-    """Scale function W(u), nondecreasing with W(u) -> 1/|E X_1|.
-
-    W is smooth and bounded under net profit, so the default Talbot engine
-    at 32 digits converges fast; the transform is evaluated in closed form.
-    """
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    spec = spec or InversionSpec()
-    F = _w_transform(m)
-    if spec.engine == "talbot":
-        return talbot_invert(F, u, M=spec.digits)
-    return levin_invert(F, u, n=spec.nodes, U=spec.cutoff,
-                        eps=spec.shift if spec.shift is not None else 1.0 / u)
+def _eventual_ruin_shift(m: ClaimsModel) -> float:
+    """Rightmost singularity of Psi~: the branch point -alpha or, when
+    psi_X(alpha) > 0, the pole at -R, R the Lundberg root of psi_X in
+    (0, alpha), found by float bisection."""
+    if m.psi_alpha <= 0.0:
+        return -m.alpha
+    lo, hi = 0.0, m.alpha  # psi_X(lo) < 0 <= psi_X(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if m.psi_x(mid) < 0.0 else (lo, mid)
+    return -lo
 
 
-def prob_eventual_ruin(m: ClaimsModel, u: float, spec: Optional[InversionSpec] = None) -> float:
-    """P(ruin ever) = 1 + E[X_1] * W(u), clamped to [0, 1]; see ``eventual_ruin_from_w``."""
-    return eventual_ruin_from_w(m, u, scale_function(m, u, spec))
+def prob_eventual_ruin(m: ClaimsModel, u):
+    """P(ruin ever) at a scalar or a vector ``u``, in one double-precision pass
+    (``_talbot_checked`` on the contour at ``_eventual_ruin_shift``): a value
+    that underflows, at alpha u beyond ~700, raises rather than printing as 0.
+    A scalar is the one-point grid and returns a float."""
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    if us.ndim != 1 or not (us > 0.0).all():
+        raise ValueError(f"u must be a positive scalar or vector, got {u}")
+    p = _talbot_checked(_eventual_ruin_transform(m), us, _eventual_ruin_shift(m),
+                        P_TALBOT_RTOL, "P")
+    return p if np.ndim(u) else float(p[0])
 
 
-def eventual_ruin_from_w(m: ClaimsModel, u: float, w: float) -> float:
-    """P(ruin ever) = 1 + E[X_1] * w from an inverted w = W(u), clamped to [0, 1].
-
-    Inversion noise can push the value marginally outside [0, 1]; excursions
-    beyond 1e-6 are logged as warnings before clamping.
-    """
-    val = 1.0 + m.drift_mean * w
-    if val < -1e-6 or val > 1.0 + 1e-6:
-        logger.warning("prob_eventual_ruin(%g) = %.6g clamped into [0,1]", u, val)
-    return min(1.0, max(0.0, val))
+def scale_function(m: ClaimsModel, u, p_ruin=None):
+    """Scale function W(u) = (1 - P(ruin ever))/|E X_1| at a scalar or a vector
+    ``u``, nondecreasing to 1/|E X_1|; ``p_ruin`` is P(ruin ever) at ``u`` when
+    the caller already has it."""
+    p = prob_eventual_ruin(m, u) if p_ruin is None else p_ruin
+    return (1.0 - p) / abs(m.drift_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +389,14 @@ def estimate_tulta(m: ClaimsModel, u: float, t: float,
     bf = bf or BFunction(m, spec)
     ratio = min(1.0, bf.value(t) / b_infinity(m))
     if p_ruin is None:
-        p_ruin = prob_eventual_ruin(m, u, spec)
+        p_ruin = prob_eventual_ruin(m, u)
     value = p_ruin * ratio
     return RuinEstimate(u=u, t=t, value=value, method=EstimateMethod.TULTA)
 
 
-def estimate_infinite_horizon(m: ClaimsModel, u: float,
-                              spec: Optional[InversionSpec] = None) -> RuinEstimate:
+def estimate_infinite_horizon(m: ClaimsModel, u: float) -> RuinEstimate:
     """Eventual-ruin probability as a RuinEstimate record."""
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    return RuinEstimate(u=u, t=math.inf, value=prob_eventual_ruin(m, u, spec),
+    return RuinEstimate(u=u, t=math.inf, value=prob_eventual_ruin(m, u),
                         method=EstimateMethod.INFINITE_HORIZON)
 
 

@@ -24,8 +24,8 @@ def critical_model() -> ClaimsModel:
 
 @pytest.fixture(scope="session")
 def bf_ref(paper_ref) -> BFunction:
-    """Shared memoized B(t) evaluator (Talbot, 32 digits) for the reference model."""
-    return BFunction(paper_ref, InversionSpec(engine="talbot", digits=32))
+    """Shared memoized B(t) evaluator (double-precision Talbot) for the reference model."""
+    return BFunction(paper_ref, InversionSpec(engine="talbot"))
 
 
 def assert_close(got, want, rel=0.0, abs_=0.0, msg=""):

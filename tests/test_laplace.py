@@ -1,5 +1,5 @@
 """Inversion-engine tests: known transform pairs, cross-engine agreement,
-self-convergence, linearity, grid driver contracts."""
+self-convergence, linearity, spec validation."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ import pytest
 from tsruin import (
     InversionError,
     InversionSpec,
-    invert_grid,
     levin_invert,
     make_b_transform,
     talbot_grid,
@@ -166,54 +165,15 @@ class TestEngineConsistency:
         assert abs(levin_invert(combo, t) - want) < 3e-6
 
 
-class TestInvertGrid:
-    def test_single_point_matches_direct(self):
-        spec = InversionSpec(engine="talbot", digits=24)
-        assert invert_grid(f_t, [4.0], spec) == [talbot_invert(f_t, 4.0, M=24)]
-
-    def test_empty(self):
-        assert invert_grid(f_t, [], InversionSpec()) == []
-
-    def test_monotone_ruin_profile(self, paper_ref):
-        ts = list(np.linspace(0.5, 20.0, 12))
-        vals = invert_grid(make_b_transform(paper_ref), ts, InversionSpec(digits=32))
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_requires_increasing(self):
-        with pytest.raises(ValueError):
-            invert_grid(f_t, [1.0, 1.0], InversionSpec())
-        with pytest.raises(ValueError):
-            invert_grid(f_t, [2.0, 1.0], InversionSpec())
-
-    def test_failure_carries_index(self):
-        calls = {"n": 0}
-
-        def flaky(d):
-            if calls["n"] > 40:  # fail inside the second grid point
-                raise ArithmeticError("late failure")
-            calls["n"] += 1
-            return 1.0 / d**2
-
-        with pytest.raises(InversionError, match="grid index 1"):
-            invert_grid(flaky, [1.0, 2.0], InversionSpec(engine="talbot", digits=32))
-
-    def test_levin_engine_spec(self, paper_ref):
-        spec = InversionSpec(engine="levin", nodes=32, shift=0.5)
-        got = invert_grid(f_exp, [1.0, 2.0], spec)
-        assert abs(got[0] - math.exp(-1.0)) < 1e-6
-        assert abs(got[1] - math.exp(-2.0)) < 1e-6
-
-
 class TestInversionSpec:
     def test_defaults(self):
         spec = InversionSpec()
-        assert spec.engine == "talbot" and spec.digits == 32
+        assert spec.engine == "talbot" and spec.nodes == 24
+        assert spec.cutoff is None and spec.shift is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             InversionSpec(engine="euler")
-        with pytest.raises(ValueError):
-            InversionSpec(digits=4)
         with pytest.raises(ValueError):
             InversionSpec(nodes=2)
         with pytest.raises(ValueError):

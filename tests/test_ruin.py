@@ -41,6 +41,21 @@ TULTA_REFERENCE = {
     (2.0, 20.0): 0.000630592,
 }
 INFINITE_REFERENCE = {1.0: 0.00393118, 1.5: 0.00151651, 2.0: 0.000646473}
+# eventual ruin at paper-ref, mpmath Talbot on the shifted transform at 64 digits
+EVENTUAL_RUIN_64 = {9.6: 3.055485227e-8, 20.0: 2.52366771e-13, 45.0: 7.625530228e-25,
+                    100.0: 2.105782917e-49}
+
+
+@pytest.fixture
+def skewed_m18(monkeypatch):
+    """ruin.talbot_grid with its M=18 values moved by 1e-6 relative."""
+    exact = ruin.talbot_grid
+
+    def skewed(F, xs, M, shift=0.0):
+        vals = exact(F, xs, M, shift)
+        return vals * (1.0 + 1e-6) if M == ruin.TALBOT_TERMS[0] else vals
+
+    monkeypatch.setattr(ruin, "talbot_grid", skewed)
 
 
 class TestBTilde:
@@ -158,14 +173,7 @@ class TestShiftedTalbotEngine:
         assert [bf.value(t) for t in ts] == vals
         assert_close(BFunction(paper_ref).value(2.0), vals[1], rel=1e-13)
 
-    def test_self_check_disagreement_raises(self, paper_ref, monkeypatch):
-        exact = ruin.talbot_grid
-
-        def skewed(F, ts, M, shift=0.0):
-            vals = exact(F, ts, M, shift)
-            return vals * (1.0 + 1e-6) if M == ruin.B_TALBOT_TERMS[0] else vals
-
-        monkeypatch.setattr(ruin, "talbot_grid", skewed)
+    def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
         with pytest.raises(InversionError, match="self-check"):
             BFunction(paper_ref).grid([1.0, 5.0])
 
@@ -232,6 +240,52 @@ class TestEventualRuin:
         # net profit holds, so eventual ruin is well defined in any regime
         val = prob_eventual_ruin(ig_model, 1.0)
         assert 0.0 < val < 1.0
+
+
+class TestEventualRuinGrid:
+    """P(ruin ever) for a whole u-grid in one double-precision pass, W from it."""
+
+    def test_reference_values(self, paper_ref):
+        # at u = 9.6 = 2M/(5 alpha) the M=24 contour's real node is b = 0
+        got = prob_eventual_ruin(paper_ref, list(EVENTUAL_RUIN_64))
+        for (u, want), p in zip(EVENTUAL_RUIN_64.items(), got):
+            assert_close(p, want, rel=1e-8, msg=f"P({u})")
+
+    @pytest.mark.parametrize("params, want", [
+        ((0.01, 1.0, 0.5, 0.2), 9.963562317e-6),
+        ((1.0, 2.0, 0.05, 0.1), 5.398406254e-4),
+    ])
+    def test_lundberg_shift(self, params, want):
+        # psi_X(alpha) > 0 puts a pole at minus the Lundberg root, right of -alpha
+        m = ClaimsModel.from_loading(*params)
+        assert m.psi_alpha > 0.0
+        assert_close(prob_eventual_ruin(m, 20.0), want, rel=1e-8)
+
+    def test_scalar_is_grid_entry(self, paper_ref):
+        us = np.linspace(0.05, 100.0, 200)
+        grid = prob_eventual_ruin(paper_ref, us)
+        for u, p in zip(us, grid):
+            one = prob_eventual_ruin(paper_ref, float(u))
+            assert isinstance(one, float) and one == p
+
+    def test_strictly_decreasing(self, paper_ref):
+        vals = prob_eventual_ruin(paper_ref, np.linspace(0.05, 100.0, 200))
+        assert np.all(np.diff(vals) < 0.0)
+
+    def test_scale_function_matches_w_inversion(self, paper_ref):
+        us = [0.5, 1.0, 4.0, 10.0, 20.0]
+        for u, w in zip(us, scale_function(paper_ref, us)):
+            want = talbot_invert(lambda b: 1.0 / paper_ref.psi_x(-b), u, M=32)
+            assert_close(w, want, rel=1e-10, msg=f"W({u})")
+
+    def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
+        with pytest.raises(InversionError, match=r"P\(2\.0\) failed its Talbot self-check"):
+            prob_eventual_ruin(paper_ref, [2.0, 5.0])
+
+    def test_underflow_raises(self, paper_ref):
+        # e^(-alpha u) underflows: P must not be printed as 0
+        with pytest.raises(InversionError, match="not a positive normal double"):
+            prob_eventual_ruin(paper_ref, 800.0)
 
 
 class TestEstimators:
@@ -336,18 +390,16 @@ class TestGrowthDiagnostic:
     def test_supercritical_asymptotic_slope(self, ig_model):
         # the transform's double pole at psi_X(alpha) puts a 1/t correction
         # on the log-slope, so the limit is only reached at t >> 1/psi
-        spec = InversionSpec(digits=64)
-        slope = growth_diagnostic(ig_model, spec, 600.0, 1000.0, points=9)
+        slope = growth_diagnostic(ig_model, None, 600.0, 1000.0, points=9)
         assert abs(slope / ig_model.psi_alpha - 1.0) < 0.10
 
     def test_critical_linear_bound(self, critical_model):
-        spec = InversionSpec(digits=40)
-        slope = growth_diagnostic(critical_model, spec, 50.0, 100.0, points=6)
+        slope = growth_diagnostic(critical_model, None, 50.0, 100.0, points=6)
         assert slope > 0.0  # still growing; the linear bound check passed inside
 
     def test_critical_quadratic_diagnostic(self, critical_model):
         # growth is at most quadratic: B(t)/t^2 stays bounded on a doubling grid
-        bf = BFunction(critical_model, InversionSpec(digits=40))
+        bf = BFunction(critical_model)
         ratios = [bf.value(t) / t**2 for t in [100.0, 200.0, 400.0]]
         assert all(r < 1.0 for r in ratios)
         assert ratios[2] < ratios[0]
