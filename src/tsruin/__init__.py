@@ -15,7 +15,6 @@ from .laplace import (
 from .model import (
     ClaimsModel,
     PhiConvergenceError,
-    PhiContinuation,
     Regime,
     RegimeTag,
     ScaleChange,
@@ -42,7 +41,6 @@ from .ruin import (
     estimate_rft,
     estimate_tulta,
     growth_diagnostic,
-    make_b_transform,
     prob_eventual_ruin,
     scale_function,
 )

@@ -5,13 +5,14 @@ evaluated at complex arguments:
 
 * fixed-Talbot contour deformation with trapezoidal summation, in two
   forms: ``talbot_invert``, one t at a time in configurable-precision
-  (mpmath) arithmetic, because the method loses roughly 0.6*M decimal
-  digits to cancellation; and ``talbot_grid``, every t of a grid in one
-  double-precision array pass on a contour that may be shifted right,
-  with F evaluated on the whole node array at once.
+  arithmetic (F takes and returns scalars), because the method loses
+  roughly 0.6*M decimal digits to cancellation; and ``talbot_grid``, every
+  t of a grid in one double-precision array pass on a contour that may be
+  shifted right, with F evaluated on the whole node array at once.
 * ``levin_invert`` -- collocation in a Chebyshev basis for the oscillatory
   real-axis form ``f(t) = e^(eps t) (2/pi) int_0^inf Re F(eps+iu) cos(ut) du``,
-  entirely in double precision.
+  entirely in double precision, with F evaluated once per t on the 1-d
+  array of its Bromwich nodes.
 
 Transforms must be analytic to the right of the declared abscissa; the
 Talbot contour additionally requires analyticity in the cut plane away
@@ -24,7 +25,6 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 __all__ = ["InversionSpec", "InversionError", "talbot_invert", "talbot_grid", "levin_invert"]
@@ -47,10 +47,6 @@ class InversionSpec:
         or ``levin``.  W and P(ruin ever) always use ``talbot_grid``.
     nodes
         Levin collocation basis size per panel.
-    cutoff
-        Levin truncation U of the frequency integral; ``None`` selects
-        ``max(nodes, 48/t)`` (the tail beyond the cutoff is integrated by
-        parts, see ``levin_invert``).
     shift
         Bromwich abscissa eps for the Levin engine.  Must exceed the real
         part of every singularity of the transform; ``None`` selects
@@ -60,7 +56,6 @@ class InversionSpec:
 
     engine: str = "talbot"
     nodes: int = 24
-    cutoff: Optional[float] = None
     shift: Optional[float] = None
 
     def __post_init__(self):
@@ -68,8 +63,6 @@ class InversionSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.nodes < 8:
             raise ValueError(f"nodes must be >= 8, got {self.nodes}")
-        if self.cutoff is not None and self.cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
         if self.shift is not None and self.shift < 0.0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
@@ -89,9 +82,11 @@ def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
                  + sum_{j=1}^{M-1} Re( e^(t delta_j) F(delta_j) (1 + i sigma_j) ) ]
 
     with theta_j = j pi / M and sigma = theta + (theta cot theta - 1) cot theta.
-    All arithmetic carries M + 10 decimal digits; accuracy on well-behaved
-    transforms is roughly 0.6*M digits.
+    All arithmetic carries M + 10 decimal digits (mpmath, imported here
+    only); accuracy on well-behaved transforms is roughly 0.6*M digits.
     """
+    import mpmath
+
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if M < 8:
@@ -156,57 +151,53 @@ def _cheb_basis(x: np.ndarray, n: int):
     theta = np.arccos(np.clip(x, -1.0, 1.0))
     ks = np.arange(1, n + 1)
     T = np.cos(np.outer(theta, ks))
-    s = np.sin(theta)
-    U = np.empty((len(x), n))
-    for i in range(len(x)):
-        if s[i] > 1e-12:
-            U[i, :] = np.sin(ks * theta[i]) / s[i]
-        else:
-            sign = 1.0 if x[i] > 0 else (-1.0) ** (ks - 1)
-            U[i, :] = ks * sign
+    s = np.sin(theta)[:, None]
+    # U_(k-1) = sin(k theta)/sin(theta), with limit k (+-1)^(k-1) at x = +-1
+    ends = ks * np.where(x[:, None] > 0, 1.0, (-1.0) ** (ks - 1))
+    U = np.where(s > 1e-12, np.sin(np.outer(theta, ks)) / np.maximum(s, 1e-12), ends)
     return T, U
 
 
-def _levin_panel(F, eps: float, a: float, b: float, t: float, n: int) -> float:
-    """integral_a^b Re F(eps + iu) cos(tu) du by Chebyshev collocation.
+def _levin_panels(f: np.ndarray, a: np.ndarray, b: np.ndarray, t: float,
+                  x: np.ndarray) -> np.ndarray:
+    """integral_a^b f(u) cos(tu) du on every panel [a[i], b[i]], given f[i]
+    at the points x in [-1, 1] mapped onto that panel.
 
     Seeks F1, F2 with (F1 cos + F2 sin)' = f cos, i.e. the linear system
-    F1' + t F2 = f, F2' - t F1 = 0, collocated at Chebyshev-Lobatto
-    points; the integral is then the antiderivative difference at the
-    panel ends.  This pair form has no singular coefficients (unlike the
-    scalar tan form, whose collocation matrix is singular wherever
-    cos(t u) vanishes).
+    F1' + t F2 = f, F2' - t F1 = 0, collocated at the points x; the
+    integral is then the antiderivative difference at the panel ends.  This
+    pair form has no singular coefficients (unlike the scalar tan form,
+    whose collocation matrix is singular wherever cos(t u) vanishes).  The
+    panels' systems are solved as one stack.
     """
-    x = -np.cos(np.pi * np.arange(n) / (n - 1))  # Lobatto, ascending
-    nodes = a + (b - a) * 0.5 * (x + 1.0)
+    panels, n = f.shape
     T, U = _cheb_basis(x, n)
-    D = (np.arange(1, n + 1)[None, :] * U) * (2.0 / (b - a))
-    A = np.vstack([np.hstack([D, t * T]), np.hstack([-t * T, D])])
-    fv = np.array([float(np.real(F(complex(eps, u)))) for u in nodes])
-    rhs = np.concatenate([fv, np.zeros(n)])
+    ks = np.arange(1, n + 1)
+    A = np.empty((panels, 2 * n, 2 * n))
+    A[:, :n, :n] = A[:, n:, n:] = (ks * U) * (2.0 / (b - a))[:, None, None]
+    A[:, :n, n:] = t * T
+    A[:, n:, :n] = -t * T
+    rhs = np.concatenate([f, np.zeros_like(f)], axis=1)
     try:
-        sol = np.linalg.solve(A, rhs)
+        sol = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise InversionError(
-            f"singular collocation matrix on panel [{a:.6g}, {b:.6g}] "
-            f"(first node u={nodes[0]:.6g})"
-        ) from exc
+            f"singular Levin collocation matrix on one of {panels} panels (t={t})") from exc
     cond = np.linalg.cond(A)
-    if cond > 1e12:
+    for i in np.flatnonzero(cond > 1e12):
         logger.warning(
-            "Levin panel [%.6g, %.6g] condition number %.2e exceeds 1e12", a, b, cond
+            "Levin panel [%.6g, %.6g] condition number %.2e exceeds 1e12", a[i], b[i], cond[i]
         )
-    c1, c2 = sol[:n], sol[n:]
-    ks = np.arange(1, n + 1)
+    c1, c2 = sol[:, :n], sol[:, n:]
     at_hi, at_lo = np.ones(n), (-1.0) ** ks
-    f1b, f2b = c1 @ at_hi, c2 @ at_hi
-    f1a, f2a = c1 @ at_lo, c2 @ at_lo
+    f1b, f2b = np.vecdot(c1, at_hi), np.vecdot(c2, at_hi)
+    f1a, f2a = np.vecdot(c1, at_lo), np.vecdot(c2, at_lo)
     return (f1b * np.cos(t * b) + f2b * np.sin(t * b)) - (
         f1a * np.cos(t * a) + f2a * np.sin(t * a)
     )
 
 
-def _panel_edges(t: float, U: float, eps: float, n: int) -> list:
+def _panel_edges(t: float, U: float, eps: float, n: int) -> np.ndarray:
     """Geometric panels refined near u=0, capped so no panel exceeds the
     resolved-oscillation length n/(2t)."""
     lmax = max(n / (2.0 * t), 1e-3)
@@ -217,11 +208,11 @@ def _panel_edges(t: float, U: float, eps: float, n: int) -> list:
         step = min(2.0 * step, lmax)
         if len(edges) > 2000:
             raise InversionError(f"Levin panelization exploded (t={t}, U={U}, eps={eps})")
-    return edges
+    return np.array(edges)
 
 
 def levin_invert(
-    F: TransformFn,
+    F: Callable[[np.ndarray], np.ndarray],
     t: float,
     n: int = 24,
     U: Optional[float] = None,
@@ -234,6 +225,12 @@ def levin_invert(
     a three-term integration-by-parts estimate of the tail beyond U using
     finite-difference derivatives of Re F at U.  Defaults: eps = 1/t and
     U = max(n, 48/t).
+
+    F is called once, on the 1-d array of every Bromwich node eps + iu:
+    each panel's Chebyshev-Lobatto points and the three tail points,
+    deduplicated and in increasing u, so the first node is the real point
+    eps.  Where F raises or returns a non-finite value, ``InversionError``
+    is raised.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -246,25 +243,35 @@ def levin_invert(
     if U <= 0.0:
         raise ValueError(f"U must be positive, got {U}")
 
+    edges = _panel_edges(t, U, eps, n)
+    a, b = edges[:-1], edges[1:]
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))  # Lobatto, ascending
+    panel_us = a[:, None] + (b - a)[:, None] * 0.5 * (x + 1.0)
+    d = min(1.0, 0.05 * U)
+    us, node = np.unique(np.concatenate([panel_us.ravel(), [U, U + d, U - d]]),
+                         return_inverse=True)
+    deltas = eps + 1j * us
     try:
-        edges = _panel_edges(t, U, eps, n)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += _levin_panel(F, eps, a, b, t, n)
-
-        # tail integral_U^inf by parts: f ~ smooth power-law decay, so
-        # -f sin(tU)/t - f' cos(tU)/t^2 + f'' sin(tU)/t^3 + O(f'''/t^4)
-        d = min(1.0, 0.05 * U)
-        f0 = float(np.real(F(complex(eps, U))))
-        fp_hi = float(np.real(F(complex(eps, U + d))))
-        fp_lo = float(np.real(F(complex(eps, U - d))))
-        fd1 = (fp_hi - fp_lo) / (2.0 * d)
-        fd2 = (fp_hi - 2.0 * f0 + fp_lo) / d ** 2
-        s_u, c_u = np.sin(t * U), np.cos(t * U)
-        total += -f0 * s_u / t - fd1 * c_u / t ** 2 + fd2 * s_u / t ** 3
-    except InversionError:
-        raise
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(F(deltas), deltas.shape)
     except Exception as exc:
-        raise InversionError(f"transform evaluation failed on Levin contour at t={t}: {exc}") from exc
+        raise InversionError(
+            f"transform evaluation failed on Levin contour at t={t}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InversionError(f"transform is {values[bad[0]]} at {deltas[bad[0]]} "
+                             f"on the Levin contour (t={t})")
+    f = values.real[node]
 
+    total = 0.0
+    for panel in _levin_panels(f[:-3].reshape(panel_us.shape), a, b, t, x):
+        total += panel  # in panel order, not np.sum's pairwise order
+
+    # tail integral_U^inf by parts: f ~ smooth power-law decay, so
+    # -f sin(tU)/t - f' cos(tU)/t^2 + f'' sin(tU)/t^3 + O(f'''/t^4)
+    f0, fp_hi, fp_lo = f[-3:]
+    fd1 = (fp_hi - fp_lo) / (2.0 * d)
+    fd2 = (fp_hi - 2.0 * f0 + fp_lo) / d ** 2
+    s_u, c_u = np.sin(t * U), np.cos(t * U)
+    total += -f0 * s_u / t - fd1 * c_u / t ** 2 + fd2 * s_u / t ** 3
     return float(np.exp(eps * t) * (2.0 / np.pi) * total)

@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
 
-import mpmath
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import gammaincc
@@ -28,7 +26,6 @@ __all__ = [
     "RegimeTag",
     "ScaleChange",
     "PhiConvergenceError",
-    "PhiContinuation",
     "cumulant_y",
     "cumulant_x",
     "mean_y",
@@ -41,8 +38,6 @@ __all__ = [
     "levy_tail_asymptotic",
     "rescale",
 ]
-
-Scalar = Union[float, complex, "mpmath.mpf", "mpmath.mpc"]
 
 
 class PhiConvergenceError(RuntimeError):
@@ -148,16 +143,17 @@ class ClaimsModel:
         return self.tilt_coefficient * self.alpha ** self.rho - self.p * self.alpha
 
     # -- cumulants, valid for real arguments <= alpha and for complex
-    #    arguments via the principal branch of (alpha - theta)**rho --
+    #    arguments via the principal branch of (alpha - theta)**rho;
+    #    scalars or arrays --
 
-    def psi_y(self, theta: Scalar) -> Scalar:
+    def psi_y(self, theta):
         a, r = self.alpha, self.rho
         return self.tilt_coefficient * (a ** r - (a - theta) ** r)
 
-    def psi_x(self, theta: Scalar) -> Scalar:
+    def psi_x(self, theta):
         return self.psi_y(theta) - self.p * theta
 
-    def dpsi_x(self, theta: Scalar) -> Scalar:
+    def dpsi_x(self, theta):
         a, r = self.alpha, self.rho
         return self.tilt_coefficient * r * (a - theta) ** (r - 1.0) - self.p
 
@@ -230,23 +226,12 @@ def classify_regime(m: ClaimsModel, tol_factor: float = 1e-12) -> Regime:
 # ---------------------------------------------------------------------------
 
 
-def _is_mp(x) -> bool:
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
-
-
-def _newton_tol(x) -> float:
-    if _is_mp(x):
-        return float(mpmath.mpf(10) ** (-(mpmath.mp.dps - 4)))
-    return 1e-14
-
-
 def _phi_real_seed(m: ClaimsModel, delta):
-    """Float-precision root of psi_X(beta) = delta on the decreasing branch.
-
-    ``delta`` is a float or an array of floats, all >= 0; arrays are
-    bracketed and bisected elementwise in one pass.
+    """Float-precision roots of psi_X(beta) = delta on the decreasing branch,
+    for an array ``delta`` of floats >= 0, bracketed and bisected
+    elementwise in one pass.
     """
-    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    d = np.asarray(delta, dtype=float)
     lo = np.full_like(d, -1.0)
     for _ in range(1100):
         short = m.psi_x(lo) < d
@@ -265,81 +250,13 @@ def _phi_real_seed(m: ClaimsModel, delta):
         left = m.psi_x(mid) > d
         lo = np.where(live & left, mid, lo)
         hi = np.where(live & ~left, mid, hi)
-    root = np.where(d == 0.0, 0.0, 0.5 * (lo + hi))
-    return root if np.ndim(delta) else float(root[0])
-
-
-def _phi_newton(m: ClaimsModel, delta: Scalar, seed: Scalar, maxit: int = 120) -> Scalar:
-    tol = _newton_tol(delta)
-    beta = seed
-    for _ in range(maxit):
-        step = (m.psi_x(beta) - delta) / m.dpsi_x(beta)
-        beta = beta - step
-        if abs(step) <= tol * max(1.0, abs(beta)):
-            return beta
-    resid = abs(m.psi_x(beta) - delta)
-    raise PhiConvergenceError(
-        f"Newton stalled for phi({delta}): residual {resid:.3e} after {maxit} iterations"
-    )
-
-
-def phi(m: ClaimsModel, delta: Scalar, hint: Optional[Scalar] = None) -> Scalar:
-    """Inverse cumulant Phi_X(delta): the smallest root of psi_X(beta) = delta.
-
-    For real ``delta >= 0`` this is the root on the decreasing branch of
-    psi_X, a value <= 0 with phi(0) = 0.  For complex ``delta`` (needed on
-    inversion contours) the real solution is continued analytically by a
-    Newton iteration; pass the previously solved neighbouring root as
-    ``hint`` so the iteration stays on the correct branch.
-
-    The result always satisfies ``psi_X(phi(delta)) = delta`` to 1e-12
-    relative residual; a non-root is never returned silently.
-    """
-    is_complex = isinstance(delta, complex) or isinstance(delta, mpmath.mpc)
-    if is_complex and getattr(delta, "imag", 0.0) == 0:
-        delta_real = delta.real
-        is_complex = False
-    else:
-        delta_real = delta
-
-    if not is_complex:
-        dr = float(delta_real)
-        if dr < 0.0:
-            raise ValueError(f"real delta must be >= 0, got {dr}")
-        if dr == 0.0:
-            # 0 solves psi_X(0)=0 and sits on the decreasing branch
-            # (psi_X'(0) = E[X_1] < 0 under net profit).
-            return type(delta)(0) if _is_mp(delta) else 0.0
-        seed = hint if hint is not None else _phi_real_seed(m, dr)
-        if _is_mp(delta):
-            seed = mpmath.mpf(float(getattr(seed, "real", seed)))
-        root = _phi_newton(m, delta_real, seed)
-    else:
-        d0 = max(float(abs(delta)), 1e-8)
-        seed = hint if hint is not None else _phi_real_seed(m, d0)
-        if _is_mp(delta) and not _is_mp(seed):
-            seed = mpmath.mpc(seed)
-        try:
-            root = _phi_newton(m, delta, seed)
-        except PhiConvergenceError:
-            # walk from the real axis to delta in small steps, re-seeding
-            # Newton at each, so the iteration cannot jump branches
-            start = mpmath.mpc(d0) if _is_mp(delta) else complex(d0, 0.0)
-            root = _phi_real_seed(m, d0)
-            for frac in np.linspace(0.0, 1.0, 25)[1:]:
-                target = start + frac * (delta - start)
-                root = _phi_newton(m, target, root)
-
-    resid = abs(m.psi_x(root) - delta)
-    if resid > 1e-12 * max(1.0, abs(delta)):
-        raise PhiConvergenceError(f"phi({delta}) residual {resid:.3e} too large")
-    return root
+    return np.where(d == 0.0, 0.0, 0.5 * (lo + hi))
 
 
 def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
                        maxit: int) -> np.ndarray:
     """Newton on every entry of ``delta`` at once, each entry dropping out
-    once its residual meets the 1e-12 relative gate of ``phi``.  The step
+    once its residual meets the 1e-12 relative gate.  The step
     computed there is still taken: the gate is absolute for |delta| < 1,
     and roots only that close cost a double-precision Talbot sum of B up
     to ~1e-8 relative.  Raises if any entry is still above the gate
@@ -369,9 +286,9 @@ def phi_contour(m: ClaimsModel, deltas: np.ndarray, maxit: int = 50) -> np.ndarr
     real column is seeded from the float bisection on the decreasing
     branch, and every later column from the roots of the column before it,
     so each row is continued along its contour from the real solution.
-    Newton runs masked over a whole column at a time; every root meets the
-    same 1e-12 relative residual gate as ``phi`` (plus one polishing step),
-    and a node that does not within ``maxit`` iterations raises
+    Newton runs masked over a whole column at a time; every root meets a
+    1e-12 relative residual gate (plus one polishing step), and a node
+    that does not within ``maxit`` iterations raises
     ``PhiConvergenceError``.
     """
     deltas = np.asarray(deltas, dtype=complex)
@@ -382,25 +299,25 @@ def phi_contour(m: ClaimsModel, deltas: np.ndarray, maxit: int = 50) -> np.ndarr
     return roots
 
 
-class PhiContinuation:
-    """Path-continuation cache for phi along an inversion contour.
+def phi(m: ClaimsModel, delta):
+    """Inverse cumulant Phi_X(delta): the smallest root of psi_X(beta) = delta.
 
-    Reuses the last solved root as the Newton seed for the next contour
-    point.  Confine one instance to one in-flight inversion; it is not
-    safe to share across threads.
+    ``delta`` is a scalar or an array, real and >= 0 or complex.  For real
+    delta the root lies on the decreasing branch of psi_X, a value <= 0
+    with phi(0) = 0, and the result is real.  Each delta is the two-node
+    contour (|delta|, delta) of ``phi_contour``: the root is continued
+    from the real solution at |delta|, meets the same 1e-12 relative
+    residual gate, and a failure raises ``PhiConvergenceError``.
     """
-
-    def __init__(self, model: ClaimsModel):
-        self.model = model
-        self._last: Optional[Scalar] = None
-
-    def solve(self, delta: Scalar) -> Scalar:
-        root = phi(self.model, delta, hint=self._last)
-        self._last = root
-        return root
-
-    def reset(self) -> None:
-        self._last = None
+    d = np.asarray(delta)
+    real = not np.iscomplexobj(d)
+    if real and (d < 0.0).any():
+        raise ValueError(f"real delta must be >= 0, got {delta}")
+    flat = d.ravel().astype(complex)
+    roots = phi_contour(m, np.stack([np.abs(flat), flat], axis=1))[:, 1].reshape(d.shape)
+    if real:
+        roots = roots.real
+    return roots if roots.ndim else roots.item()
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +332,7 @@ def levy_tail(m: ClaimsModel, u: float) -> float:
     integrating by parts once gives
     Gamma(-rho, x) = (x^(-rho) e^(-x) - Gamma(1-rho) Q(1-rho, x)) / rho,
     with Q the regularized upper incomplete gamma function.  Checked against
-    mpmath's incomplete gamma in the test suite.
+    a 30-digit incomplete gamma in the test suite.
     """
     if u <= 0.0:
         raise ValueError(f"u must be positive (tail diverges at 0), got {u}")

@@ -8,12 +8,11 @@ transform
 
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
 whole t-grid at once, in double precision on a Talbot contour shifted
-right of that abscissa; the mpmath ``talbot_invert`` of ``make_b_transform``
-is the high-precision reference.  The eventual-ruin probability P(u) is
-inverted the same way for a whole u-grid, from its own transform written
-without cancellation (``_eventual_ruin_transform``); the scale function is
-read off it, W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P
-is small.
+right of that abscissa, or by ``levin_invert`` of ``b_tilde`` one t at a
+time.  The eventual-ruin probability P(u) is inverted the same way for a
+whole u-grid, from its own transform written without cancellation
+(``_eventual_ruin_transform``); the scale function is read off it,
+W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P is small.
 """
 from __future__ import annotations
 
@@ -28,8 +27,7 @@ import numpy as np
 
 from .laplace import InversionError, InversionSpec, levin_invert, talbot_grid
 from .laplace import talbot_invert  # noqa: F401 (unused; perfbench spans it at this lookup site)
-from .model import (ClaimsModel, PhiContinuation, RegimeTag, classify_regime, levy_tail, phi,
-                    phi_contour)
+from .model import ClaimsModel, RegimeTag, classify_regime, levy_tail, phi, phi_contour
 
 __all__ = [
     "EstimateMethod",
@@ -37,7 +35,6 @@ __all__ = [
     "RegimeError",
     "BFunction",
     "b_tilde",
-    "make_b_transform",
     "b_infinity",
     "scale_function",
     "prob_eventual_ruin",
@@ -104,35 +101,16 @@ class RuinEstimate:
 # ---------------------------------------------------------------------------
 
 
-def b_tilde(m: ClaimsModel, delta, continuation: Optional[PhiContinuation] = None):
-    """Laplace transform of B at delta, Re delta > max(0, psi_X(alpha)).
-
-    Evaluates (Phi(delta) - alpha) / ((delta - psi_X(alpha))^2 Phi(delta));
-    supply a ``PhiContinuation`` when walking a contour so the root stays
-    on the analytic branch.
-    """
-    root = continuation.solve(delta) if continuation is not None else phi(m, delta)
-    return _b_tilde_at(m, delta, root)
+def b_tilde(m: ClaimsModel, delta):
+    """Laplace transform of B at a scalar or an array ``delta``,
+    Re delta > max(0, psi_X(alpha)):
+    (Phi(delta) - alpha) / ((delta - psi_X(alpha))^2 Phi(delta))."""
+    return _b_tilde_at(m, delta, phi(m, delta))
 
 
 def _b_tilde_at(m: ClaimsModel, delta, root):
     """B~(delta) given root = Phi_X(delta); delta and root may be arrays."""
     return (root - m.alpha) / ((delta - m.psi_alpha) ** 2 * root)
-
-
-def make_b_transform(m: ClaimsModel):
-    """Transform closure for the scalar engines, with fresh continuation state.
-
-    The returned callable is serial (it mutates its continuation cache);
-    engines evaluate it from a single thread.
-    """
-    cont = PhiContinuation(m)
-
-    def transform(delta):
-        return b_tilde(m, delta, cont)
-
-    transform.serial = True
-    return transform
 
 
 def b_infinity(m: ClaimsModel) -> float:
@@ -231,7 +209,7 @@ class BFunction:
 
     def _levin(self, t: float) -> float:
         return levin_invert(
-            make_b_transform(self.model), t, n=self.spec.nodes, U=self.spec.cutoff,
+            lambda d: b_tilde(self.model, d), t, n=self.spec.nodes,
             eps=self.spec.shift if self.spec.shift is not None else self._levin_shift(t),
         )
 

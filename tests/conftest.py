@@ -1,25 +1,48 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tsruin import BFunction, ClaimsModel, InversionSpec
 
 
+def _load_oracle():
+    """``perfbench/oracle.py``'s ``Oracle``: B, W and P(ruin ever) in mpmath,
+    written independently of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Oracle
+
+
+Oracle = _load_oracle()
+
+# fixture name -> (c, alpha, rho, xi), for ClaimsModel.from_loading and Oracle
+MODELS = {
+    # the reference model (subcritical)
+    "paper_ref": (0.01, 1.0, 0.99, 0.2),
+    # inverse Gaussian claims (rho=1/2) at loading 0.2 (supercritical)
+    "ig_model": (0.01, 1.0, 0.5, 0.2),
+    # rho = 1/(1+xi) exactly: psi_X(alpha) = 0 to rounding
+    "critical_model": (0.01, 1.0, 1.0 / 1.2, 0.2),
+}
+
+
 @pytest.fixture(scope="session")
 def paper_ref() -> ClaimsModel:
-    """Reference model: c=0.01, alpha=1, rho=0.99, loading 0.2 (subcritical)."""
-    return ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)
+    return ClaimsModel.from_loading(*MODELS["paper_ref"])
 
 
 @pytest.fixture(scope="session")
 def ig_model() -> ClaimsModel:
-    """Inverse Gaussian claims (rho=1/2) at loading 0.2 (supercritical)."""
-    return ClaimsModel.from_loading(0.01, 1.0, 0.5, 0.2)
+    return ClaimsModel.from_loading(*MODELS["ig_model"])
 
 
 @pytest.fixture(scope="session")
 def critical_model() -> ClaimsModel:
-    """rho = 1/(1+xi) exactly: psi_X(alpha) = 0 to rounding."""
-    return ClaimsModel.from_loading(0.01, 1.0, 1.0 / 1.2, 0.2)
+    return ClaimsModel.from_loading(*MODELS["critical_model"])
 
 
 @pytest.fixture(scope="session")

@@ -34,12 +34,12 @@ from tsruin import (
     InversionSpec,
     SimPlan,
     b_infinity,
+    b_tilde,
     estimate_rft,
     estimate_tulta,
     growth_diagnostic,
     levin_invert,
     levy_tail,
-    make_b_transform,
     prob_eventual_ruin,
     rescale,
     sample_stable,
@@ -51,6 +51,8 @@ from tsruin import (
 from tsruin.model import ScaleChange
 from tsruin.sim import _tilted_subordinator_increments
 from tsruin import _kernels
+
+from conftest import Oracle
 
 TULTA_REFERENCE = {
     (1.0, 10.0): 0.00330802,
@@ -146,10 +148,11 @@ def test_criterion_05_engine_validation(model):
         probs.append(abs(levin_invert(lambda d: 1 / (d + 1), t, n=24) - math.exp(-t)))
     known_worst = max(probs)
     gaps = []
+    oracle = Oracle(0.01, 1.0, 0.99, 0.2)
     for t in np.linspace(0.5, 20.0, 8):
-        a = talbot_invert(make_b_transform(model), float(t), M=32)
+        a = float(oracle.b(float(t), 32))
         eps = max(0.0, model.psi_alpha) + 1.0 / float(t)
-        b = levin_invert(make_b_transform(model), float(t), n=64, eps=eps)
+        b = levin_invert(lambda d: b_tilde(model, d), float(t), n=64, eps=eps)
         gaps.append(abs(a / b - 1.0))
     cross_worst = max(gaps)
     ok = known_worst <= 1e-6 and cross_worst <= 1e-5

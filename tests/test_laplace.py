@@ -1,6 +1,8 @@
 """Inversion-engine tests: known transform pairs, cross-engine agreement,
 self-convergence, linearity, spec validation."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ import pytest
 from tsruin import (
     InversionError,
     InversionSpec,
+    b_tilde,
     levin_invert,
-    make_b_transform,
     talbot_grid,
     talbot_invert,
 )
+from tsruin.laplace import _levin_panels, _panel_edges
+
+from conftest import MODELS, Oracle
 
 TS = [0.5, 1.0, 2.0, 5.0, 10.0]
 
@@ -121,6 +126,54 @@ class TestLevin:
         with pytest.raises(InversionError, match="transform evaluation failed"):
             levin_invert(broken, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_transform_raises(self, value):
+        with pytest.raises(InversionError, match="Levin contour"):
+            levin_invert(lambda d: value, 1.0)
+
+    def test_non_finite_node_raises(self):
+        # a pole on one Bromwich node: the value there is inf, not a number
+        with pytest.raises(InversionError, match="Levin contour"):
+            levin_invert(lambda d: 1.0 / (d - 0.5) ** 2, 2.0, eps=0.5)
+
+    @pytest.mark.parametrize("t, n", [(0.5, 24), (7.0, 64)])
+    def test_stacked_panels_match_one_at_a_time(self, t, n):
+        # the per-panel loop: one solve and one dot product per panel
+        edges = _panel_edges(t, max(float(n), 48.0 / t), 1.0 / t, n)
+        a, b = edges[:-1], edges[1:]
+        x = -np.cos(np.pi * np.arange(n) / (n - 1))
+        f = np.real(f_exp(1.0 / t + 1j * (a[:, None] + (b - a)[:, None] * 0.5 * (x + 1.0))))
+        theta, ks = np.arccos(x), np.arange(1, n + 1)
+        T = np.cos(np.outer(theta, ks))
+        U = np.array([np.sin(ks * th) / np.sin(th) if np.sin(th) > 1e-12
+                      else ks * (1.0 if xi > 0 else (-1.0) ** (ks - 1))
+                      for th, xi in zip(theta, x)])
+        want = []
+        for fi, ai, bi in zip(f, a, b):
+            D = (ks * U) * (2.0 / (bi - ai))
+            sol = np.linalg.solve(np.block([[D, t * T], [-t * T, D]]), np.r_[fi, np.zeros(n)])
+            c1, c2 = sol[:n], sol[n:]
+            hi, lo = np.ones(n), (-1.0) ** ks
+            want.append((c1 @ hi * np.cos(t * bi) + c2 @ hi * np.sin(t * bi))
+                        - (c1 @ lo * np.cos(t * ai) + c2 @ lo * np.sin(t * ai)))
+        assert np.array_equal(_levin_panels(f, a, b, t, x), want)
+
+    @pytest.mark.parametrize("t, n, eps", [(0.5, 24, None), (7.0, 64, 0.3)])
+    def test_one_call_on_sorted_nodes(self, t, n, eps):
+        calls = []
+
+        def F(d):
+            calls.append(d)
+            return f_t(d)
+
+        levin_invert(F, t, n=n, eps=eps)
+        assert len(calls) == 1
+        (nodes,) = calls
+        assert nodes.ndim == 1 and nodes.dtype == complex
+        assert nodes[0] == (1.0 / t if eps is None else eps)
+        assert np.all(nodes.real == nodes[0].real)
+        assert np.all(np.diff(nodes.imag) > 0.0)
+
 
 class TestEngineConsistency:
     """Talbot(M=32) and Levin(n=64) agree to 1e-5 relative on the corpus."""
@@ -141,9 +194,9 @@ class TestEngineConsistency:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0])
     def test_ruin_time_transform(self, t, paper_ref):
-        a = talbot_invert(make_b_transform(paper_ref), t, M=32)
+        a = float(Oracle(*MODELS["paper_ref"]).b(t, 32))
         eps = max(0.0, paper_ref.psi_alpha) + 1.0 / t
-        b = levin_invert(make_b_transform(paper_ref), t, n=64, eps=eps)
+        b = levin_invert(lambda d: b_tilde(paper_ref, d), t, n=64, eps=eps)
         assert abs(a - b) <= 1e-5 * abs(a)
 
     @pytest.mark.parametrize("u", [0.5, 1.0, 4.0, 10.0, 20.0])
@@ -169,7 +222,7 @@ class TestInversionSpec:
     def test_defaults(self):
         spec = InversionSpec()
         assert spec.engine == "talbot" and spec.nodes == 24
-        assert spec.cutoff is None and spec.shift is None
+        assert spec.shift is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -177,6 +230,11 @@ class TestInversionSpec:
         with pytest.raises(ValueError):
             InversionSpec(nodes=2)
         with pytest.raises(ValueError):
-            InversionSpec(cutoff=0.0)
-        with pytest.raises(ValueError):
             InversionSpec(shift=-1.0)
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is the configurable-precision arithmetic of talbot_invert alone
+    code = "import sys, tsruin; print('mpmath' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -23,7 +23,7 @@ from tsruin import (
     premium_from_loading,
     rescale,
 )
-from tsruin.model import PhiContinuation, PhiConvergenceError
+from tsruin.model import PhiConvergenceError
 
 from conftest import assert_close
 
@@ -193,23 +193,39 @@ class TestPhi:
     def test_negative_real_rejected(self, paper_ref):
         with pytest.raises(ValueError):
             phi(paper_ref, -1.0)
+        with pytest.raises(ValueError):
+            phi(paper_ref, np.array([1.0, -1e-300]))
+
+    def test_types_and_shapes(self, paper_ref):
+        assert type(phi(paper_ref, 2.5)) is float
+        assert type(phi(paper_ref, 1.0 + 3.0j)) is complex
+        assert phi(paper_ref, 0.0) == 0.0 and phi(paper_ref, 0) == 0.0
+        grid = np.array([[0.0, 1.0, 2.5], [4.0, 8.0, 16.0]])
+        roots = phi(paper_ref, grid)
+        assert roots.shape == grid.shape and roots.dtype == float
+        assert roots[0, 2] == phi(paper_ref, 2.5)
+        line = 0.5 + 1j * np.linspace(0.0, 30.0, 7)
+        croots = phi(paper_ref, line)
+        assert croots.shape == line.shape and croots.dtype == complex
+        assert croots[3] == phi(paper_ref, complex(line[3]))
+
+    def test_residual_along_bromwich_line(self, paper_ref):
+        # the Levin engine's nodes eps + iu, far out in u
+        line = 0.01 + 1j * np.linspace(0.0, 5000.0, 20001)
+        resid = np.abs(paper_ref.psi_x(phi(paper_ref, line)) - line)
+        assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(line)))
 
     def test_continuation_cache(self, paper_ref):
-        cont = PhiContinuation(paper_ref)
-        line = [complex(0.5, v) for v in np.linspace(0.0, 30.0, 40)]
-        roots = [cont.solve(d) for d in line]
-        for d, r in zip(line, roots):
-            assert abs(paper_ref.psi_x(r) - d) <= 1e-12 * max(1.0, abs(d))
+        # one contour row continues each root from the one before it
+        line = 0.5 + 1j * np.linspace(0.0, 30.0, 40)
+        roots = phi_contour(paper_ref, line[None, :])[0]
+        resid = np.abs(paper_ref.psi_x(roots) - line)
+        assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(line)))
         jumps = np.abs(np.diff(roots))
         assert jumps.max() < 5.0  # continuous branch, no jumps to the other root
-
-    def test_mpmath_arguments(self, paper_ref):
-        with mpmath.workdps(40):
-            root = phi(paper_ref, mpmath.mpf(2.5))
-            assert isinstance(root, mpmath.mpf)
-            assert abs(paper_ref.psi_x(root) - 2.5) < mpmath.mpf("1e-30")
-            croot = phi(paper_ref, mpmath.mpc(1.0, 3.0))
-            assert abs(paper_ref.psi_x(croot) - mpmath.mpc(1.0, 3.0)) < mpmath.mpf("1e-28")
+        # and each root agrees with phi's own continuation from the real axis
+        gap = np.abs(roots - phi(paper_ref, line))
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(roots)))
 
 
 def _talbot_nodes(ts, M=24, shift=0.0):
@@ -221,12 +237,12 @@ def _talbot_nodes(ts, M=24, shift=0.0):
 
 class TestPhiContour:
     def test_matches_scalar_continuation(self, paper_ref, ig_model):
+        # along the contour versus node by node, each from the real root at |delta|
         for m in (paper_ref, ig_model):
             deltas = _talbot_nodes([0.01, 1.0, 50.0], shift=max(0.0, m.psi_alpha))
             roots = phi_contour(m, deltas)
             for row, got in zip(deltas, roots):
-                cont = PhiContinuation(m)
-                want = np.array([complex(cont.solve(d)) for d in row])
+                want = np.array([phi(m, complex(d)) for d in row])
                 assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_closed_form_inverse_gaussian(self, ig_model):
