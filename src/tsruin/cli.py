@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ruin
 from .laplace import InversionError, InversionSpec
 from .model import ClaimsModel, PhiConvergenceError, classify_regime, RegimeTag
 from .ruin import (  # noqa: F401 (estimate_infinite_horizon: perfbench spans it here)
@@ -257,12 +258,14 @@ def cmd_ruin_surface(s: dict) -> int:
         bf.grid(ts)
     if method == "mc":
         res = simulate_ruin_mc(model, us, ts, _sim_plan(s))
-    # P(ruin ever) depends on u alone
+    # P(ruin ever) and the Levy tail depend on u alone; the tail is looked up
+    # on ruin, the module whose levy_tail perfbench spans
     p_ever = prob_eventual_ruin(model, us).tolist() if method in ("tulta", "infinite") else None
+    tails = [ruin.levy_tail(model, u) for u in map(float, us)] if method == "rft" else None
     for i, u in enumerate(map(float, us)):
         for j, t in enumerate(map(float, ts)):
             if method == "rft":
-                rows.append((u, t, estimate_rft(model, u, t, spec, bf=bf).value))
+                rows.append((u, t, estimate_rft(model, u, t, spec, bf=bf, tail=tails[i]).value))
             elif method == "tulta":
                 rows.append((u, t, estimate_tulta(model, u, t, spec, bf=bf, p_ruin=p_ever[i]).value))
             elif method == "infinite":

@@ -339,12 +339,19 @@ def scale_function(m: ClaimsModel, u, p_ruin=None):
 
 def estimate_rft(m: ClaimsModel, u: float, t: float,
                  spec: Optional[InversionSpec] = None,
-                 bf: Optional[BFunction] = None) -> RuinEstimate:
-    """Raw asymptotic estimate tail(u) * B(t); may exceed 1 for small u."""
+                 bf: Optional[BFunction] = None,
+                 tail: Optional[float] = None) -> RuinEstimate:
+    """Raw asymptotic estimate tail(u) * B(t); may exceed 1 for small u.
+
+    ``tail`` is ``levy_tail(m, u)`` when the caller already has it (a grid
+    over t shares one per u); it is computed otherwise.
+    """
     if u <= 0.0 or t <= 0.0:
         raise ValueError(f"u and t must be positive, got u={u}, t={t}")
     bf = bf or BFunction(m, spec)
-    return RuinEstimate(u=u, t=t, value=levy_tail(m, u) * bf.value(t), method=EstimateMethod.RFT)
+    if tail is None:
+        tail = levy_tail(m, u)
+    return RuinEstimate(u=u, t=t, value=tail * bf.value(t), method=EstimateMethod.RFT)
 
 
 def estimate_tulta(m: ClaimsModel, u: float, t: float,

@@ -238,3 +238,13 @@ def test_import_leaves_mpmath_unloaded():
     code = "import sys, tsruin; print('mpmath' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_cli_import_loads_numpy_alone():
+    # every CLI command pays for its imports before it does any work, so a
+    # third-party package other than numpy must not load with the CLI
+    code = ("import sys\nbefore = set(sys.modules)\nimport tsruin.cli\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(*sorted(loaded - set(sys.stdlib_module_names) - {'tsruin', 'numpy'}))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == ""
