@@ -344,14 +344,21 @@ def estimate_rft(m: ClaimsModel, u: float, t: float,
     """Raw asymptotic estimate tail(u) * B(t); may exceed 1 for small u.
 
     ``tail`` is ``levy_tail(m, u)`` when the caller already has it (a grid
-    over t shares one per u); it is computed otherwise.
+    over t shares one per u); it is computed otherwise.  Raises
+    ``FloatingPointError`` where the estimate is not a positive normal double
+    (the tail underflows once alpha u exceeds ~700), rather than returning a
+    positive probability as 0 or with lost digits.
     """
     if u <= 0.0 or t <= 0.0:
         raise ValueError(f"u and t must be positive, got u={u}, t={t}")
     bf = bf or BFunction(m, spec)
     if tail is None:
         tail = levy_tail(m, u)
-    return RuinEstimate(u=u, t=t, value=tail * bf.value(t), method=EstimateMethod.RFT)
+    value = tail * bf.value(t)
+    if not _TINY <= value < math.inf:
+        raise FloatingPointError(
+            f"rft estimate at u={u}, t={t} is {value:.6e}, not a positive normal double")
+    return RuinEstimate(u=u, t=t, value=value, method=EstimateMethod.RFT)
 
 
 def estimate_tulta(m: ClaimsModel, u: float, t: float,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -246,9 +247,20 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     params = stable_increment_params(m, plan.h)
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
 
+    # one pair of draw buffers per worker thread, reused across its batches
+    # and chunks; the first chunk of a batch is its largest
+    local = threading.local()
+
     def scan(rng, npaths, steps, us, ends):
-        u_ang = np.pi * (rng.random((npaths, steps)) - 0.5)
-        w_exp = rng.standard_exponential((npaths, steps))
+        size = npaths * steps
+        if not hasattr(local, "u_ang") or local.u_ang.size < size:
+            local.u_ang, local.w_exp = np.empty(size), np.empty(size)
+        u_ang = local.u_ang[:size].reshape(npaths, steps)
+        w_exp = local.w_exp[:size].reshape(npaths, steps)
+        rng.random(out=u_ang)
+        u_ang -= 0.5
+        u_ang *= np.pi
+        rng.standard_exponential(out=w_exp)
         return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
                                        params.nu, params.mu, us, m.alpha, ends)[0]
 

@@ -104,6 +104,16 @@ class TestCmdRuinSurface:
         [(_, rows)] = read_tsv(out)
         assert any(float(r[2]) > 1.0 for r in rows)
 
+    def test_rft_underflow_exit_code(self, tmp_path):
+        # the Levy tail underflows past alpha u ~ 700: no 0 or subnormal printed
+        out = tmp_path / "s.tsv"
+        res = run_cli("ruin-surface", "--preset", "paper-ref", "--method", "rft",
+                      "--u-min", "700", "--u-max", "800", "--u-steps", "2",
+                      "--t-min", "1", "--t-steps", "1", "--out", str(out))
+        assert res.returncode == 3
+        assert "not a positive normal double" in res.stderr
+        assert not out.exists()
+
     def test_mc_emits_stderr_column(self, tmp_path):
         out = tmp_path / "s.tsv"
         run_cli("ruin-surface", "--preset", "paper-ref", "--method", "mc",

@@ -1,11 +1,20 @@
-"""Tests for the hot kernels: grid scans against brute force, and the
-numpy kernels end to end in a fresh interpreter."""
+"""Tests for the hot kernels: the blocked transform bit for bit against its
+one-expression formula, grid scans against brute force, and the numpy
+kernels end to end in a fresh interpreter."""
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from tsruin._kernels import cms_constants, first_passage_scan, mc_weight_scan, stable_standard
+from tsruin._kernels import (
+    _BLOCK_ELEMENTS as BLOCK,
+    cms_constants,
+    first_passage_scan,
+    mc_weight_scan,
+    stable_standard,
+)
 
 
 def _draws(seed=7, shape=(400, 50)):
@@ -13,6 +22,27 @@ def _draws(seed=7, shape=(400, 50)):
     u_ang = np.pi * (rng.random(shape) - 0.5)
     w_exp = rng.standard_exponential(shape)
     return u_ang, w_exp
+
+
+def cms_formula(u_ang, w_exp, rho, theta0, scale0):
+    """The Chambers-Mallows-Stuck transform as one expression: the reference
+    the blocked kernels must match bit for bit."""
+    return (scale0 * np.sin(rho * (u_ang + theta0)) / np.cos(u_ang) ** (1.0 / rho)
+            * (np.cos(u_ang - rho * (u_ang + theta0)) / w_exp) ** ((1.0 - rho) / rho))
+
+
+class TestStableStandard:
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.99, 1.5])
+    def test_bitwise_equal_to_formula_across_block_edges(self, rho, beta):
+        theta0, scale0 = cms_constants(rho, beta)
+        for size in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+            for shape in ((size,), (2, size)):
+                u_ang, w_exp = _draws(seed=size, shape=shape)
+                got = stable_standard(u_ang, w_exp, rho, theta0, scale0)
+                want = cms_formula(u_ang, w_exp, rho, theta0, scale0)
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes(), (size, shape)
 
 
 class TestGridScans:
@@ -32,19 +62,38 @@ class TestGridScans:
                 assert hits[i, j] == first_passage_scan(incr[:, :e], float(b))
 
     def test_mc_grid_matches_brute_force(self):
-        u_ang, w_exp = _draws(shape=(2000, 50))
+        # 2000 rows are not a multiple of a row block
+        self._check_mc_grid((2000, 50), self.ends)
+
+    def test_mc_grid_one_row_per_block(self):
+        self._check_mc_grid((5, BLOCK + 5), np.array([7, 20, BLOCK + 1, BLOCK + 5]))
+
+    def _check_mc_grid(self, shape, ends):
+        u_ang, w_exp = _draws(shape=shape)
         theta0, scale0 = cms_constants(0.99, 1.0)
         law = (0.99, theta0, scale0, 1.44e-4, -0.0119)
-        sums, crossing = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, self.ends)
-        path = np.cumsum(law[3] * stable_standard(u_ang, w_exp, *law[:3]) + law[4], axis=1)
+        sums, crossing = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, ends)
+        path = np.cumsum(law[3] * cms_formula(u_ang, w_exp, *law[:3]) + law[4], axis=1)
         for i, b in enumerate(self.barriers):
-            for j, e in enumerate(self.ends):
+            for j, e in enumerate(ends):
                 hit = (path[:, :e] > b).any(axis=1)
                 want = np.exp(-path[hit, e - 1]).sum()
                 assert sums[i, j] == want
                 assert sums[i, j] == mc_weight_scan(u_ang[:, :e], w_exp[:, :e], *law, float(b),
                                                     1.0)[0]
         assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
+
+    def test_mc_scan_temporaries_stay_small(self):
+        # a whole path array (one input-sized temporary) would be 8x the bound
+        u_ang, w_exp = _draws(shape=(4096, 200))
+        theta0, scale0 = cms_constants(0.99, 1.0)
+        tracemalloc.start()
+        try:
+            mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119, 0.05, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u_ang.nbytes / 8
 
     def test_scalar_call_returns_scalars(self):
         u_ang, w_exp = _draws()

@@ -220,6 +220,46 @@ class TestGridEstimator:
         nv = simulate_ruin_naive(paper_ref, 0.2, 1.0, plan)
         assert (nv.mean.hex(), nv.stderr.hex()) == ("0x1.2000000000000p-6", "0x1.deeea11683f49p-9")
 
+    # recorded before the kernels were cache-blocked: many row blocks with a
+    # partial last one, two chunks with a shorter last one, and threads=2
+    @pytest.mark.parametrize("plan,t,mc,naive", [
+        (SimPlan(h=0.01, n=3000, N=4, seed=81), 2.0,
+         ("0x1.814ed42ba26ecp-6", "0x1.cbb536601cb4cp-11"),
+         ("0x1.867c3ece2a535p-6", "0x1.c3f094c700373p-10")),
+        (SimPlan(h=0.001, n=5000, N=2, seed=82), 1.0,
+         ("0x1.04e07bde648aap-6", "0x1.79b13fc572b1fp-12"),
+         ("0x1.fbe76c8b43958p-7", "0x1.6f0068db8bac0p-11")),
+        (SimPlan(h=0.01, n=3000, N=4, seed=81, threads=2), 2.0,
+         ("0x1.814ed42ba26ecp-6", "0x1.cbb536601cb4cp-11"),
+         ("0x1.867c3ece2a535p-6", "0x1.c3f094c700373p-10")),
+    ], ids=["row-blocks", "two-chunks", "threads-2"])
+    def test_multi_block_bits_pinned(self, paper_ref, plan, t, mc, naive):
+        for simulate, want in ((simulate_ruin_mc, mc), (simulate_ruin_naive, naive)):
+            r = simulate(paper_ref, 0.2, t, plan)
+            assert (r.mean.hex(), r.stderr.hex()) == want, simulate.__name__
+
+    def test_grid_bits_pinned(self, paper_ref):
+        plan = SimPlan(h=0.01, n=3000, N=4, seed=83)
+        us, ts = [0.1, 0.2, 0.4], [0.5, 1.0, 2.0]
+        mc = simulate_ruin_mc(paper_ref, us, ts, plan)
+        assert [x.hex() for x in mc.mean.ravel()] == [
+            "0x1.681ca44027ed6p-6", "0x1.02a5f76919eaap-5", "0x1.5a2734992e994p-5",
+            "0x1.490218d48420cp-7", "0x1.0e943750f04dbp-6", "0x1.849193de92564p-6",
+            "0x1.ed685a8e148b9p-9", "0x1.be05553c4db74p-8", "0x1.51cc693f967f4p-7"]
+        assert [x.hex() for x in mc.stderr.ravel()] == [
+            "0x1.76215a8ac3a39p-10", "0x1.54be25adda62ep-10", "0x1.c663d1f7a2000p-10",
+            "0x1.49caeb6d77814p-11", "0x1.0201d69b6dbb4p-11", "0x1.62f8f2f71138ep-11",
+            "0x1.767ac9e39c7e3p-12", "0x1.fff013f8de8d2p-13", "0x1.6076a0ee3c656p-12"]
+        nv = simulate_ruin_naive(paper_ref, us, ts, plan)
+        assert [x.hex() for x in nv.mean.ravel()] == [
+            "0x1.6b2dbd1942380p-6", "0x1.ee402bb0cf87ep-6", "0x1.513cc1e098eadp-5",
+            "0x1.5555555555556p-7", "0x1.f3b645a1cac08p-7", "0x1.7a32846ff513dp-6",
+            "0x1.0624dd2f1a9fcp-8", "0x1.8ead65b7a3284p-8", "0x1.5810624dd2f1cp-7"]
+        assert [x.hex() for x in nv.stderr.ravel()] == [
+            "0x1.76fe6efae4677p-10", "0x1.96bcebb0862a3p-11", "0x1.89374bc6a7ef7p-10",
+            "0x1.7c0cda54bf2efp-11", "0x1.17c1bb7619e5fp-11", "0x1.8fa2e314774fcp-11",
+            "0x1.3f124edc3260ep-12", "0x1.9cf2b4bfb868fp-12", "0x1.430908b4ebacfp-11"]
+
     def test_shape_follows_inputs(self, paper_ref, grids):
         assert grids[simulate_ruin_mc].mean.shape == (3, 4)
         row = simulate_ruin_mc(paper_ref, 0.2, self.ts, self.plan)
