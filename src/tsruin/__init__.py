@@ -7,7 +7,6 @@ measure to a stable process.
 """
 from .laplace import (
     InversionError,
-    InversionSpec,
     levin_invert,
     talbot_grid,
     talbot_invert,

@@ -8,6 +8,11 @@ simulate      Monte Carlo estimates on a (u, t)-grid
 benchmark     asymptotic vs simulated vs infinite-horizon comparison table
 scale-fn      scale function and eventual-ruin probability on a u-grid
 
+B(t) and P(ruin ever) are inverted in double precision on a shifted Talbot
+contour at two term counts, M=18 and M=24; a value whose two counts
+disagree, or that is not a positive normal double, fails the command with
+exit code 3.  There is no engine to choose and no inversion setting.
+
 All outputs are TSV: UTF-8, LF line endings, tab separators, a '#'-prefixed
 header line, numbers at 9 significant digits.  Files are written to a
 temporary name and atomically renamed, so a failed run leaves no partial
@@ -28,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import ruin
-from .laplace import InversionError, InversionSpec
+from .laplace import InversionError
 from .model import ClaimsModel, PhiConvergenceError, classify_regime, RegimeTag
 from .ruin import (  # noqa: F401 (estimate_infinite_horizon: perfbench spans it here)
     BFunction,
@@ -51,9 +56,9 @@ PRESETS = {
     "paper-ref": {"c": 0.01, "alpha": 1.0, "rho": 0.99, "xi": 0.2},
 }
 
-_FLOAT_KEYS = ("c", "alpha", "rho", "p", "xi", "u_min", "u_max", "t_min", "t_max", "eps", "h")
-_INT_KEYS = ("u_steps", "t_steps", "nodes", "paths", "batches", "seed", "threads")
-_STR_KEYS = ("engine", "method", "approach", "preset", "out", "config")
+_FLOAT_KEYS = ("c", "alpha", "rho", "p", "xi", "u_min", "u_max", "t_min", "t_max", "h")
+_INT_KEYS = ("u_steps", "t_steps", "paths", "batches", "seed", "threads")
+_STR_KEYS = ("method", "approach", "preset", "out", "config")
 
 
 class UsageError(ValueError):
@@ -89,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-min", type=float, dest="t_min")
         p.add_argument("--t-max", type=float, dest="t_max")
         p.add_argument("--t-steps", type=int, dest="t_steps")
-        p.add_argument("--engine", choices=("talbot", "levin"),
-                       help="inversion engine for B(t); W and P(ruin ever) always use the "
-                            "double-precision Talbot grid, so levin applies to B only")
-        p.add_argument("--nodes", type=int, help="Levin basis size n")
-        p.add_argument("--eps", type=float, help="Levin Bromwich abscissa")
         p.add_argument("--h", type=float, help="simulation time step")
         p.add_argument("--paths", type=int, help="paths per batch")
         p.add_argument("--batches", type=int, help="number of batches N")
@@ -133,10 +133,7 @@ def _parse_config(path: str) -> dict:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged: dict = {
-        "engine": "talbot", "nodes": 24,
-        "h": 0.01, "paths": 4096, "batches": 30, "seed": 12345, "threads": 1,
-    }
+    merged: dict = {"h": 0.01, "paths": 4096, "batches": 30, "seed": 12345, "threads": 1}
     if args.preset:
         merged.update(PRESETS[args.preset])
     if args.config:
@@ -185,13 +182,6 @@ def _grid(s: dict, axis: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _inversion_spec(s: dict) -> InversionSpec:
-    try:
-        return InversionSpec(engine=s["engine"], nodes=s["nodes"], shift=s.get("eps"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _sim_plan(s: dict) -> SimPlan:
     try:
         return SimPlan(h=s["h"], n=s["paths"], N=s["batches"], seed=s["seed"],
@@ -227,9 +217,8 @@ def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
 
 def cmd_b(s: dict) -> int:
     model = _resolve_model(s)
-    spec = _inversion_spec(s)
     ts = _grid(s, "t")
-    bf = BFunction(model, spec)
+    bf = BFunction(model)
     rows = list(zip(map(float, ts), bf.grid(ts)))
     _write_tsv(s.get("out"), ["t", "B"], rows)
     # keep stdout clean for the TSV when no output path was given
@@ -246,14 +235,13 @@ def cmd_b(s: dict) -> int:
 
 def cmd_ruin_surface(s: dict) -> int:
     model = _resolve_model(s)
-    spec = _inversion_spec(s)
     method = s.get("method")
     if method is None:
         raise UsageError("--method is required (rft, tulta, infinite, mc)")
     us, ts = _grid(s, "u"), _grid(s, "t")
     header = ["u", "t", "value"] + (["stderr"] if method == "mc" else [])
     rows = []
-    bf = BFunction(model, spec)
+    bf = BFunction(model)
     if method in ("rft", "tulta"):
         bf.grid(ts)
     if method == "mc":
@@ -265,9 +253,9 @@ def cmd_ruin_surface(s: dict) -> int:
     for i, u in enumerate(map(float, us)):
         for j, t in enumerate(map(float, ts)):
             if method == "rft":
-                rows.append((u, t, estimate_rft(model, u, t, spec, bf=bf, tail=tails[i]).value))
+                rows.append((u, t, estimate_rft(model, u, t, bf=bf, tail=tails[i]).value))
             elif method == "tulta":
-                rows.append((u, t, estimate_tulta(model, u, t, spec, bf=bf, p_ruin=p_ever[i]).value))
+                rows.append((u, t, estimate_tulta(model, u, t, bf=bf, p_ruin=p_ever[i]).value))
             elif method == "infinite":
                 rows.append((u, t, p_ever[i]))
             else:
@@ -294,7 +282,6 @@ def cmd_simulate(s: dict) -> int:
 
 def cmd_benchmark(s: dict) -> int:
     model = _resolve_model(s)
-    spec = _inversion_spec(s)
     regime = classify_regime(model)
     if regime.tag is not RegimeTag.SUBCRITICAL:
         raise RegimeError(
@@ -302,14 +289,14 @@ def cmd_benchmark(s: dict) -> int:
         )
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
-    bf = BFunction(model, spec)
+    bf = BFunction(model)
     bf.grid(ts)
     p_ever = prob_eventual_ruin(model, us).tolist()  # before the costly simulation
     sims = simulate_ruin_mc(model, us, ts, plan).mean
     rows = []
     for i, (u, inf_est) in enumerate(zip(map(float, us), p_ever)):
         for j, t in enumerate(map(float, ts)):
-            a = estimate_tulta(model, u, t, spec, bf=bf, p_ruin=inf_est).value
+            a = estimate_tulta(model, u, t, bf=bf, p_ruin=inf_est).value
             sim = float(sims[i, j])
             rows.append((u, t, a, sim, inf_est, a / sim, inf_est / sim,
                          abs(a - sim) / sim, abs(inf_est - sim) / sim))

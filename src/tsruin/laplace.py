@@ -1,18 +1,21 @@
 """Numerical inverse Laplace transforms.
 
-Two independent engines operate on caller-supplied transforms ``F(delta)``
-evaluated at complex arguments:
+Three engines operate on caller-supplied transforms ``F(delta)`` evaluated
+at complex arguments:
 
-* fixed-Talbot contour deformation with trapezoidal summation, in two
-  forms: ``talbot_invert``, one t at a time in configurable-precision
+* ``talbot_grid``, the production engine: fixed-Talbot contour
+  deformation with trapezoidal summation, for every t of a grid in one
+  double-precision array pass on a contour that may be shifted right, with
+  F evaluated on the whole node array at once.  ``ruin`` runs it at two
+  term counts and takes their gap as its error estimate.
+* ``talbot_invert``, the same rule one t at a time in configurable-precision
   arithmetic (F takes and returns scalars), because the method loses
-  roughly 0.6*M decimal digits to cancellation; and ``talbot_grid``, every
-  t of a grid in one double-precision array pass on a contour that may be
-  shifted right, with F evaluated on the whole node array at once.
+  roughly 0.6*M decimal digits to cancellation.  A reference engine.
 * ``levin_invert`` -- collocation in a Chebyshev basis for the oscillatory
   real-axis form ``f(t) = e^(eps t) (2/pi) int_0^inf Re F(eps+iu) cos(ut) du``,
   entirely in double precision, with F evaluated once per t on the 1-d
-  array of its Bromwich nodes.
+  array of its Bromwich nodes.  An independent reference engine, without
+  an error estimate of its own.
 
 Transforms must be analytic to the right of the declared abscissa; the
 Talbot contour additionally requires analyticity in the cut plane away
@@ -22,12 +25,11 @@ transform used here.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["InversionSpec", "InversionError", "talbot_invert", "talbot_grid", "levin_invert"]
+__all__ = ["InversionError", "talbot_invert", "talbot_grid", "levin_invert"]
 
 logger = logging.getLogger(__name__)
 
@@ -36,35 +38,6 @@ TransformFn = Callable[[complex], complex]
 
 class InversionError(RuntimeError):
     """An inversion engine could not produce a trustworthy value."""
-
-
-@dataclass(frozen=True)
-class InversionSpec:
-    """Configuration of B's inversion.
-
-    engine
-        ``talbot`` (``talbot_grid`` at fixed double-precision term counts)
-        or ``levin``.  W and P(ruin ever) always use ``talbot_grid``.
-    nodes
-        Levin collocation basis size per panel.
-    shift
-        Bromwich abscissa eps for the Levin engine.  Must exceed the real
-        part of every singularity of the transform; ``None`` selects
-        ``1/t``, which callers with known singularities should override
-        (e.g. ``max(0, psi_X(alpha)) + 1/t`` for the ruin-time transform).
-    """
-
-    engine: str = "talbot"
-    nodes: int = 24
-    shift: Optional[float] = None
-
-    def __post_init__(self):
-        if self.engine not in ("talbot", "levin"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.nodes < 8:
-            raise ValueError(f"nodes must be >= 8, got {self.nodes}")
-        if self.shift is not None and self.shift < 0.0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
 
 # ---------------------------------------------------------------------------

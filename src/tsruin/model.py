@@ -7,7 +7,13 @@ surplus subtracts premium income at rate ``p``.  Everything downstream
 
     psi_Y(theta) = -c * Gamma(-rho) * (alpha**rho - (alpha - theta)**rho)
 
-and its drifted version ``psi_X(theta) = psi_Y(theta) - p*theta``.
+and its drifted version ``psi_X(theta) = psi_Y(theta) - p*theta``.  Near
+theta = 0 both differences cancel; there psi_X is summed as
+
+    psi_X(theta) = theta (E[X_1] - theta Q(-theta)),  Q(b) = k a^(rho-2) S(b/a),
+
+with k = -c Gamma(-rho), a = alpha and S(x) = R2(x)/x^2 the binomial
+remainder of (1+x)^rho (``ClaimsModel.q``).
 """
 from __future__ import annotations
 
@@ -40,6 +46,16 @@ __all__ = [
 
 class PhiConvergenceError(RuntimeError):
     """Root finding for the inverse cumulant failed; carries the residual."""
+
+
+# (window, terms): S(x) is summed as its first ``terms`` binomial terms for
+# |x| < window, where the direct form loses ~2^-52/|x|^2 relative to
+# cancellation.  psi_X needs the short window only.  P(ruin ever) needs the
+# long one: at large u it is a small difference of Talbot terms far larger
+# than itself (with the short window its M=18/M=24 gap exceeds 1e-7 from
+# u ~ 9 at the reference model).
+PSI_SERIES = (1.0 / 64.0, 12)  # the 13th term is below 2^-72 of the first
+P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
 
 # cephes Gamma: P/Q approximate Gamma(2 + x) on 0 <= x < 1, highest power first
@@ -191,8 +207,44 @@ class ClaimsModel:
         a, r = self.alpha, self.rho
         return self.tilt_coefficient * (a ** r - (a - theta) ** r)
 
+    @cached_property
+    def _series_coef(self) -> np.ndarray:
+        """C(rho, n) for n = 2, 3, ...: S's binomial series, lowest power first."""
+        rho, n = self.rho, np.arange(2, max(PSI_SERIES[1], P_SERIES[1]) + 1)
+        return np.cumprod(np.r_[rho * (rho - 1.0) / 2.0, (rho - n) / (n + 1)])
+
+    @cached_property
+    def _q_scale(self) -> float:
+        return self.tilt_coefficient * self.alpha ** (self.rho - 2.0)
+
+    def q(self, b, series=PSI_SERIES):
+        """Q(b) = k a^(rho-2) S(b/a) on an array ``b``, with
+        S(x) = R2(x)/x^2 and R2(x) = (1+x)^rho - 1 - rho x: S is its binomial
+        series inside the window of ``series`` (C(rho, 2) at x = 0) and the
+        direct form outside it."""
+        window, terms = series
+        x = b / self.alpha
+        near = np.abs(x) < window
+        s = np.empty_like(x)
+        s[near] = np.polyval(self._series_coef[terms - 1::-1], x[near])
+        xf = x[~near]
+        s[~near] = ((1.0 + xf) ** self.rho - 1.0 - self.rho * xf) / xf ** 2
+        return self._q_scale * s
+
     def psi_x(self, theta):
-        return self.psi_y(theta) - self.p * theta
+        """psi_Y(theta) - p theta; inside the window of ``PSI_SERIES``,
+        theta (E[X_1] - theta Q(-theta)), in which nothing cancels."""
+        psi = self.psi_y(theta) - self.p * theta
+        th = np.atleast_1d(theta)  # also an object array of mpmath numbers
+        near = abs(th) < PSI_SERIES[0] * self.alpha
+        if not near.any():
+            return psi
+        th = th[near]
+        series = th * (self.drift_mean - th * self.q(-th))
+        if np.ndim(psi) == 0:
+            return series[0]
+        psi[near] = series
+        return psi
 
     def dpsi_x(self, theta):
         a, r = self.alpha, self.rho

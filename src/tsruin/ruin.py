@@ -8,15 +8,16 @@ transform
 
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
 whole t-grid at once, in double precision on a Talbot contour shifted
-right of that abscissa, or by ``levin_invert`` of ``b_tilde`` one t at a
-time.  The eventual-ruin probability P(u) is inverted the same way for a
-whole u-grid, from its own transform written without cancellation
-(``_eventual_ruin_transform``); the scale function is read off it,
-W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P is small.
+right of that abscissa, and checks every value against a second term
+count (``_talbot_checked``).  The eventual-ruin probability P(u) is
+inverted the same way for a whole u-grid, from its own transform written
+without cancellation (``_eventual_ruin_transform``); the scale function is
+read off it, W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P
+is small.  ``b_tilde`` is the transform for the reference engines
+``levin_invert`` and ``talbot_invert``, which no estimator here calls.
 """
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -25,9 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .laplace import InversionError, InversionSpec, levin_invert, talbot_grid
-from .laplace import talbot_invert  # noqa: F401 (unused; perfbench spans it at this lookup site)
-from .model import ClaimsModel, RegimeTag, classify_regime, levy_tail, phi, phi_contour
+from .laplace import InversionError, talbot_grid
+# unused here; perfbench spans both reference engines at this lookup site
+from .laplace import levin_invert, talbot_invert  # noqa: F401
+from .model import (P_SERIES, ClaimsModel, RegimeTag, classify_regime, levy_tail, phi,
+                    phi_contour)
 
 __all__ = [
     "EstimateMethod",
@@ -44,8 +47,6 @@ __all__ = [
     "growth_diagnostic",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Every double-precision Talbot inversion runs at both term counts; their
 # gap is its error estimate.  24 is about the most that double precision
 # carries (the rounding error grows like e^(2M/5) * 1e-16).
@@ -54,8 +55,6 @@ B_TALBOT_RTOL = 1e-8
 # at u in [100, 150] P's M=18/M=24 gap reaches 2.4e-8 while M=24 stays
 # within 5e-9 of a 64-digit reference
 P_TALBOT_RTOL = 1e-7
-# R2(x)/x^2 for |x| < 1/2 in 60 binomial terms: the last is below 2^-59 of the first
-_BINOMIAL_TERMS = 60
 _TINY = np.finfo(float).tiny
 
 
@@ -148,7 +147,7 @@ def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
 
 
 class BFunction:
-    """Memoized evaluator of B(t) for one model and inversion spec.
+    """Memoized evaluator of B(t) for one model.
 
     The cache is guarded by a lock so concurrent readers are safe; values
     are monotone increasing in t (B is an integral of a positive
@@ -158,29 +157,20 @@ class BFunction:
     to that noise.
     """
 
-    def __init__(self, model: ClaimsModel, spec: Optional[InversionSpec] = None):
+    def __init__(self, model: ClaimsModel):
         self.model = model
-        self.spec = spec or InversionSpec()
         self._memo: dict = {}
         self._lock = threading.Lock()
-
-    def _levin_shift(self, t: float) -> float:
-        # keep the contour strictly right of the poles at 0 and psi_X(alpha)
-        return max(0.0, self.model.psi_alpha) + 1.0 / t
 
     def value(self, t: float) -> float:
         """B(t) by numerical inversion; one point of ``grid``."""
         return self.grid([t])[0]
 
     def grid(self, ts) -> list:
-        """B at every t of ``ts``, inverting all uncached points in one pass.
-
-        The Talbot engine inverts them together by ``_talbot_checked`` on
-        the contour shifted to max(0, psi_X(alpha)), with tolerance
-        ``B_TALBOT_RTOL`` (the check also catches a Newton solve that left
-        the analytic branch).  The Levin engine inverts point by point;
-        there tiny negative noise near t = 0 is clamped to 0, and any other
-        negative value raises.
+        """B at every t of ``ts``, inverting all uncached points in one pass
+        of ``_talbot_checked`` on the contour shifted to max(0, psi_X(alpha)),
+        with tolerance ``B_TALBOT_RTOL`` (the check also catches a Newton
+        solve that left the analytic branch).
         """
         ts = [float(t) for t in ts]
         for t in ts:
@@ -189,38 +179,17 @@ class BFunction:
         with self._lock:
             todo = sorted({t for t in ts if t not in self._memo})
         if todo:
-            if self.spec.engine == "talbot":
-                vals = self._talbot(todo)
-            else:
-                vals = [self._levin(t) for t in todo]
-            vals = [self._nonnegative(t, v) for t, v in zip(todo, vals)]
+            m = self.model
+
+            def transform(deltas):
+                return _b_tilde_at(m, deltas, phi_contour(m, deltas))
+
+            vals = _talbot_checked(transform, todo, max(0.0, m.psi_alpha), B_TALBOT_RTOL,
+                                   "B").tolist()
             with self._lock:
                 self._memo.update(zip(todo, vals))
         with self._lock:
             return [self._memo[t] for t in ts]
-
-    def _talbot(self, ts: list) -> list:
-        m = self.model
-
-        def transform(deltas):
-            return _b_tilde_at(m, deltas, phi_contour(m, deltas))
-
-        return _talbot_checked(transform, ts, max(0.0, m.psi_alpha), B_TALBOT_RTOL, "B").tolist()
-
-    def _levin(self, t: float) -> float:
-        return levin_invert(
-            lambda d: b_tilde(self.model, d), t, n=self.spec.nodes,
-            eps=self.spec.shift if self.spec.shift is not None else self._levin_shift(t),
-        )
-
-    @staticmethod
-    def _nonnegative(t: float, val: float) -> float:
-        if val < 0.0:
-            if t < 1e-6 and val > -1e-9:
-                logger.info("clamping B(%g) = %.3e to 0 (inversion noise near 0)", t, val)
-                return 0.0
-            raise InversionError(f"B({t}) inverted to a negative value {val:.6e}")
-        return val
 
     def derivative(self, t: float, h_fd: Optional[float] = None) -> float:
         """Centered finite-difference B'(t); step balances inversion noise
@@ -270,31 +239,21 @@ class BFunction:
 
 
 def _eventual_ruin_transform(m: ClaimsModel):
-    """Transform of P(ruin ever) on an array of nodes b, with k = -c Gamma(-rho):
+    """Transform of P(ruin ever) on an array of nodes b, with Q = ``m.q`` at
+    ``P_SERIES``:
 
-        Psi~(b) = 1/b + E[X_1]/psi_X(-b) = Q/(E[X_1] + b Q),
-        Q = k a^(rho-2) R2(b/a)/(b/a)^2,  R2(x) = (1+x)^rho - 1 - rho x.
+        Psi~(b) = 1/b + E[X_1]/psi_X(-b) = Q/(E[X_1] + b Q).
 
     psi_X(-b) = -b (E[X_1] + b Q) exactly, so the second form removes the
     pole at b = 0 algebraically: in the first, rounding leaves
     E[X_1] != psi_X'(0) and a residual pole whose residue (~1e-16) any
-    contour enclosing b = 0 adds to P.  R2(x)/x^2 is summed as its binomial
-    series for |x| < 1/2, so nothing cancels; at b = 0, a node for
-    u = 2M/(5 |shift|), Q is the limit k a^(rho-2) C(rho, 2).
+    contour enclosing b = 0 adds to P.  Q sums its remainder as a series
+    near b = 0, so nothing cancels; at b = 0, a node for u = 2M/(5 |shift|),
+    Q is the limit k a^(rho-2) C(rho, 2).
     """
-    rho, k_a, e1 = m.rho, m.tilt_coefficient * m.alpha ** (m.rho - 2.0), m.drift_mean  # k a^(rho-2)
-    n = np.arange(2, _BINOMIAL_TERMS + 1)
-    coef = np.cumprod(np.r_[rho * (rho - 1.0) / 2.0, (rho - n) / (n + 1)])  # C(rho, 2), ...
-
     def transform(b):
-        x = b / m.alpha
-        near = np.abs(x) < 0.5
-        s = np.empty_like(x)  # R2(x)/x^2
-        s[near] = np.polyval(coef[::-1], x[near])
-        xf = x[~near]
-        s[~near] = ((1.0 + xf) ** rho - 1.0 - rho * xf) / xf ** 2
-        q = k_a * s
-        return q / (e1 + b * q)
+        q = m.q(b, P_SERIES)
+        return q / (m.drift_mean + b * q)
 
     return transform
 
@@ -338,7 +297,6 @@ def scale_function(m: ClaimsModel, u, p_ruin=None):
 
 
 def estimate_rft(m: ClaimsModel, u: float, t: float,
-                 spec: Optional[InversionSpec] = None,
                  bf: Optional[BFunction] = None,
                  tail: Optional[float] = None) -> RuinEstimate:
     """Raw asymptotic estimate tail(u) * B(t); may exceed 1 for small u.
@@ -351,7 +309,7 @@ def estimate_rft(m: ClaimsModel, u: float, t: float,
     """
     if u <= 0.0 or t <= 0.0:
         raise ValueError(f"u and t must be positive, got u={u}, t={t}")
-    bf = bf or BFunction(m, spec)
+    bf = bf or BFunction(m)
     if tail is None:
         tail = levy_tail(m, u)
     value = tail * bf.value(t)
@@ -362,7 +320,6 @@ def estimate_rft(m: ClaimsModel, u: float, t: float,
 
 
 def estimate_tulta(m: ClaimsModel, u: float, t: float,
-                   spec: Optional[InversionSpec] = None,
                    bf: Optional[BFunction] = None,
                    p_ruin: Optional[float] = None) -> RuinEstimate:
     """Normalized estimate P(ruin ever) * B(t)/B(inf); subcritical only.
@@ -378,7 +335,7 @@ def estimate_tulta(m: ClaimsModel, u: float, t: float,
             f"the normalized finite-time estimate requires the subcritical regime, "
             f"got {regime.tag.value} (psi_X(alpha) = {regime.psi_alpha:.6g})"
         )
-    bf = bf or BFunction(m, spec)
+    bf = bf or BFunction(m)
     ratio = min(1.0, bf.value(t) / b_infinity(m))
     if p_ruin is None:
         p_ruin = prob_eventual_ruin(m, u)
@@ -392,7 +349,7 @@ def estimate_infinite_horizon(m: ClaimsModel, u: float) -> RuinEstimate:
                         method=EstimateMethod.INFINITE_HORIZON)
 
 
-def growth_diagnostic(m: ClaimsModel, spec: Optional[InversionSpec], t_lo: float, t_hi: float,
+def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float,
                       points: int = 12, critical_tol: float = 0.01) -> float:
     """Least-squares slope of ln B(t) over [t_lo, t_hi].
 
@@ -404,7 +361,7 @@ def growth_diagnostic(m: ClaimsModel, spec: Optional[InversionSpec], t_lo: float
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
-    bf = BFunction(m, spec)
+    bf = BFunction(m)
     ts = np.linspace(t_lo, t_hi, points)
     vals = np.array(bf.grid(ts))
     slope = float(np.polyfit(ts, np.log(vals), 1)[0])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsruin import BFunction, ClaimsModel, InversionSpec
+from tsruin import BFunction, ClaimsModel
 
 
 def _load_oracle():
@@ -27,6 +27,9 @@ MODELS = {
     "ig_model": (0.01, 1.0, 0.5, 0.2),
     # rho = 1/(1+xi) exactly: psi_X(alpha) = 0 to rounding
     "critical_model": (0.01, 1.0, 1.0 / 1.2, 0.2),
+    # B's Talbot nodes for t in [1000, 10000] come within |theta/alpha| ~ 1e-4
+    # of 0, where psi_X cancels unless summed as a series
+    "large_t_model": (5.0, 3.0, 0.95, 0.3),
 }
 
 
@@ -48,7 +51,7 @@ def critical_model() -> ClaimsModel:
 @pytest.fixture(scope="session")
 def bf_ref(paper_ref) -> BFunction:
     """Shared memoized B(t) evaluator (double-precision Talbot) for the reference model."""
-    return BFunction(paper_ref, InversionSpec(engine="talbot"))
+    return BFunction(paper_ref)
 
 
 def assert_close(got, want, rel=0.0, abs_=0.0, msg=""):

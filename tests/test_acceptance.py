@@ -31,7 +31,6 @@ import pytest
 from tsruin import (
     BFunction,
     ClaimsModel,
-    InversionSpec,
     SimPlan,
     b_infinity,
     b_tilde,
@@ -46,6 +45,7 @@ from tsruin import (
     simulate_ruin_mc,
     simulate_ruin_naive,
     stable_increment_params,
+    talbot_grid,
     talbot_invert,
 )
 from tsruin.model import ScaleChange
@@ -78,7 +78,7 @@ def model() -> ClaimsModel:
 
 @pytest.fixture(scope="module")
 def bf(model) -> BFunction:
-    return BFunction(model, InversionSpec(engine="talbot"))
+    return BFunction(model)
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +128,9 @@ def test_criterion_03_measure_change_benchmark(table2_mc):
 def test_criterion_04_esscher_consistency(model, table2_mc):
     # exact tempered increments at a finer step versus the measure-change
     # estimate; paths halved relative to the published run purely for runtime,
-    # which the 3-combined-stderr band already accounts for
-    plan = SimPlan(h=0.001, n=8192, N=30, seed=777, threads=1)
+    # which the 3-combined-stderr band already accounts for.  Batches are
+    # seeded one by one, so two threads give the same bits as one.
+    plan = SimPlan(h=0.001, n=8192, N=30, seed=777, threads=2)
     naive = simulate_ruin_naive(model, 0.1, 2.0, plan)
     mc = table2_mc
     band = 3.0 * math.hypot(naive.stderr, mc.stderr)
@@ -146,6 +147,10 @@ def test_criterion_05_engine_validation(model):
         probs.append(abs(talbot_invert(lambda d: 1 / (d + 1), t, M=32) - math.exp(-t)))
         probs.append(abs(levin_invert(lambda d: 1 / d**2, t, n=24) - t))
         probs.append(abs(levin_invert(lambda d: 1 / (d + 1), t, n=24) - math.exp(-t)))
+    # the production engine, at the term count whose values the package reports
+    ts = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    probs.extend(np.abs(talbot_grid(lambda d: 1 / d**2, ts, 24) - ts))
+    probs.extend(np.abs(talbot_grid(lambda d: 1 / (d + 1), ts, 24) - np.exp(-ts)))
     known_worst = max(probs)
     gaps = []
     oracle = Oracle(0.01, 1.0, 0.99, 0.2)
@@ -172,7 +177,7 @@ def test_criterion_07_growth_regimes(model, bf):
     plateau_ok = plateau_gap <= 0.01
 
     super_model = ClaimsModel.from_loading(0.01, 1.0, 0.5, 0.2)
-    slope = growth_diagnostic(super_model, InversionSpec(), 20.0, 50.0, points=10)
+    slope = growth_diagnostic(super_model, 20.0, 50.0, points=10)
     slope_gap = abs(slope / super_model.psi_alpha - 1.0)
     slope_ok = slope_gap <= 0.10
     detail = (
@@ -190,7 +195,7 @@ def test_growth_asymptotic_window():
     # companion to criterion 7: the log-slope limit does hold once t is a
     # few multiples of 1/psi_X(alpha) (= 70.5 here)
     super_model = ClaimsModel.from_loading(0.01, 1.0, 0.5, 0.2)
-    slope = growth_diagnostic(super_model, InversionSpec(), 600.0, 1000.0, points=9)
+    slope = growth_diagnostic(super_model, 600.0, 1000.0, points=9)
     gap = abs(slope / super_model.psi_alpha - 1.0)
     print(f"\n  [companion] supercritical slope on [600,1000]: gap {gap:.1%}")
     assert gap <= 0.10

@@ -2,6 +2,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from conftest import MODELS, Oracle
+
 
 CLI = [sys.executable, "-m", "tsruin"]
 
@@ -69,6 +73,19 @@ class TestCmdB:
         res = run_cli("b", "--preset", "paper-ref", "--p", "1.2", "--xi", "0.3",
                       "--t-min", "1", "--t-steps", "1")
         assert res.returncode == 2
+
+    def test_large_t_passes_self_check(self, tmp_path):
+        # the Talbot nodes of t >= 1000 reach |delta/alpha| ~ 1e-3, where the
+        # direct form of psi_X cancels: B(7000)'s M=18/M=24 gap was 1.3e-8
+        out = tmp_path / "b.tsv"
+        run_cli("b", "--c", "5", "--alpha", "3", "--rho", "0.95", "--xi", "0.3",
+                "--t-min", "1000", "--t-max", "10000", "--t-steps", "4", "--out", str(out),
+                check=True)
+        [(_, rows)] = read_tsv(out)
+        oracle = Oracle(*MODELS["large_t_model"])
+        assert len(rows) == 4
+        for t, b in rows:
+            assert abs(float(b) - float(oracle.b(float(t), 32))) <= 1e-9, f"B({t})"
 
 
 class TestCmdRuinSurface:
@@ -293,10 +310,25 @@ class TestConfigAndIO:
         assert not list(tmp_path.glob(".tsruin-*"))
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # eps=0 puts a Levin node on the transform's pole at the origin
-        res = run_cli("b", "--preset", "paper-ref", "--engine", "levin", "--eps", "0",
-                      "--t-min", "1", "--t-steps", "1", "--out", str(tmp_path / "x.tsv"))
+        # P(ruin ever) at u = 800 is below the smallest positive normal double
+        res = run_cli("scale-fn", "--preset", "paper-ref", "--u-min", "800", "--u-steps", "1",
+                      "--out", str(tmp_path / "x.tsv"))
         assert res.returncode == 3
+        assert "not a positive normal double" in res.stderr
+
+    @pytest.mark.parametrize("flag", [("--engine", "levin"), ("--nodes", "32"), ("--eps", "0.5")])
+    def test_no_inversion_flags(self, flag):
+        res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1", *flag)
+        assert res.returncode == 2
+
+    @pytest.mark.parametrize("line", ["engine=levin", "nodes=32", "eps=0.5"])
+    def test_no_inversion_config_keys(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        res = run_cli("b", "--preset", "paper-ref", "--config", str(cfg),
+                      "--t-min", "1", "--t-steps", "1")
+        assert res.returncode == 2
+        assert "unknown key" in res.stderr
 
     def test_stdout_when_no_out(self):
         res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1")

@@ -1,15 +1,16 @@
 """Inversion-engine tests: known transform pairs, cross-engine agreement,
-self-convergence, linearity, spec validation."""
+self-convergence, linearity."""
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsruin import (
     InversionError,
-    InversionSpec,
     b_tilde,
     levin_invert,
     talbot_grid,
@@ -218,26 +219,19 @@ class TestEngineConsistency:
         assert abs(levin_invert(combo, t) - want) < 3e-6
 
 
-class TestInversionSpec:
-    def test_defaults(self):
-        spec = InversionSpec()
-        assert spec.engine == "talbot" and spec.nodes == 24
-        assert spec.shift is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InversionSpec(engine="euler")
-        with pytest.raises(ValueError):
-            InversionSpec(nodes=2)
-        with pytest.raises(ValueError):
-            InversionSpec(shift=-1.0)
-
-
 def test_import_leaves_mpmath_unloaded():
     # mpmath is the configurable-precision arithmetic of talbot_invert alone
     code = "import sys, tsruin; print('mpmath' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
 
 
 def test_cli_import_loads_numpy_alone():

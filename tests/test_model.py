@@ -78,6 +78,27 @@ class TestCumulants:
                 second = (m.psi_x(th + h) - 2 * m.psi_x(th) + m.psi_x(th - h)) / h**2
                 assert second >= -1e-8, f"psi_X not convex at {th}"
 
+    @pytest.mark.parametrize("name", ["paper_ref", "ig_model"])
+    def test_psi_x_near_zero(self, name, request):
+        # psi_Y(theta) - p theta cancels twice near 0 (1e-8 relative at
+        # theta = 1e-8 in the direct form); the series form inside |theta| <
+        # alpha/64 keeps psi_X to 1e-13 of a 40-digit value, and the direct
+        # form just outside the window stays there too
+        m = request.getfixturevalue(name)
+        c, alpha, rho, _ = MODELS[name]
+        thetas = [1e-8, -1e-8, 3e-5, -2e-3, 0.015, -0.0157, 0.0157, 0.05,
+                  1e-6j, 1e-4 * (1 - 1j), 0.01j, -0.012 + 0.008j, 0.02j]
+        scalars = [m.psi_x(th) for th in thetas]
+        arrays = m.psi_x(np.array(thetas))
+        with mpmath.workdps(40):
+            k = -c * mpmath.gamma(-mpmath.mpf(rho))
+            for th, s, a in zip(thetas, scalars, arrays):
+                th = mpmath.mpmathify(th)
+                want = k * (alpha ** rho - (alpha - th) ** rho) - mpmath.mpf(m.p) * th
+                for got in (s, a):
+                    assert abs(got - complex(want)) <= 1e-13 * abs(want), f"psi_X({th})"
+        assert cumulant_x(m, 1e-8) == m.psi_x(1e-8).real
+
 
 class TestMeans:
     def test_reference_mean(self, paper_ref):

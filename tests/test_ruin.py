@@ -10,7 +10,6 @@ from tsruin import (
     ClaimsModel,
     EstimateMethod,
     InversionError,
-    InversionSpec,
     RegimeError,
     RuinEstimate,
     ScaleChange,
@@ -106,11 +105,6 @@ class TestBFunction:
                 bound = t if abs(psi) < 1e-14 else (math.exp(psi * t) - 1.0) / psi
                 assert bf.value(t) >= bound * (1.0 - 1e-9)
 
-    def test_levin_engine_matches(self, paper_ref, bf_ref):
-        bl = BFunction(paper_ref, InversionSpec(engine="levin", nodes=32))
-        for t in [0.5, 5.0, 15.0]:
-            assert_close(bl.value(t), bf_ref.value(t), rel=1e-5)
-
     def test_rejects_nonpositive_t(self, bf_ref):
         with pytest.raises(ValueError):
             bf_ref.value(0.0)
@@ -152,9 +146,10 @@ class TestShiftedTalbotEngine:
         # that reference is off by more than 1e-10 from t ~ 600, M=64 is not
         ("ig_model", [0.5, 10.0, 100.0, 300.0, 500.0], 32),
         ("ig_model", [718.0, 850.0, 1000.0], 64),
+        ("large_t_model", [1000.0, 4000.0, 7000.0, 10000.0], 32),
     ])
-    def test_agrees_with_mpmath_oracle(self, model, ts, M, request):
-        got = BFunction(request.getfixturevalue(model)).grid(ts)
+    def test_agrees_with_mpmath_oracle(self, model, ts, M):
+        got = BFunction(ClaimsModel.from_loading(*MODELS[model])).grid(ts)
         oracle = Oracle(*MODELS[model])
         for t, b in zip(ts, got):
             assert_close(b, float(oracle.b(t, M)), rel=1e-10, msg=f"B({t})")
@@ -382,17 +377,17 @@ class TestRuinEstimateRecord:
 
 class TestGrowthDiagnostic:
     def test_subcritical_plateau_slope(self, paper_ref):
-        slope = growth_diagnostic(paper_ref, None, 100.0, 200.0, points=6)
+        slope = growth_diagnostic(paper_ref, 100.0, 200.0, points=6)
         assert abs(slope) < 1e-8
 
     def test_supercritical_asymptotic_slope(self, ig_model):
         # the transform's double pole at psi_X(alpha) puts a 1/t correction
         # on the log-slope, so the limit is only reached at t >> 1/psi
-        slope = growth_diagnostic(ig_model, None, 600.0, 1000.0, points=9)
+        slope = growth_diagnostic(ig_model, 600.0, 1000.0, points=9)
         assert abs(slope / ig_model.psi_alpha - 1.0) < 0.10
 
     def test_critical_linear_bound(self, critical_model):
-        slope = growth_diagnostic(critical_model, None, 50.0, 100.0, points=6)
+        slope = growth_diagnostic(critical_model, 50.0, 100.0, points=6)
         assert slope > 0.0  # still growing; the linear bound check passed inside
 
     def test_critical_quadratic_diagnostic(self, critical_model):
@@ -404,4 +399,4 @@ class TestGrowthDiagnostic:
 
     def test_window_validation(self, paper_ref):
         with pytest.raises(ValueError):
-            growth_diagnostic(paper_ref, None, 10.0, 10.0)
+            growth_diagnostic(paper_ref, 10.0, 10.0)
