@@ -12,12 +12,15 @@ horizon).  With a scalar barrier and ``ends=None`` they reduce to the
 one-cell scan over the full path.
 
 Blocks.  ``stable_standard`` computes its flattened input in blocks of
-``_BLOCK_ELEMENTS``; ``mc_weight_scan`` takes ``max(1, _BLOCK_ELEMENTS //
-steps)`` paths at a time, turns them into increments and partial sums in
-place, and keeps only each path's running maximum and Z at the ends, of
-shape (npaths, len(ends)).  A block is computed in place, in its slice of
-the output or in one reused path buffer, with one scratch buffer of block
-size beside it, so no temporary grows with the input.
+``_BLOCK_ELEMENTS``; the two scans take ``max(1, _BLOCK_ELEMENTS // steps)``
+paths at a time, turn them into partial sums in place (``mc_weight_scan``
+first into increments), and keep only each path's running maximum (and Z)
+at the ends, of shape (npaths, len(ends)).  A block is computed in place,
+in its slice of the output or in one reused path buffer, with one scratch
+buffer of block size beside it, so no temporary grows with the input.
+``mc_weight_scan`` reads its draws only as ``u_ang[lo:hi]`` and
+``w_exp[lo:hi]``, each row block once and in order, so it also takes draw
+sources that exist one block at a time (``sim._DrawRows``).
 
 Bit identity.  Each element goes through the ufuncs of the one-expression
 transform ``scale0 * sin(rho (u + theta0)) / cos(u)^(1/rho) * (cos(u - rho
@@ -141,11 +144,21 @@ def first_passage_scan(incr, barrier, ends=None, counts=None):
 
     With ``counts`` of shape (len(barrier), len(ends)), also adds to it,
     per cell, the number of paths above barrier i by end j.
+
+    The partial sums are taken a block of rows at a time into one reused
+    path buffer; ``incr`` is left unchanged.
     """
-    path = np.cumsum(incr, axis=1)
-    ends = np.array([path.shape[1]] if ends is None else ends, dtype=np.intp)
+    npaths, steps = incr.shape
+    ends = np.array([steps] if ends is None else ends, dtype=np.intp)
     levels = np.atleast_1d(barrier)
-    runmax = _running_max(path, ends)
+    rows = max(1, _BLOCK_ELEMENTS // steps)
+    path = np.empty((min(rows, npaths), steps))
+    runmax = np.empty((npaths, len(ends)))
+    for lo in range(0, npaths, rows):
+        hi = min(lo + rows, npaths)
+        blk = path[:hi - lo]
+        np.cumsum(incr[lo:hi], axis=1, out=blk)
+        runmax[lo:hi] = _running_max(blk, ends)
     if counts is not None:
         counts += (runmax[None, :, :] > levels[:, None, None]).sum(axis=1)
     return int((runmax[:, -1] > levels.min()).sum())

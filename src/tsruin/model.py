@@ -8,10 +8,11 @@ surplus subtracts premium income at rate ``p``.  Everything downstream
     psi_Y(theta) = -c * Gamma(-rho) * (alpha**rho - (alpha - theta)**rho)
 
 and its drifted version ``psi_X(theta) = psi_Y(theta) - p*theta``.  Near
-theta = 0 both differences cancel; there psi_X is summed as
+theta = 0 both differences cancel; there both are summed as
 
-    psi_X(theta) = theta (E[X_1] - theta Q(-theta)),  Q(b) = k a^(rho-2) S(b/a),
+    psi_Y(theta) = theta (E[Y_1] - theta Q(-theta)),  Q(b) = k a^(rho-2) S(b/a),
 
+and psi_X likewise with E[X_1] = E[Y_1] - p in place of E[Y_1],
 with k = -c Gamma(-rho), a = alpha and S(x) = R2(x)/x^2 the binomial
 remainder of (1+x)^rho (``ClaimsModel.q``).
 """
@@ -204,8 +205,27 @@ class ClaimsModel:
     #    scalars or arrays --
 
     def psi_y(self, theta):
+        """k (a^rho - (a - theta)^rho), with k = -c Gamma(-rho); inside the
+        window of ``PSI_SERIES``, theta (E[Y_1] - theta Q(-theta))."""
+        return self._near_zero(theta, self._psi_y_direct(theta), self.mean_claims)
+
+    def _psi_y_direct(self, theta):
         a, r = self.alpha, self.rho
         return self.tilt_coefficient * (a ** r - (a - theta) ** r)
+
+    def _near_zero(self, theta, psi, mean):
+        """``psi`` with its entries inside the window of ``PSI_SERIES``
+        replaced by theta (mean - theta Q(-theta)), in which nothing cancels."""
+        th = np.atleast_1d(theta)  # also an object array of mpmath numbers
+        near = abs(th) < PSI_SERIES[0] * self.alpha
+        if not near.any():
+            return psi
+        th = th[near]
+        series = th * (mean - th * self.q(-th))
+        if np.ndim(psi) == 0:
+            return series[0]
+        psi[near] = series
+        return psi
 
     @cached_property
     def _series_coef(self) -> np.ndarray:
@@ -234,17 +254,8 @@ class ClaimsModel:
     def psi_x(self, theta):
         """psi_Y(theta) - p theta; inside the window of ``PSI_SERIES``,
         theta (E[X_1] - theta Q(-theta)), in which nothing cancels."""
-        psi = self.psi_y(theta) - self.p * theta
-        th = np.atleast_1d(theta)  # also an object array of mpmath numbers
-        near = abs(th) < PSI_SERIES[0] * self.alpha
-        if not near.any():
-            return psi
-        th = th[near]
-        series = th * (self.drift_mean - th * self.q(-th))
-        if np.ndim(psi) == 0:
-            return series[0]
-        psi[near] = series
-        return psi
+        return self._near_zero(theta, self._psi_y_direct(theta) - self.p * theta,
+                               self.drift_mean)
 
     def dpsi_x(self, theta):
         a, r = self.alpha, self.rho

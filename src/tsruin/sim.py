@@ -21,14 +21,24 @@ bit for bit.
 Batches are deterministic: batch k draws from a generator seeded by
 ``SeedSequence((seed, k))``, so results are bit-identical for a fixed plan
 regardless of thread count or scheduling.
+
+Stream layout.  A batch simulates its paths in chunks of ``_chunk_paths``
+rows.  A chunk of n draws reads n uniforms (the angles) from the batch's
+stream, then its n exponentials; the naive sampler's first rejection round
+then reads its n accept uniforms.  The draws are never held whole: a second
+PCG64, advanced by n, reads the exponentials beside the angles, and both
+are drawn a block of rows at a time, just before the kernels use them
+(``_chunk_draws``).  Memory therefore stays at a few blocks per worker,
+plus the naive sampler's one increment array per chunk, while every
+variate is the one a one-shot draw would give.
 """
 from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +60,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# elements per random-draw block; fixed so the stream layout (and hence
-# every result) is independent of memory pressure and thread count
+# elements per chunk of paths: it fixes where a chunk's exponentials start in
+# the stream, so every result depends on it (and on nothing else of memory
+# or thread count); the draws themselves are held one block at a time
 _CHUNK_ELEMENTS = 1 << 22
 
 # safety cap on exponential-tilting rejection sweeps
@@ -235,6 +246,65 @@ def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
     return _fold_batches(batch_job, plan, np.shape(u) + np.shape(t))
 
 
+class _DrawRows:
+    """Draws standing for an array of ``shape``, held one row block at a time.
+
+    ``src[lo:hi]`` fills rows lo..hi-1 by ``fill(buffer)`` into one reused
+    buffer and returns them.  Rows must be read in order, each once: that
+    is the order in which the stream holds them.
+    """
+
+    def __init__(self, fill, shape: tuple):
+        self.shape, self.size = shape, math.prod(shape)
+        self.rows_read = 0
+        self._fill, self._buf = fill, np.empty(0)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, step = rows.indices(self.shape[0])
+        if lo != self.rows_read or hi < lo or step != 1:
+            raise IndexError(f"draw rows must be read in order, each once: asked for "
+                             f"{lo}:{hi}:{step} after {self.rows_read} rows")
+        n = (hi - lo) * math.prod(self.shape[1:])
+        if self._buf.size < n:
+            self._buf = np.empty(n)
+        blk = self._buf[:n].reshape((hi - lo,) + self.shape[1:])
+        self._fill(blk)
+        self.rows_read = hi
+        return blk
+
+
+@contextmanager
+def _chunk_draws(rng: np.random.Generator, shape: tuple):
+    """A chunk's angles and exponentials, drawn a block of rows at a time, in
+    the stream order of ``pi * (rng.random(shape) - 0.5)`` followed by
+    ``rng.standard_exponential(shape)``.
+
+    ``Generator.random`` takes exactly one 64-bit draw per double, so a copy
+    of the batch's PCG64 advanced by the chunk's size starts at its first
+    exponential; ``rng`` must be a PCG64 generator.  Yields ``(u_ang,
+    w_exp, after)``: two ``_DrawRows`` and the generator that continues the
+    stream after the exponentials last read.  On exit, with every row of
+    both read, ``rng`` continues where ``after`` stopped.
+    """
+    bits = np.random.PCG64(0)  # a fixed seed, not OS entropy: the state is replaced
+    bits.state = rng.bit_generator.state
+    bits.advance(math.prod(shape))
+    after = np.random.Generator(bits)
+
+    def angles(blk):
+        rng.random(out=blk)
+        blk -= 0.5
+        blk *= np.pi
+
+    u_ang = _DrawRows(angles, shape)
+    w_exp = _DrawRows(lambda blk: after.standard_exponential(out=blk), shape)
+    yield u_ang, w_exp, after
+    if u_ang.rows_read != shape[0] or w_exp.rows_read != shape[0]:
+        raise RuntimeError(f"a chunk of {shape[0]} rows was left unread at row "
+                           f"{min(u_ang.rows_read, w_exp.rows_read)}")
+    rng.bit_generator.state = bits.state
+
+
 def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     """Measure-change estimator of P(ruin by t) at discrete step h.
 
@@ -247,22 +317,10 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     params = stable_increment_params(m, plan.h)
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
 
-    # one pair of draw buffers per worker thread, reused across its batches
-    # and chunks; the first chunk of a batch is its largest
-    local = threading.local()
-
     def scan(rng, npaths, steps, us, ends):
-        size = npaths * steps
-        if not hasattr(local, "u_ang") or local.u_ang.size < size:
-            local.u_ang, local.w_exp = np.empty(size), np.empty(size)
-        u_ang = local.u_ang[:size].reshape(npaths, steps)
-        w_exp = local.w_exp[:size].reshape(npaths, steps)
-        rng.random(out=u_ang)
-        u_ang -= 0.5
-        u_ang *= np.pi
-        rng.standard_exponential(out=w_exp)
-        return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
-                                       params.nu, params.mu, us, m.alpha, ends)[0]
+        with _chunk_draws(rng, (npaths, steps)) as (u_ang, w_exp, _):
+            return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
+                                           params.nu, params.mu, us, m.alpha, ends)[0]
 
     return _simulate_grid(u, t, plan, scan, lambda x: math.exp(m.psi_alpha * x))
 
@@ -276,10 +334,30 @@ def _tilted_subordinator_increments(
     Proposals V are stable subordinator increments (law of Z_h); accepting
     with probability exp(-alpha V) leaves the density proportional to
     exp(-alpha x) f_Z(x), which is exactly the tempered increment law.
+
+    The first round proposes every element: its proposals go a block at a
+    time straight into the output, from the chunk's split stream
+    (``_chunk_draws``), and its accept uniforms follow the exponentials.
+    Later rounds redraw the rejected elements only.
     """
     out = np.empty(count)
-    pending = np.arange(count)
-    for _ in range(_MAX_REJECTION_ROUNDS):
+    block = _kernels._BLOCK_ELEMENTS
+    tmp = np.empty(min(block, count))
+    rejected = []
+    with _chunk_draws(rng, (count,)) as (u_ang, w_exp, after):
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            proposal = _kernels.stable_standard(u_ang[lo:hi], w_exp[lo:hi], rho, theta0, scale0)
+            np.multiply(nu, proposal, out=out[lo:hi])
+        accept_u = _DrawRows(lambda blk: after.random(out=blk), (count,))
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            prob = tmp[:hi - lo]
+            np.multiply(-alpha, out[lo:hi], out=prob)
+            np.exp(prob, out=prob)
+            rejected.append(lo + np.flatnonzero(~(accept_u[lo:hi] <= prob)))
+    pending = np.concatenate(rejected)
+    for _ in range(_MAX_REJECTION_ROUNDS - 1):
         if pending.size == 0:
             return out
         u_ang = np.pi * (rng.random(pending.size) - 0.5)
@@ -301,9 +379,10 @@ def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     def scan(rng, npaths, steps, us, ends):
         v = _tilted_subordinator_increments(
             rng, npaths * steps, params.nu, params.rho, m.alpha, theta0, scale0
-        )
+        ).reshape(npaths, steps)
+        v += drift
         counts = np.zeros((len(us), len(ends)), dtype=np.int64)
-        _kernels.first_passage_scan(v.reshape(npaths, steps) + drift, us, ends, counts)
+        _kernels.first_passage_scan(v, us, ends, counts)
         return counts
 
     return _simulate_grid(u, t, plan, scan, lambda x: 1.0)

@@ -50,14 +50,26 @@ class TestGridScans:
     ends = np.array([7, 20, 21, 50])
 
     def test_first_passage_grid_matches_brute_force(self):
+        # 3000 rows are ten row blocks, the last one partial
+        self._check_first_passage_grid((3000, 50), self.ends)
+
+    def test_first_passage_one_row_per_block(self):
+        self._check_first_passage_grid((5, BLOCK + 5), np.array([7, 20, BLOCK + 1, BLOCK + 5]))
+
+    def _check_first_passage_grid(self, shape, ends):
         rng = np.random.default_rng(3)
-        incr = rng.normal(-0.001, 0.02, size=(3000, 50))
-        hits = np.zeros((3, 4), dtype=np.int64)
-        crossing = first_passage_scan(incr, self.barriers, self.ends, hits)
+        incr = rng.normal(-0.001, 0.02, size=shape)
+        before = incr.copy()
         path = np.cumsum(incr, axis=1)
-        assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
-        for i, b in enumerate(self.barriers):
-            for j, e in enumerate(self.ends):
+        # two levels equal to partial sums of the unblocked cumsum: a blocked
+        # sum one ulp above them would count one path more
+        levels = np.concatenate([self.barriers, path[:2].max(axis=1)])
+        hits = np.zeros((len(levels), len(ends)), dtype=np.int64)
+        crossing = first_passage_scan(incr, levels, ends, hits)
+        assert incr.tobytes() == before.tobytes()
+        assert crossing == int((path > levels.min()).any(axis=1).sum())
+        for i, b in enumerate(levels):
+            for j, e in enumerate(ends):
                 assert hits[i, j] == int((path[:, :e] > b).any(axis=1).sum())
                 assert hits[i, j] == first_passage_scan(incr[:, :e], float(b))
 

@@ -99,6 +99,22 @@ class TestCumulants:
                     assert abs(got - complex(want)) <= 1e-13 * abs(want), f"psi_X({th})"
         assert cumulant_x(m, 1e-8) == m.psi_x(1e-8).real
 
+    @pytest.mark.parametrize("name", ["paper_ref", "ig_model"])
+    def test_cumulant_y_near_zero(self, name, request):
+        # k (a^rho - (a - theta)^rho) cancels near 0 (4.2e-9 relative at
+        # theta = 1e-8 for paper_ref); inside |theta| < alpha/64 psi_Y is
+        # summed as theta (E[Y_1] - theta Q(-theta)), and 1/65 is just inside
+        m = request.getfixturevalue(name)
+        c, alpha, rho, _ = MODELS[name]
+        with mpmath.workdps(40):
+            k = -c * mpmath.gamma(-mpmath.mpf(rho))
+            a, r = mpmath.mpf(alpha), mpmath.mpf(rho)
+            for th in (1e-8, 1e-6, 1e-3, 1 / 65):
+                for theta in (th, -th):
+                    want = float(k * (a ** r - (a - mpmath.mpf(theta)) ** r))
+                    got = cumulant_y(m, theta)
+                    assert abs(got - want) <= 1e-13 * abs(want), f"psi_Y({theta})"
+
 
 class TestMeans:
     def test_reference_mean(self, paper_ref):

@@ -1,6 +1,7 @@
 """Simulation tests: stable sampler law, increment parametrization,
-estimator consistency, batch determinism."""
+estimator consistency, batch determinism, stream order and memory."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from tsruin import (
     simulate_ruin_naive,
     stable_increment_params,
 )
-from tsruin.sim import _tilted_subordinator_increments
+from tsruin.sim import _chunk_draws, _tilted_subordinator_increments
 from tsruin import _kernels
+from tsruin._kernels import _BLOCK_ELEMENTS as BLOCK
 
 from conftest import assert_close
 
@@ -122,6 +124,83 @@ class TestTiltedIncrements:
         for lam in (0.5, 1.0, 2.0):
             want = math.exp(h * float(paper_ref.psi_y(-lam)))
             assert abs(laplace_z(v, lam, want)) < 4.0
+
+
+    def test_multi_round_bits_pinned(self, monkeypatch):
+        # nu = 0.2, rho = 0.7, alpha = 1 rejects about half of each round's
+        # proposals, so two blocks and a partial one take over a dozen
+        # rounds; recorded before the first round was drawn block by block
+        rho, nu, alpha, count = 0.7, 0.2, 1.0, 2 * BLOCK + 123
+        theta0, scale0 = _kernels.cms_constants(rho, 1.0)
+        sizes = []
+        transform = _kernels.stable_standard
+        monkeypatch.setattr(_kernels, "stable_standard",
+                            lambda *a: sizes.append(np.size(a[0])) or transform(*a))
+        rng = np.random.default_rng(606)
+        v = _tilted_subordinator_increments(rng, count, nu, rho, alpha, theta0, scale0)
+        assert len(sizes) - math.ceil(count / BLOCK) >= 2  # rounds after the first
+        assert v.sum().hex() == "0x1.fe4da4946f5a6p+13"
+        assert [x.hex() for x in v[[0, BLOCK, -1]]] == [
+            "0x1.0e5a34c5d444fp-1", "0x1.628b8f01c57bfp+1", "0x1.6c0d6652daed5p-2"]
+        assert rng.random().hex() == "0x1.412ac40c549f2p-1"  # the stream after the chunk
+
+
+class TestChunkDraws:
+    """A chunk's draws, split over two generators and read a block at a
+    time, are the one-shot draws of the batch's stream."""
+
+    # a partial last block in both
+    @pytest.mark.parametrize("shape,rows", [((37, 11), 5), ((2 * BLOCK + 3,), BLOCK)])
+    def test_equal_one_shot_draws(self, shape, rows):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        u_parts, w_parts = [], []
+        with _chunk_draws(rng, shape) as (u_ang, w_exp, after):
+            assert u_ang.shape == w_exp.shape == shape and u_ang.size == math.prod(shape)
+            for lo in range(0, shape[0], rows):
+                u_parts.append(u_ang[lo:lo + rows].copy())
+                w_parts.append(w_exp[lo:lo + rows].copy())
+            tail = after.random(3)
+        assert np.concatenate(u_parts).tobytes() == (np.pi * (ref.random(shape) - 0.5)).tobytes()
+        assert np.concatenate(w_parts).tobytes() == ref.standard_exponential(shape).tobytes()
+        assert tail.tobytes() == ref.random(3).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rows_read_in_order_and_all(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(IndexError, match="in order"):
+            with _chunk_draws(rng, (10, 3)) as (u_ang, _, _):
+                u_ang[2:4]
+        with pytest.raises(RuntimeError, match="unread"):
+            with _chunk_draws(rng, (10, 3)) as (u_ang, w_exp, _):
+                u_ang[0:10]
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """No Monte Carlo buffer grows with a chunk, except the naive sampler's
+    one increment array."""
+
+    def test_mc_batch_holds_no_chunk_draws(self, paper_ref):
+        # one batch of 16384 paths x 200 steps is one chunk, whose angles and
+        # exponentials take 2 x 26 MB when drawn whole
+        plan = SimPlan(h=0.01, n=16384, N=1, seed=3)
+        peak = _peak_bytes(lambda: simulate_ruin_mc(paper_ref, 0.1, 2.0, plan))
+        assert peak < 2 * 16384 * 200 * 8 / 8
+
+    def test_naive_chunk_holds_one_increment_array(self, paper_ref):
+        # one chunk of 4096 x 200 increments (6.5 MB): draws, proposals,
+        # drift and partial sums stay beside it a block at a time
+        plan = SimPlan(h=0.01, n=4096, N=1, seed=3)
+        peak = _peak_bytes(lambda: simulate_ruin_naive(paper_ref, 0.1, 2.0, plan))
+        assert peak < 1.5 * 4096 * 200 * 8
 
 
 class TestSimulators:
