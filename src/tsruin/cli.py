@@ -25,6 +25,7 @@ precondition violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -69,6 +70,7 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+@functools.cache  # one parser per process: main may run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsruin", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -6,8 +6,11 @@ at complex arguments:
 * ``talbot_grid``, the production engine: fixed-Talbot contour
   deformation with trapezoidal summation, for every t of a grid in one
   double-precision array pass on a contour that may be shifted right, with
-  F evaluated on the whole node array at once.  ``ruin`` runs it at two
-  term counts and takes their gap as its error estimate.
+  F evaluated on the whole node array at once.  ``talbot_nodes`` and
+  ``talbot_sum`` are its two halves: ``ruin`` builds the nodes at two term
+  counts, evaluates its transform on both at once (for B, from one Phi_X
+  solve shared by both term counts) and takes the gap of the two sums as
+  its error estimate.
 * ``talbot_invert``, the same rule one t at a time in configurable-precision
   arithmetic (F takes and returns scalars), because the method loses
   roughly 0.6*M decimal digits to cancellation.  A reference engine.
@@ -29,7 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["InversionError", "talbot_invert", "talbot_grid", "levin_invert"]
+__all__ = ["InversionError", "talbot_invert", "talbot_grid", "talbot_nodes", "talbot_sum",
+           "levin_invert"]
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +86,38 @@ def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
         return float(r / M * acc)
 
 
+def _talbot_contour(ts, M: int):
+    """The validated ``ts`` of ``talbot_grid`` with its contour: r = 2M/(5t)
+    per t, the path (nodes are shift + r * path) and the trapezoid weights."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all(ts > 0.0):
+        raise ValueError("ts must be a 1-d array of positive times")
+    if M < 8:
+        raise ValueError(f"M must be >= 8, got {M}")
+    theta = np.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    path = np.concatenate([[1.0], theta * (cot + 1j)])
+    weight = np.concatenate([[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
+    return ts, 2.0 * M / (5.0 * ts), path, weight
+
+
+def talbot_nodes(ts, M: int, shift: float = 0.0) -> np.ndarray:
+    """The ``(len(ts), M)`` complex array of ``talbot_grid``'s nodes, one row
+    per t with its columns in contour order from the real crossing point
+    ``shift + r``."""
+    _, r, path, _ = _talbot_contour(ts, M)
+    return shift + r[:, None] * path
+
+
+def talbot_sum(values: np.ndarray, ts, M: int, shift: float = 0.0) -> np.ndarray:
+    """``talbot_grid``'s trapezoidal sum, given the transform ``values`` at
+    every node of ``talbot_nodes(ts, M, shift)``."""
+    ts, r, path, weight = _talbot_contour(ts, M)
+    # e^(delta t) = e^(shift t) e^(2M/5 path): only the shift depends on t
+    terms = values * (np.exp(0.4 * M * path) * weight)
+    return r / M * np.exp(shift * ts) * terms.sum(axis=1).real
+
+
 def talbot_grid(F: Callable[[np.ndarray], np.ndarray], ts, M: int,
                 shift: float = 0.0) -> np.ndarray:
     """Invert F at every t of ``ts`` in one double-precision fixed-Talbot pass.
@@ -92,26 +128,14 @@ def talbot_grid(F: Callable[[np.ndarray], np.ndarray], ts, M: int,
     INFORMS J. Comput. 2006).  A shift at or beyond the rightmost
     singularity keeps every singularity left of the contour for all t.
 
-    ``F`` receives the ``(len(ts), M)`` complex array of nodes, one row per
-    t with its columns in contour order from the real crossing point
-    ``shift + r``, and returns the transform at every node.  Rounding error
-    grows like e^(2M/5) times machine epsilon, which bounds useful M in
-    double precision to the low twenties.
+    ``F`` receives the ``(len(ts), M)`` complex array of nodes
+    (``talbot_nodes``), one row per t with its columns in contour order from
+    the real crossing point ``shift + r``, and returns the transform at
+    every node, which ``talbot_sum`` sums.  Rounding error grows like
+    e^(2M/5) times machine epsilon, which bounds useful M in double
+    precision to the low twenties.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.all(ts > 0.0):
-        raise ValueError("ts must be a 1-d array of positive times")
-    if M < 8:
-        raise ValueError(f"M must be >= 8, got {M}")
-    theta = np.pi * np.arange(1, M) / M
-    cot = 1.0 / np.tan(theta)
-    path = np.concatenate([[1.0], theta * (cot + 1j)])  # delta = shift + r * path
-    weight = np.concatenate([[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
-    r = 2.0 * M / (5.0 * ts)
-    deltas = shift + r[:, None] * path
-    # e^(delta t) = e^(shift t) e^(2M/5 path): only the shift depends on t
-    terms = F(deltas) * (np.exp(0.4 * M * path) * weight)
-    return r / M * np.exp(shift * ts) * terms.sum(axis=1).real
+    return talbot_sum(F(talbot_nodes(ts, M, shift)), ts, M, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,11 @@ class ClaimsModel:
         """psi_X(alpha); its sign decides the growth regime of B."""
         return self.tilt_coefficient * self.alpha ** self.rho - self.p * self.alpha
 
+    @cached_property
+    def regime(self) -> "Regime":
+        """``classify_regime`` at its default tolerance, classified once."""
+        return _classify_regime(self, _REGIME_TOL)
+
     # -- cumulants, valid for real arguments <= alpha and for complex
     #    arguments via the principal branch of (alpha - theta)**rho;
     #    scalars or arrays --
@@ -308,12 +313,22 @@ def mean_y(m: ClaimsModel) -> float:
     return m.mean_claims
 
 
-def classify_regime(m: ClaimsModel, tol_factor: float = 1e-12) -> Regime:
+_REGIME_TOL = 1e-12
+
+
+def classify_regime(m: ClaimsModel, tol_factor: float = _REGIME_TOL) -> Regime:
     """Classify by the sign of psi_X(alpha).
 
     The tolerance is relative, ``tol_factor * |psi_Y(alpha)|``, so that a
     units change (which rescales every cumulant) cannot flip the class.
+    At the default tolerance this is the model's cached ``regime``.
     """
+    if tol_factor == _REGIME_TOL:
+        return m.regime
+    return _classify_regime(m, tol_factor)
+
+
+def _classify_regime(m: ClaimsModel, tol_factor: float) -> Regime:
     psi_a = m.psi_alpha
     tol = tol_factor * abs(float(m.psi_y(m.alpha)))
     if psi_a < -tol:
@@ -382,8 +397,9 @@ def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
     )
 
 
-def phi_contour(m: ClaimsModel, deltas: np.ndarray, maxit: int = 50) -> np.ndarray:
-    """Phi_X on a ``(rows, nodes)`` array of inversion contour points.
+def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
+    """Phi_X on a ``(rows, nodes)`` array of inversion contour points, or on
+    a list of such arrays of different widths (a list of roots out).
 
     Each row is one contour, its columns in contour order starting from
     the real crossing point ``deltas[:, 0]`` (real and positive).  The
@@ -394,12 +410,25 @@ def phi_contour(m: ClaimsModel, deltas: np.ndarray, maxit: int = 50) -> np.ndarr
     1e-12 relative residual gate (plus one polishing step), and a node
     that does not within ``maxit`` iterations raises
     ``PhiConvergenceError``.
+
+    The arrays of a list share one solve: one bisection seeds the real
+    crossing points of all of them, and column j of every array at least
+    j + 1 wide is one Newton call, so both Talbot term counts of ``ruin``
+    cost the Newton calls of the wider one.  Bisection and Newton act
+    elementwise, so each array's roots are bitwise those it gets alone.
     """
-    deltas = np.asarray(deltas, dtype=complex)
-    roots = np.empty_like(deltas)
-    seed = _phi_real_seed(m, deltas[:, 0].real).astype(complex)
-    for j in range(deltas.shape[1]):
-        seed = roots[:, j] = _phi_newton_column(m, deltas[:, j], seed, maxit)
+    if not isinstance(deltas, list):
+        return phi_contour(m, [deltas], maxit)[0]
+    grids = [np.asarray(d, dtype=complex) for d in deltas]
+    roots = [np.empty_like(d) for d in grids]
+    real = _phi_real_seed(m, np.concatenate([d[:, 0].real for d in grids])).astype(complex)
+    seeds = np.split(real, np.cumsum([len(d) for d in grids[:-1]]))
+    for j in range(max(d.shape[1] for d in grids)):
+        wide = [k for k, d in enumerate(grids) if d.shape[1] > j]
+        col = _phi_newton_column(m, np.concatenate([grids[k][:, j] for k in wide]),
+                                 np.concatenate([seeds[k] for k in wide]), maxit)
+        for k, part in zip(wide, np.split(col, np.cumsum([len(grids[k]) for k in wide[:-1]]))):
+            seeds[k] = roots[k][:, j] = part
     return roots
 
 

@@ -9,12 +9,13 @@ transform
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
 whole t-grid at once, in double precision on a Talbot contour shifted
 right of that abscissa, and checks every value against a second term
-count (``_talbot_checked``).  The eventual-ruin probability P(u) is
-inverted the same way for a whole u-grid, from its own transform written
-without cancellation (``_eventual_ruin_transform``); the scale function is
-read off it, W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P
-is small.  ``b_tilde`` is the transform for the reference engines
-``levin_invert`` and ``talbot_invert``, which no estimator here calls.
+count (``_talbot_checked``); both term counts share one Phi_X solve.  The
+eventual-ruin probability P(u) is inverted the same way for a whole
+u-grid, from its own transform written without cancellation
+(``_eventual_ruin_transform``); the scale function is read off it,
+W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P is small.
+``b_tilde`` is the transform for the reference engines ``levin_invert``
+and ``talbot_invert``, which no estimator here calls.
 """
 from __future__ import annotations
 
@@ -26,11 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .laplace import InversionError, talbot_grid
+from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
-from .model import (P_SERIES, ClaimsModel, RegimeTag, classify_regime, levy_tail, phi,
-                    phi_contour)
+from .model import P_SERIES, ClaimsModel, RegimeTag, levy_tail, phi, phi_contour
 
 __all__ = [
     "EstimateMethod",
@@ -114,7 +114,7 @@ def _b_tilde_at(m: ClaimsModel, delta, root):
 
 def b_infinity(m: ClaimsModel) -> float:
     """Limit B(inf) = alpha |E X_1| / psi_X(alpha)^2, finite only subcritically."""
-    regime = classify_regime(m)
+    regime = m.regime
     if regime.tag is not RegimeTag.SUBCRITICAL:
         raise RegimeError(
             f"B(inf) is infinite in the {regime.tag.value} regime "
@@ -124,14 +124,17 @@ def b_infinity(m: ClaimsModel) -> float:
 
 
 def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
-    """``talbot_grid`` of F on every point of ``xs`` at both ``TALBOT_TERMS``; the
-    M=24 values.  Raises ``InversionError`` at the first point whose value is
-    not finite, is below the smallest positive normal double (it would print
-    as 0 or with wrong digits), or differs between the term counts by more
-    than ``rtol`` relative."""
+    """The fixed-Talbot inversion (``talbot_grid``) of F on every point of
+    ``xs`` at both ``TALBOT_TERMS``; the M=24 values.  F is called once, on
+    the list of both term counts' node arrays, and returns the list of
+    transform values.  Raises ``InversionError`` at the first point whose
+    value is not finite, is below the smallest positive normal double (it
+    would print as 0 or with wrong digits), or differs between the term
+    counts by more than ``rtol`` relative."""
     # a non-finite value fails the checks below and raises
     with np.errstate(all="ignore"):
-        lo, hi = (talbot_grid(F, xs, M, shift=shift) for M in TALBOT_TERMS)
+        values = F([talbot_nodes(xs, M, shift) for M in TALBOT_TERMS])
+        lo, hi = (talbot_sum(v, xs, M, shift) for v, M in zip(values, TALBOT_TERMS))
         gap = np.abs(hi - lo) / np.abs(hi)
     bad = np.flatnonzero(~((gap <= rtol) & (hi >= _TINY)))
     if bad.size:
@@ -181,8 +184,8 @@ class BFunction:
         if todo:
             m = self.model
 
-            def transform(deltas):
-                return _b_tilde_at(m, deltas, phi_contour(m, deltas))
+            def transform(nodes):  # one Phi_X solve for both term counts
+                return [_b_tilde_at(m, d, root) for d, root in zip(nodes, phi_contour(m, nodes))]
 
             vals = _talbot_checked(transform, todo, max(0.0, m.psi_alpha), B_TALBOT_RTOL,
                                    "B").tolist()
@@ -278,8 +281,9 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if us.ndim != 1 or not (us > 0.0).all():
         raise ValueError(f"u must be a positive scalar or vector, got {u}")
-    p = _talbot_checked(_eventual_ruin_transform(m), us, _eventual_ruin_shift(m),
-                        P_TALBOT_RTOL, "P")
+    transform = _eventual_ruin_transform(m)
+    p = _talbot_checked(lambda nodes: [transform(b) for b in nodes], us,
+                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
     return p if np.ndim(u) else float(p[0])
 
 
@@ -329,7 +333,7 @@ def estimate_tulta(m: ClaimsModel, u: float, t: float,
     """
     if u <= 0.0 or t <= 0.0:
         raise ValueError(f"u and t must be positive, got u={u}, t={t}")
-    regime = classify_regime(m)
+    regime = m.regime
     if regime.tag is not RegimeTag.SUBCRITICAL:
         raise RegimeError(
             f"the normalized finite-time estimate requires the subcritical regime, "
@@ -365,7 +369,7 @@ def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float,
     ts = np.linspace(t_lo, t_hi, points)
     vals = np.array(bf.grid(ts))
     slope = float(np.polyfit(ts, np.log(vals), 1)[0])
-    if classify_regime(m).tag is RegimeTag.CRITICAL:
+    if m.regime.tag is RegimeTag.CRITICAL:
         ratio = bf.value(t_hi) / t_hi
         if ratio < 1.0 - critical_tol:
             raise InversionError(

@@ -1,10 +1,16 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsruin import BFunction, ClaimsModel
+
+# tests that run ``python -m tsruin`` in a subprocess import the package from
+# this checkout, as pytest's ``pythonpath`` setting does in this process
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def _load_oracle():

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from tsruin import cli
+
 from conftest import MODELS, Oracle
 
 
@@ -334,3 +336,30 @@ class TestConfigAndIO:
         res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1")
         assert res.returncode == 0
         assert res.stdout.startswith("# t\tB\n")
+
+
+class TestInProcess:
+    def test_parser_reused_across_commands(self, tmp_path, capsys):
+        b = ["b", "--preset", "paper-ref", "--t-min", "0.5", "--t-max", "20", "--t-steps", "5"]
+        scale = ["scale-fn", "--preset", "paper-ref", "--u-min", "0.5", "--u-max", "9",
+                 "--u-steps", "6"]
+
+        def run(argv, name):
+            out = tmp_path / name
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        cli.build_parser.cache_clear()
+        first_b = run(b, "b0.tsv")
+        cli.build_parser.cache_clear()
+        first_scale = run(scale, "s0.tsv")
+        cli.build_parser.cache_clear()
+        assert run(b, "b1.tsv") == first_b
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["b", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert cli.main(["simulate", "--preset", "paper-ref", "--approach", "mc",
+                         "--u-min", "1", "--t-min", "1", "--threads", "0"]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert run(scale, "s1.tsv") == first_scale
+        assert cli.build_parser() is cli.build_parser()

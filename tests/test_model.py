@@ -23,6 +23,7 @@ from tsruin import (
     premium_from_loading,
     rescale,
 )
+from tsruin.laplace import talbot_nodes
 from tsruin.model import _TAIL_SERIES_MAX_X, PhiConvergenceError, _gamma_small, gamma_neg
 
 from conftest import MODELS, assert_close
@@ -187,6 +188,11 @@ class TestRegime:
         assert classify_regime(ig_model).tag is RegimeTag.SUPERCRITICAL
         assert classify_regime(critical_model).tag is RegimeTag.CRITICAL
 
+    def test_default_tolerance_classified_once(self, paper_ref):
+        assert classify_regime(paper_ref) is classify_regime(paper_ref) is paper_ref.regime
+        loose = classify_regime(paper_ref, tol_factor=1e-6)
+        assert loose is not paper_ref.regime and loose == paper_ref.regime
+
     def test_threshold_reported(self, paper_ref):
         assert_close(classify_regime(paper_ref).loading_threshold, (1 - 0.99) / 0.99, rel=1e-12)
 
@@ -292,34 +298,38 @@ class TestPhi:
         assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(roots)))
 
 
-def _talbot_nodes(ts, M=24, shift=0.0):
-    """Shifted fixed-Talbot nodes, one row per t, in contour order."""
-    theta = np.pi * np.arange(1, M) / M
-    path = np.concatenate([[1.0], theta * (1.0 / np.tan(theta) + 1j)])
-    return shift + (2.0 * M / (5.0 * np.asarray(ts)))[:, None] * path
-
-
 class TestPhiContour:
     def test_matches_scalar_continuation(self, paper_ref, ig_model):
         # along the contour versus node by node, each from the real root at |delta|
         for m in (paper_ref, ig_model):
-            deltas = _talbot_nodes([0.01, 1.0, 50.0], shift=max(0.0, m.psi_alpha))
+            deltas = talbot_nodes([0.01, 1.0, 50.0], 24, shift=max(0.0, m.psi_alpha))
             roots = phi_contour(m, deltas)
             for row, got in zip(deltas, roots):
                 want = np.array([phi(m, complex(d)) for d in row])
                 assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_closed_form_inverse_gaussian(self, ig_model):
-        deltas = _talbot_nodes([1e-3, 0.5, 20.0, 900.0], shift=ig_model.psi_alpha)
+        deltas = talbot_nodes([1e-3, 0.5, 20.0, 900.0], 24, shift=ig_model.psi_alpha)
         roots = phi_contour(ig_model, deltas)
         closed = _phi_ig_closed_form(ig_model, deltas)
         assert np.all(np.abs(roots - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
         resid = np.abs(ig_model.psi_x(roots) - deltas)
         assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(deltas)))
 
+    def test_list_equals_each_array_alone(self, paper_ref, ig_model):
+        # one shared solve over arrays of different widths, bit for bit
+        for m in (paper_ref, ig_model):
+            shift = max(0.0, m.psi_alpha)
+            narrow = talbot_nodes([0.05, 3.0, 700.0], 18, shift)
+            wide = talbot_nodes([0.01, 0.5, 9.0, 120.0, 1000.0], 24, shift)
+            both = phi_contour(m, [narrow, wide])
+            assert [r.shape for r in both] == [(3, 18), (5, 24)]
+            for got, alone in zip(both, (narrow, wide)):
+                assert got.tobytes() == phi_contour(m, alone).tobytes()
+
     def test_newton_cap_raises(self, paper_ref):
         with pytest.raises(PhiConvergenceError, match="unconverged"):
-            phi_contour(paper_ref, _talbot_nodes([1.0, 10.0]), maxit=1)
+            phi_contour(paper_ref, talbot_nodes([1.0, 10.0], 24), maxit=1)
 
 
 class TestLevyTail:

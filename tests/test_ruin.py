@@ -25,6 +25,7 @@ from tsruin import (
     scale_function,
     talbot_invert,
 )
+from tsruin import model as model_module
 from tsruin import ruin
 
 from conftest import MODELS, Oracle, assert_close
@@ -46,14 +47,14 @@ EVENTUAL_RUIN_64 = {9.6: 3.055485227e-8, 20.0: 2.52366771e-13, 45.0: 7.625530228
 
 @pytest.fixture
 def skewed_m18(monkeypatch):
-    """ruin.talbot_grid with its M=18 values moved by 1e-6 relative."""
-    exact = ruin.talbot_grid
+    """ruin.talbot_sum with its M=18 values moved by 1e-6 relative."""
+    exact = ruin.talbot_sum
 
-    def skewed(F, xs, M, shift=0.0):
-        vals = exact(F, xs, M, shift)
+    def skewed(values, xs, M, shift=0.0):
+        vals = exact(values, xs, M, shift)
         return vals * (1.0 + 1e-6) if M == ruin.TALBOT_TERMS[0] else vals
 
-    monkeypatch.setattr(ruin, "talbot_grid", skewed)
+    monkeypatch.setattr(ruin, "talbot_sum", skewed)
 
 
 class TestBTilde:
@@ -175,6 +176,39 @@ class TestShiftedTalbotEngine:
         m = ClaimsModel.from_loading(1.0, 2.0, 0.3, 0.5)
         with pytest.raises(InversionError, match="not finite"):
             BFunction(m).value(300.0)
+
+    # float.hex of B on the models of the b-regimes benchmark, pinned before
+    # both term counts shared one Phi_X solve
+    @pytest.mark.parametrize("model, ts, pins", [
+        ("paper_ref", [0.5, 3.0, 17.5, 200.0],
+         ["0x1.ec76ff4850266p-2", "0x1.2cb4f7c390222p+1", "0x1.56fc294536898p+2",
+          "0x1.64f934b9cdd2fp+2"]),
+        ("critical_model", [0.5, 7.0, 120.0, 1000.0],
+         ["0x1.0268e96befc99p-1", "0x1.e89ea54a3a8eap+2", "0x1.cbb96f24f9556p+7",
+          "0x1.b28e0934f393dp+12"]),
+        ("ig_model", [0.5, 7.0, 120.0, 1000.0],
+         ["0x1.030fade44d136p-1", "0x1.044e9a577af09p+3", "0x1.bc3b8beac2965p+9",
+          "0x1.06f9df744faccp+31"]),
+    ])
+    def test_grid_bits_pinned(self, model, ts, pins):
+        got = BFunction(ClaimsModel.from_loading(*MODELS[model])).grid(ts)
+        assert [v.hex() for v in got] == pins
+
+    def test_one_phi_solve_for_both_term_counts(self, paper_ref, monkeypatch):
+        calls = {"seed": 0, "newton": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model_module, "_phi_real_seed",
+                            counted("seed", model_module._phi_real_seed))
+        monkeypatch.setattr(model_module, "_phi_newton_column",
+                            counted("newton", model_module._phi_newton_column))
+        BFunction(paper_ref).grid([0.5, 2.0, 8.0])
+        assert calls == {"seed": 1, "newton": max(ruin.TALBOT_TERMS)}
 
 
 class TestScaleFunction:
