@@ -31,9 +31,7 @@ from .model import (
 )
 from .ruin import (
     BFunction,
-    EstimateMethod,
     RegimeError,
-    RuinEstimate,
     b_infinity,
     b_tilde,
     estimate_infinite_horizon,

@@ -12,6 +12,8 @@ B(t) and P(ruin ever) are inverted in double precision on a shifted Talbot
 contour at two term counts, M=18 and M=24; a value whose two counts
 disagree, or that is not a positive normal double, fails the command with
 exit code 3.  There is no engine to choose and no inversion setting.
+``ruin-surface`` and ``benchmark`` compute each estimate on the whole
+(u, t)-grid in one call, with B and P(ruin ever) inverted once per grid.
 
 All outputs are TSV: UTF-8, LF line endings, tab separators, a '#'-prefixed
 header line, numbers at 9 significant digits.  Files are written to a
@@ -33,10 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import ruin
 from .laplace import InversionError
 from .model import ClaimsModel, PhiConvergenceError, classify_regime, RegimeTag
-from .ruin import (  # noqa: F401 (estimate_infinite_horizon: perfbench spans it here)
+from .ruin import (
     BFunction,
     RegimeError,
     b_infinity,
@@ -241,27 +242,17 @@ def cmd_ruin_surface(s: dict) -> int:
     if method is None:
         raise UsageError("--method is required (rft, tulta, infinite, mc)")
     us, ts = _grid(s, "u"), _grid(s, "t")
-    header = ["u", "t", "value"] + (["stderr"] if method == "mc" else [])
-    rows = []
-    bf = BFunction(model)
-    if method in ("rft", "tulta"):
-        bf.grid(ts)
     if method == "mc":
         res = simulate_ruin_mc(model, us, ts, _sim_plan(s))
-    # P(ruin ever) and the Levy tail depend on u alone; the tail is looked up
-    # on ruin, the module whose levy_tail perfbench spans
-    p_ever = prob_eventual_ruin(model, us).tolist() if method in ("tulta", "infinite") else None
-    tails = [ruin.levy_tail(model, u) for u in map(float, us)] if method == "rft" else None
-    for i, u in enumerate(map(float, us)):
-        for j, t in enumerate(map(float, ts)):
-            if method == "rft":
-                rows.append((u, t, estimate_rft(model, u, t, bf=bf, tail=tails[i]).value))
-            elif method == "tulta":
-                rows.append((u, t, estimate_tulta(model, u, t, bf=bf, p_ruin=p_ever[i]).value))
-            elif method == "infinite":
-                rows.append((u, t, p_ever[i]))
-            else:
-                rows.append((u, t, float(res.mean[i, j]), float(res.stderr[i, j])))
+        header, surfaces = ["u", "t", "value", "stderr"], [res.mean, res.stderr]
+    else:
+        # the estimators return the whole (u, t) surface; they are looked up
+        # at call time, where perfbench spans them
+        estimate = {"rft": estimate_rft, "tulta": estimate_tulta,
+                    "infinite": estimate_infinite_horizon}[method]
+        header, surfaces = ["u", "t", "value"], [estimate(model, us, ts)]
+    rows = [(u, t, *(float(v[i, j]) for v in surfaces))
+            for i, u in enumerate(us.tolist()) for j, t in enumerate(ts.tolist())]
     _write_tsv(s.get("out"), header, rows)
     return EXIT_OK
 
@@ -291,17 +282,19 @@ def cmd_benchmark(s: dict) -> int:
         )
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
-    bf = BFunction(model)
-    bf.grid(ts)
-    p_ever = prob_eventual_ruin(model, us).tolist()  # before the costly simulation
+    # both asymptotic columns before the costly simulation
+    p_ever = prob_eventual_ruin(model, us)
+    asym = estimate_tulta(model, us, ts, p_ruin=p_ever)
     sims = simulate_ruin_mc(model, us, ts, plan).mean
-    rows = []
-    for i, (u, inf_est) in enumerate(zip(map(float, us), p_ever)):
-        for j, t in enumerate(map(float, ts)):
-            a = estimate_tulta(model, u, t, bf=bf, p_ruin=inf_est).value
-            sim = float(sims[i, j])
-            rows.append((u, t, a, sim, inf_est, a / sim, inf_est / sim,
-                         abs(a - sim) / sim, abs(inf_est - sim) / sim))
+    zero = np.argwhere(sims == 0.0)
+    if zero.size:
+        i, j = zero[0]
+        raise ArithmeticError(
+            f"simulated estimate s = 0 at u={us[i]}, t={ts[j]}: the ratios to s are undefined")
+    rows = [(u, t, a, sim, p, a / sim, p / sim, abs(a - sim) / sim, abs(p - sim) / sim)
+            for u, p, a_row, sim_row in zip(us.tolist(), p_ever.tolist(), asym.tolist(),
+                                            sims.tolist())
+            for t, a, sim in zip(ts.tolist(), a_row, sim_row)]
     _write_tsv(s.get("out"), ["u", "t", "a", "s", "i", "a/s", "i/s", "|a-s|/s", "|i-s|/s"], rows)
     return EXIT_OK
 

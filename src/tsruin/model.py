@@ -58,6 +58,8 @@ class PhiConvergenceError(RuntimeError):
 PSI_SERIES = (1.0 / 64.0, 12)  # the 13th term is below 2^-72 of the first
 P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
+_REGIME_TOL = 1e-12
+
 
 # cephes Gamma: P/Q approximate Gamma(2 + x) on 0 <= x < 1, highest power first
 _GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
@@ -202,8 +204,21 @@ class ClaimsModel:
 
     @cached_property
     def regime(self) -> "Regime":
-        """``classify_regime`` at its default tolerance, classified once."""
-        return _classify_regime(self, _REGIME_TOL)
+        """Classification by the sign of psi_X(alpha), made once per model.
+
+        The tolerance is relative, ``_REGIME_TOL * |psi_Y(alpha)|``, so that
+        a units change (which rescales every cumulant) cannot flip the class.
+        """
+        psi_a = self.psi_alpha
+        tol = _REGIME_TOL * abs(float(self.psi_y(self.alpha)))
+        if psi_a < -tol:
+            tag = RegimeTag.SUBCRITICAL
+        elif psi_a > tol:
+            tag = RegimeTag.SUPERCRITICAL
+        else:
+            tag = RegimeTag.CRITICAL
+        return Regime(tag=tag, psi_alpha=psi_a,
+                      loading_threshold=min_loading_for_subcritical(self.rho))
 
     # -- cumulants, valid for real arguments <= alpha and for complex
     #    arguments via the principal branch of (alpha - theta)**rho;
@@ -313,31 +328,18 @@ def mean_y(m: ClaimsModel) -> float:
     return m.mean_claims
 
 
-_REGIME_TOL = 1e-12
+def classify_regime(m: ClaimsModel) -> Regime:
+    """Classify by the sign of psi_X(alpha): the model's cached ``regime``."""
+    return m.regime
 
 
-def classify_regime(m: ClaimsModel, tol_factor: float = _REGIME_TOL) -> Regime:
-    """Classify by the sign of psi_X(alpha).
-
-    The tolerance is relative, ``tol_factor * |psi_Y(alpha)|``, so that a
-    units change (which rescales every cumulant) cannot flip the class.
-    At the default tolerance this is the model's cached ``regime``.
-    """
-    if tol_factor == _REGIME_TOL:
-        return m.regime
-    return _classify_regime(m, tol_factor)
-
-
-def _classify_regime(m: ClaimsModel, tol_factor: float) -> Regime:
-    psi_a = m.psi_alpha
-    tol = tol_factor * abs(float(m.psi_y(m.alpha)))
-    if psi_a < -tol:
-        tag = RegimeTag.SUBCRITICAL
-    elif psi_a > tol:
-        tag = RegimeTag.SUPERCRITICAL
-    else:
-        tag = RegimeTag.CRITICAL
-    return Regime(tag=tag, psi_alpha=psi_a, loading_threshold=min_loading_for_subcritical(m.rho))
+def positive_axis(x, name: str) -> np.ndarray:
+    """A positive scalar or vector ``x`` as a 1-d float array; the check on
+    the u and t axes of every (u, t) grid function."""
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if xs.ndim != 1 or not (xs > 0.0).all():
+        raise ValueError(f"{name} must be a positive scalar or vector, got {x}")
+    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,18 @@ u-grid, from its own transform written without cancellation
 W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P is small.
 ``b_tilde`` is the transform for the reference engines ``levin_invert``
 and ``talbot_invert``, which no estimator here calls.
+
+The estimators take a scalar or a vector ``u`` and ``t`` and return every
+(u, t) cell at once, in shape shape(u) + shape(t) (a float for one cell),
+as outer products of a u part and a t part: ``estimate_rft`` is
+tail(u) * B(t), ``estimate_tulta`` is P(u) * min(1, B(t)/B(inf)), and
+``estimate_infinite_horizon`` is P(u) along t.  Each inverts B and P at
+most once per call, on the whole grid.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -30,11 +35,10 @@ import numpy as np
 from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
-from .model import P_SERIES, ClaimsModel, RegimeTag, levy_tail, phi, phi_contour
+from .model import (P_SERIES, ClaimsModel, RegimeTag, levy_tail, phi, phi_contour,
+                    positive_axis)
 
 __all__ = [
-    "EstimateMethod",
-    "RuinEstimate",
     "RegimeError",
     "BFunction",
     "b_tilde",
@@ -60,39 +64,6 @@ _TINY = np.finfo(float).tiny
 
 class RegimeError(ValueError):
     """An estimator's regime precondition (sign of psi_X(alpha)) is violated."""
-
-
-class EstimateMethod(str, Enum):
-    RFT = "rft"
-    TULTA = "tulta"
-    INFINITE_HORIZON = "infinite_horizon"
-    MONTE_CARLO = "monte_carlo"
-
-
-@dataclass(frozen=True)
-class RuinEstimate:
-    """A (u, t, value) record; the common currency of all estimators.
-
-    ``value`` may exceed 1 for the raw ``rft`` form at small u; the
-    ``tulta`` and infinite-horizon forms are genuine probabilities.
-    ``stderr`` is present exactly for Monte Carlo estimates.
-    """
-
-    u: float
-    t: float  # horizon; math.inf for infinite-horizon estimates
-    value: float
-    method: EstimateMethod
-    stderr: Optional[float] = None
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"estimate must be nonnegative, got {self.value}")
-        if self.method in (EstimateMethod.TULTA, EstimateMethod.INFINITE_HORIZON) and self.value > 1.0:
-            raise ValueError(f"{self.method.value} estimate must lie in [0,1], got {self.value}")
-        if (self.stderr is not None) != (self.method is EstimateMethod.MONTE_CARLO):
-            raise ValueError("stderr is present exactly for Monte Carlo estimates")
-        if self.stderr is not None and self.stderr < 0.0:
-            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +249,7 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     (``_talbot_checked`` on the contour at ``_eventual_ruin_shift``): a value
     that underflows, at alpha u beyond ~700, raises rather than printing as 0.
     A scalar is the one-point grid and returns a float."""
-    us = np.atleast_1d(np.asarray(u, dtype=float))
-    if us.ndim != 1 or not (us > 0.0).all():
-        raise ValueError(f"u must be a positive scalar or vector, got {u}")
+    us = positive_axis(u, "u")
     transform = _eventual_ruin_transform(m)
     p = _talbot_checked(lambda nodes: [transform(b) for b in nodes], us,
                         _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
@@ -300,57 +269,67 @@ def scale_function(m: ClaimsModel, u, p_ruin=None):
 # ---------------------------------------------------------------------------
 
 
-def estimate_rft(m: ClaimsModel, u: float, t: float,
-                 bf: Optional[BFunction] = None,
-                 tail: Optional[float] = None) -> RuinEstimate:
-    """Raw asymptotic estimate tail(u) * B(t); may exceed 1 for small u.
+def _cells(u, t, values: np.ndarray):
+    """A (len(u), len(t)) array of cell values in the shape shape(u) + shape(t);
+    a float for one cell."""
+    values = values.reshape(np.shape(u) + np.shape(t))
+    return values if values.ndim else float(values)
 
-    ``tail`` is ``levy_tail(m, u)`` when the caller already has it (a grid
-    over t shares one per u); it is computed otherwise.  Raises
-    ``FloatingPointError`` where the estimate is not a positive normal double
-    (the tail underflows once alpha u exceeds ~700), rather than returning a
-    positive probability as 0 or with lost digits.
+
+def estimate_rft(m: ClaimsModel, u, t):
+    """Raw asymptotic estimate tail(u) * B(t) at every cell of a scalar or
+    vector ``u`` and ``t``, in shape shape(u) + shape(t) (a float for one
+    cell); may exceed 1 for small u.
+
+    One Levy tail per u and one ``BFunction.grid`` pass over t.  Raises
+    ``FloatingPointError`` at the first cell (u outer, t inner) where the
+    estimate is not a positive normal double (the tail underflows once
+    alpha u exceeds ~700), rather than returning a positive probability as
+    0 or with lost digits.
     """
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError(f"u and t must be positive, got u={u}, t={t}")
-    bf = bf or BFunction(m)
-    if tail is None:
-        tail = levy_tail(m, u)
-    value = tail * bf.value(t)
-    if not _TINY <= value < math.inf:
-        raise FloatingPointError(
-            f"rft estimate at u={u}, t={t} is {value:.6e}, not a positive normal double")
-    return RuinEstimate(u=u, t=t, value=value, method=EstimateMethod.RFT)
+    us, ts = positive_axis(u, "u"), positive_axis(t, "t")
+    b = np.array(BFunction(m).grid(ts))
+    values = np.array([levy_tail(m, x) for x in us.tolist()])[:, None] * b
+    bad = np.argwhere(~((values >= _TINY) & (values < math.inf)))  # row-major
+    if bad.size:
+        i, j = bad[0]
+        raise FloatingPointError(f"rft estimate at u={us[i]}, t={ts[j]} is {values[i, j]:.6e}, "
+                                 f"not a positive normal double")
+    return _cells(u, t, values)
 
 
-def estimate_tulta(m: ClaimsModel, u: float, t: float,
-                   bf: Optional[BFunction] = None,
-                   p_ruin: Optional[float] = None) -> RuinEstimate:
-    """Normalized estimate P(ruin ever) * B(t)/B(inf); subcritical only.
+def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
+    """Normalized estimate P(ruin ever) * min(1, B(t)/B(inf)) at every cell of
+    a scalar or vector ``u`` and ``t``, in shape shape(u) + shape(t) (a float
+    for one cell); subcritical only.
 
-    ``p_ruin`` is P(ruin ever) at this u when the caller already has it
-    (a grid over t shares one per u); it is computed otherwise.
+    ``p_ruin`` is P(ruin ever) at ``u`` when the caller already has it; it
+    is computed otherwise.  A value outside [0, 1] raises ``ValueError``.
     """
-    if u <= 0.0 or t <= 0.0:
-        raise ValueError(f"u and t must be positive, got u={u}, t={t}")
+    us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     regime = m.regime
     if regime.tag is not RegimeTag.SUBCRITICAL:
         raise RegimeError(
             f"the normalized finite-time estimate requires the subcritical regime, "
             f"got {regime.tag.value} (psi_X(alpha) = {regime.psi_alpha:.6g})"
         )
-    bf = bf or BFunction(m)
-    ratio = min(1.0, bf.value(t) / b_infinity(m))
-    if p_ruin is None:
-        p_ruin = prob_eventual_ruin(m, u)
-    value = p_ruin * ratio
-    return RuinEstimate(u=u, t=t, value=value, method=EstimateMethod.TULTA)
+    ratio = np.minimum(1.0, np.array(BFunction(m).grid(ts)) / b_infinity(m))
+    p = prob_eventual_ruin(m, us) if p_ruin is None else np.asarray(p_ruin, float).reshape(us.shape)
+    values = p[:, None] * ratio
+    bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"tulta estimate at u={us[i]}, t={ts[j]} is {values[i, j]}, "
+                         f"outside [0, 1]")
+    return _cells(u, t, values)
 
 
-def estimate_infinite_horizon(m: ClaimsModel, u: float) -> RuinEstimate:
-    """Eventual-ruin probability as a RuinEstimate record."""
-    return RuinEstimate(u=u, t=math.inf, value=prob_eventual_ruin(m, u),
-                        method=EstimateMethod.INFINITE_HORIZON)
+def estimate_infinite_horizon(m: ClaimsModel, u, t):
+    """P(ruin ever), the t -> inf limit, at every cell of a scalar or vector
+    ``u`` and ``t``: constant along t, in shape shape(u) + shape(t) (a float
+    for one cell)."""
+    us, ts = positive_axis(u, "u"), positive_axis(t, "t")
+    return _cells(u, t, np.repeat(prob_eventual_ruin(m, us)[:, None], ts.size, axis=1))
 
 
 def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float,

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .model import ClaimsModel
+from .model import ClaimsModel, positive_axis
 
 __all__ = [
     "StableLawParams",
@@ -225,10 +225,7 @@ def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
     A cell's batch mean is its sum over the batch's paths divided by n,
     times ``factor(t)``.
     """
-    us = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if us.ndim != 1 or ts.ndim != 1 or not (us > 0.0).all() or not (ts > 0.0).all():
-        raise ValueError(f"u and t must be positive scalars or vectors, got u={u}, t={t}")
+    us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     ends, col = np.unique([_steps_for(float(x), plan.h) for x in ts], return_inverse=True)
     steps = int(ends[-1])
     chunk = _chunk_paths(steps)

@@ -13,17 +13,18 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
-def _load_oracle():
-    """``perfbench/oracle.py``'s ``Oracle``: B, W and P(ruin ever) in mpmath,
-    written independently of the package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded by file path (``perfbench``
+    is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Oracle
+    return module
 
 
-Oracle = _load_oracle()
+# B, W and P(ruin ever) in mpmath, written independently of the package
+Oracle = load_perfbench("oracle").Oracle
 
 # fixture name -> (c, alpha, rho, xi), for ClaimsModel.from_loading and Oracle
 MODELS = {

@@ -245,6 +245,16 @@ class TestCmdBenchmark:
         ratios = [float(r[2]) / float(r[4]) for r in rows]  # a/i per u
         assert abs(ratios[0] / ratios[1] - 1.0) < 1e-5
 
+    def test_zero_simulated_cell_is_named(self, tmp_path):
+        # two batches of two paths at h = 0.5: no path reaches u = 2 by t = 1
+        out = tmp_path / "bench.tsv"
+        res = run_cli("benchmark", "--preset", "paper-ref", "--u-min", "2", "--u-steps", "1",
+                      "--t-min", "1", "--t-steps", "1", "--h", "0.5", "--paths", "2",
+                      "--batches", "2", "--seed", "1", "--out", str(out))
+        assert res.returncode == 3
+        assert "s = 0 at u=2.0, t=1.0" in res.stderr
+        assert not out.exists()
+
     def test_supercritical_exit(self):
         res = run_cli("benchmark", "--c", "0.01", "--alpha", "1", "--rho", "0.5",
                       "--xi", "0.2", "--u-min", "1", "--u-steps", "1",

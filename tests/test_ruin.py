@@ -8,10 +8,8 @@ import pytest
 from tsruin import (
     BFunction,
     ClaimsModel,
-    EstimateMethod,
     InversionError,
     RegimeError,
-    RuinEstimate,
     ScaleChange,
     b_infinity,
     b_tilde,
@@ -315,29 +313,84 @@ class TestEventualRuinGrid:
             prob_eventual_ruin(paper_ref, 800.0)
 
 
+# float.hex of each estimate on SURFACE_US x SURFACE_TS at the reference
+# model, recorded from the former one-cell-per-call estimators
+SURFACE_US = [0.5, 1.0, 2.0]
+SURFACE_TS = [1.0, 5.0, 10.0, 20.0]
+SURFACE_PINS = {
+    "tulta": [["0x1.0f980a9cdf2b8p-9", "0x1.ebfa818f7cc56p-8", "0x1.593d99c90f835p-7",
+               "0x1.9032d55f4a7ffp-7"],
+              ["0x1.55187732327fep-11", "0x1.34f049c41bbc3p-9", "0x1.b196b458b4febp-9",
+               "0x1.f69c4b46232f6p-9"],
+              ["0x1.c0bcf0bb027a2p-14", "0x1.966edd0a08096p-12", "0x1.1d35c350cc318p-11",
+               "0x1.4a9ca15ea8a61p-11"]],
+    "rft": [["0x1.8a4150f36664fp-8", "0x1.651628755009ap-6", "0x1.f529cbf3de633p-6",
+             "0x1.22789768dc9e8p-5"],
+            ["0x1.688ee38ef7528p-10", "0x1.4690fdbd3d31fp-8", "0x1.ca542f8af4d9cp-8",
+             "0x1.09a4fe2072c9ap-7"],
+            ["0x1.6eb51d8a9e8b4p-13", "0x1.4c22ce85e7b72p-11", "0x1.d225497d0aee6p-11",
+             "0x1.0e2cd1808ba05p-10"]],
+    "infinite": [["0x1.9a46e976d01acp-7"] * 4, ["0x1.01a24f9c9ee82p-8"] * 4,
+                 ["0x1.52f0155e7c0fep-11"] * 4],
+}
+ESTIMATORS = {"tulta": estimate_tulta, "rft": estimate_rft, "infinite": estimate_infinite_horizon}
+
+
 class TestEstimators:
+    @pytest.mark.parametrize("name", sorted(SURFACE_PINS))
+    def test_surface_bits_pinned(self, paper_ref, name):
+        got = ESTIMATORS[name](paper_ref, SURFACE_US, SURFACE_TS)
+        assert [[v.hex() for v in row] for row in got.tolist()] == SURFACE_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_PINS))
+    def test_shapes(self, paper_ref, name):
+        estimate = ESTIMATORS[name]
+        one = estimate(paper_ref, 1.0, 10.0)
+        assert type(one) is float and one.hex() == SURFACE_PINS[name][1][2]
+        assert estimate(paper_ref, SURFACE_US, SURFACE_TS).shape == (3, 4)
+        assert estimate(paper_ref, 1.0, SURFACE_TS).shape == (4,)
+        assert estimate(paper_ref, np.array(SURFACE_US), 10.0).shape == (3,)
+
     def test_rft_is_product(self, paper_ref, bf_ref):
-        est = estimate_rft(paper_ref, 0.5, 4.0, bf=bf_ref)
-        assert est.method is EstimateMethod.RFT
-        assert_close(est.value, levy_tail(paper_ref, 0.5) * bf_ref.value(4.0), rel=1e-12)
+        est = estimate_rft(paper_ref, 0.5, 4.0)
+        assert_close(est, levy_tail(paper_ref, 0.5) * bf_ref.value(4.0), rel=1e-12)
 
-    def test_rft_exceeds_one_at_small_u(self, paper_ref, bf_ref):
-        assert estimate_rft(paper_ref, 0.01, 10.0, bf=bf_ref).value > 1.0
+    def test_rft_exceeds_one_at_small_u(self, paper_ref):
+        assert estimate_rft(paper_ref, 0.01, 10.0) > 1.0
 
-    def test_tulta_reference_values(self, paper_ref, bf_ref):
+    def test_rft_underflow_names_first_cell(self, paper_ref):
+        # the tail leaves the normal range near alpha u = 691: there B(200) ~ 5.6
+        # still lifts the product into it, B(1) ~ 0.92 does not.  Row-major
+        # order (u outer) fails at (691, 1) before (800, 200).
+        us, ts = [690.0, 691.0, 800.0], [200.0, 1.0]
+        with pytest.raises(FloatingPointError,
+                           match=r"^rft estimate at u=691\.0, t=1\.0 is .*not a positive normal"):
+            estimate_rft(paper_ref, us, ts)
+
+    def test_tulta_reference_values(self, paper_ref):
         for (u, t), want in TULTA_REFERENCE.items():
-            got = estimate_tulta(paper_ref, u, t, bf=bf_ref).value
+            got = estimate_tulta(paper_ref, u, t)
             assert_close(got, want, rel=1e-4, msg=f"normalized estimate ({u},{t})")
 
-    def test_tulta_bounded_by_eventual(self, paper_ref, bf_ref):
-        for u in [0.5, 1.0, 3.0]:
-            for t in [1.0, 10.0]:
-                est = estimate_tulta(paper_ref, u, t, bf=bf_ref)
-                assert 0.0 <= est.value <= prob_eventual_ruin(paper_ref, u) + 1e-15
+    def test_tulta_bounded_by_eventual(self, paper_ref):
+        us = [0.5, 1.0, 3.0]
+        est = estimate_tulta(paper_ref, us, [1.0, 10.0])
+        assert np.all(est >= 0.0)
+        assert np.all(est <= prob_eventual_ruin(paper_ref, us)[:, None] + 1e-15)
 
-    def test_tulta_monotone_t(self, paper_ref, bf_ref):
-        vals = [estimate_tulta(paper_ref, 1.0, t, bf=bf_ref).value for t in [2.0, 5.0, 10.0, 20.0]]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+    def test_tulta_monotone_t(self, paper_ref):
+        vals = estimate_tulta(paper_ref, 1.0, [2.0, 5.0, 10.0, 20.0])
+        assert np.all(np.diff(vals) >= 0.0)
+
+    @pytest.mark.parametrize("p_ruin", [1.5, -0.1])
+    def test_tulta_rejects_probability_out_of_range(self, paper_ref, p_ruin):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            estimate_tulta(paper_ref, 1.0, 10.0, p_ruin=p_ruin)
+
+    def test_tulta_takes_p_ruin(self, paper_ref):
+        us = np.array(SURFACE_US)
+        got = estimate_tulta(paper_ref, us, SURFACE_TS, p_ruin=prob_eventual_ruin(paper_ref, us))
+        assert [[v.hex() for v in row] for row in got.tolist()] == SURFACE_PINS["tulta"]
 
     def test_tulta_needs_subcritical(self, ig_model):
         with pytest.raises(RegimeError, match="supercritical"):
@@ -348,65 +401,35 @@ class TestEstimators:
             with pytest.raises(RegimeError):
                 b_infinity(m)
 
-    def test_ratio_rft_over_tulta_decreases_to_one(self, paper_ref, bf_ref):
+    def test_ratio_rft_over_tulta_decreases_to_one(self, paper_ref):
         # tail(u) * B(inf) / P(ruin ever) -> 1 as u -> inf
-        ratios = []
-        for u in [5.0, 8.0, 12.0, 20.0]:
-            rft = estimate_rft(paper_ref, u, 10.0, bf=bf_ref).value
-            tulta = estimate_tulta(paper_ref, u, 10.0, bf=bf_ref).value
-            ratios.append(rft / tulta)
-        assert all(r > 1.0 for r in ratios)
-        assert all(b < a for a, b in zip(ratios, ratios[1:]))
+        us = [5.0, 8.0, 12.0, 20.0]
+        ratios = estimate_rft(paper_ref, us, 10.0) / estimate_tulta(paper_ref, us, 10.0)
+        assert np.all(ratios > 1.0)
+        assert np.all(np.diff(ratios) < 0.0)
 
-    def test_ratio_to_infinite_independent_of_u(self, paper_ref, bf_ref):
+    def test_ratio_to_infinite_independent_of_u(self, paper_ref):
         # tulta(u, t)/infinite(u) = B(t)/B(inf) carries no u-dependence
-        t = 10.0
-        ratios = []
-        for u in [0.5, 1.0, 1.5, 2.0, 3.0]:
-            a = estimate_tulta(paper_ref, u, t, bf=bf_ref).value
-            i = estimate_infinite_horizon(paper_ref, u).value
-            ratios.append(a / i)
+        us = [0.5, 1.0, 1.5, 2.0, 3.0]
+        ratios = (estimate_tulta(paper_ref, us, 10.0)
+                  / estimate_infinite_horizon(paper_ref, us, 10.0))
         for r in ratios[1:]:
             assert abs(r / ratios[0] - 1.0) < 1e-5
 
     def test_rescale_invariance(self, paper_ref):
         # ruin events are invariant under units changes:
         # estimate(rescaled, b*u, t/a) == estimate(original, u, t)
-        base = estimate_tulta(paper_ref, 1.0, 10.0).value
+        base = estimate_tulta(paper_ref, 1.0, 10.0)
         for a, b in [(2.0, 0.5), (0.25, 3.0), (1.5, 1.5)]:
             scaled_model = rescale(paper_ref, ScaleChange(a, b))
-            got = estimate_tulta(scaled_model, b * 1.0, 10.0 / a).value
+            got = estimate_tulta(scaled_model, b * 1.0, 10.0 / a)
             assert_close(got, base, rel=1e-6, msg=f"rescale invariance a={a} b={b}")
 
-    def test_infinite_horizon_record(self, paper_ref):
-        est = estimate_infinite_horizon(paper_ref, 2.0)
-        assert est.method is EstimateMethod.INFINITE_HORIZON
-        assert est.t == math.inf
-        assert est.stderr is None
-
     def test_domain_errors(self, paper_ref):
-        with pytest.raises(ValueError):
-            estimate_rft(paper_ref, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            estimate_tulta(paper_ref, 1.0, 0.0)
-
-
-class TestRuinEstimateRecord:
-    def test_stderr_only_for_monte_carlo(self):
-        with pytest.raises(ValueError):
-            RuinEstimate(u=1.0, t=1.0, value=0.1, method=EstimateMethod.TULTA, stderr=0.01)
-        with pytest.raises(ValueError):
-            RuinEstimate(u=1.0, t=1.0, value=0.1, method=EstimateMethod.MONTE_CARLO)
-
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            RuinEstimate(u=1.0, t=1.0, value=1.5, method=EstimateMethod.TULTA)
-        # the raw product form may legitimately exceed 1
-        RuinEstimate(u=0.01, t=1.0, value=1.5, method=EstimateMethod.RFT)
-
-    def test_nonnegative(self):
-        with pytest.raises(ValueError):
-            RuinEstimate(u=1.0, t=1.0, value=-0.1, method=EstimateMethod.RFT)
+        for estimate in ESTIMATORS.values():
+            for u, t in [(-1.0, 1.0), (1.0, 0.0), ([1.0, 0.0], 1.0), (1.0, [[1.0]])]:
+                with pytest.raises(ValueError):
+                    estimate(paper_ref, u, t)
 
 
 class TestGrowthDiagnostic:
