@@ -198,7 +198,9 @@ def _sim_plan(s: dict) -> SimPlan:
 
 
 def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
-    """Emit TSV atomically (temp file + rename); stdout when path is None."""
+    """Emit TSV atomically (temp file + rename) to a new or regular file, in
+    place to an existing FIFO or device (never replaced); stdout when path
+    is None."""
     blocks = sections if sections is not None else [(header, rows)]
     chunks = []
     for head, rws in blocks:
@@ -209,6 +211,10 @@ def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
     text = "".join(chunks[:-1])  # no trailing blank line
     if path is None:
         sys.stdout.write(text)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsruin-", suffix=".tmp")

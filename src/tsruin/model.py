@@ -15,6 +15,13 @@ theta = 0 both differences cancel; there both are summed as
 and psi_X likewise with E[X_1] = E[Y_1] - p in place of E[Y_1],
 with k = -c Gamma(-rho), a = alpha and S(x) = R2(x)/x^2 the binomial
 remainder of (1+x)^rho (``ClaimsModel.q``).
+
+The inverse cumulant Phi_X(delta), the root of psi_X(beta) = delta on the
+decreasing branch, is solved by Newton alone, one power per step, on whole
+inversion contours at once (``phi_contour``): a masked loop on the real
+column, then two unconditional steps per complex column from a first-order
+predictor, and one batched residual check and polishing step over every
+complex root, the masked loop continuing the few that miss its gate.
 """
 from __future__ import annotations
 
@@ -351,26 +358,40 @@ def positive_axis(x, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _newton_step(m: ClaimsModel, beta: np.ndarray, delta: np.ndarray) -> tuple:
+    """One Newton step on psi_X(beta) = delta, from one power: the next
+    iterate, the residual at ``beta`` and psi_X'(beta)."""
+    psi, power = m._psi_x_power(beta)
+    resid = psi - delta
+    slope = m.tilt_coefficient * m.rho * power / (m.alpha - beta) - m.p
+    return beta - resid / slope, resid, slope
+
+
+def _gate_met(resid: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Where a residual meets the 1e-12 relative gate (absolute for
+    |delta| < 1)."""
+    return np.abs(resid) <= 1e-12 * np.maximum(1.0, np.abs(delta))
+
+
 def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
                        maxit: int) -> tuple:
-    """Newton on every entry of ``delta`` at once, each entry dropping out
-    once its residual meets the 1e-12 relative gate.  The step
-    computed there is still taken: the gate is absolute for |delta| < 1,
-    and roots only that close cost a double-precision Talbot sum of B up
-    to ~1e-8 relative.  Returns the roots and psi_X' at each entry's last
-    step (the slope of the next column's predictor).  Raises if any entry
-    is still above the gate after ``maxit`` iterations."""
+    """Masked Newton on every entry of ``delta`` at once.  An entry drops
+    out once its residual meets the gate of ``_gate_met`` and the step
+    computed there is below 1e-8 of the new iterate: for |delta| < 1 the
+    gate is absolute, and at delta ~ 1e-12 it is met by a root still off
+    by percents.  That last step is still taken: roots only as close as
+    the gate cost a double-precision Talbot sum of B up to ~1e-8
+    relative.  Returns the roots and psi_X' at each entry's last step (the
+    slope of the next column's predictor).  Raises if any entry is still
+    unconverged after ``maxit`` iterations."""
     beta, slope = seed.copy(), np.empty_like(seed)
-    gate = 1e-12 * np.maximum(1.0, np.abs(delta))
     active = np.arange(delta.size)
-    k, a = m.tilt_coefficient * m.rho, m.alpha
     for _ in range(maxit):
-        b = beta[active]
-        psi, power = m._psi_x_power(b)
-        resid = psi - delta[active]
-        slope[active] = d = k * power / (a - b) - m.p
-        beta[active] = b - resid / d
-        active = active[~(np.abs(resid) <= gate[active])]
+        b, d = beta[active], delta[active]
+        nxt, resid, slope[active] = _newton_step(m, b, d)
+        beta[active] = nxt
+        done = _gate_met(resid, d) & (np.abs(nxt - b) <= 1e-8 * np.abs(nxt))
+        active = active[~done]
         if not active.size:
             return beta, slope
     worst = int(active[np.argmax(np.abs(m.psi_x(beta[active]) - delta[active]))])
@@ -385,39 +406,58 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     a list of such arrays of different widths (a list of roots out).
 
     Each row is one contour, its columns in contour order starting from
-    the real crossing point ``deltas[:, 0]`` (real and >= 0).  Newton runs
-    masked over a whole column at a time.  The real column starts at
-    beta = 0: psi_X is convex on the real axis below alpha, so the first
-    step lands left of the root, at delta / E[X_1], and every later one
-    climbs monotonically to it on the decreasing branch (phi(0) = 0
-    exactly, its residual being 0).  Every later column starts from the
-    predictor root + (delta_next - delta) / psi_X'(root) of the column
-    before it (dPhi/ddelta = 1 / psi_X'(Phi)), so each row is continued
-    along its contour from the real solution.  Every root meets a 1e-12
-    relative residual gate (plus one polishing step), and a node that does
-    not within ``maxit`` iterations raises ``PhiConvergenceError``.
+    the real crossing point ``deltas[:, 0]`` (real and >= 0).  The real
+    column runs the masked Newton of ``_phi_newton_column`` from beta = 0:
+    psi_X is convex on the real axis below alpha, so the first step lands
+    left of the root, at delta / E[X_1], and every later one climbs
+    monotonically to it on the decreasing branch (phi(0) = 0 exactly, its
+    residual being 0).  Every later column starts from the predictor
+    root + (delta_next - delta) / psi_X'(root) of the column before it
+    (dPhi/ddelta = 1 / psi_X'(Phi)), so each row is continued along its
+    contour from the real solution, and takes exactly two Newton steps
+    from there.  After the last column one batched pass over every complex
+    root evaluates its residual, requires the 1e-12 relative gate and
+    takes one polishing step; a root that misses the gate is continued by
+    the masked Newton.  So every root meets the gate (plus one polishing
+    step), and a node that does not within ``maxit`` further iterations
+    raises ``PhiConvergenceError``.
 
-    The arrays of a list share one solve: column j of every array at least
-    j + 1 wide is one Newton call, so both Talbot term counts of ``ruin``
-    cost the Newton calls of the wider one.  Newton acts elementwise, so
+    The arrays of a list share one solve: their rows are stacked, widest
+    array first, so column j of every array at least j + 1 wide is a
+    prefix of the stacked rows, and both Talbot term counts of ``ruin``
+    cost the Newton steps of the wider one.  Newton acts elementwise, so
     each array's roots are bitwise those it gets alone.
     """
     if not isinstance(deltas, list):
         return phi_contour(m, [deltas], maxit)[0]
     grids = [np.asarray(d, dtype=complex) for d in deltas]
-    roots = [np.empty_like(d) for d in grids]
-    seeds = [np.zeros(len(d), dtype=complex) for d in grids]
-    for j in range(max(d.shape[1] for d in grids)):
-        wide = [k for k, d in enumerate(grids) if d.shape[1] > j]
-        col, slope = _phi_newton_column(
-            m, np.concatenate([grids[k][:, j] for k in wide]),
-            np.concatenate([seeds[k] for k in wide]), maxit)
-        cuts = np.cumsum([len(grids[k]) for k in wide[:-1]])
-        for k, part, dpsi in zip(wide, np.split(col, cuts), np.split(slope, cuts)):
-            roots[k][:, j] = part
-            if grids[k].shape[1] > j + 1:
-                seeds[k] = part + (grids[k][:, j + 1] - grids[k][:, j]) / dpsi
-    return roots
+    order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[1])
+    widths = np.repeat([grids[k].shape[1] for k in order], [len(grids[k]) for k in order])
+    width = grids[order[0]].shape[1]
+    stacked = np.zeros((widths.size, width), dtype=complex)
+    valid = np.arange(width) < widths[:, None]
+    stacked[valid] = np.concatenate([grids[k].ravel() for k in order])
+    roots = np.empty_like(stacked)
+    roots[:, 0], slope = _phi_newton_column(m, stacked[:, 0], np.zeros(widths.size, complex),
+                                            maxit)
+    for j in range(1, width):
+        n = np.count_nonzero(widths > j)
+        d = stacked[:n, j]
+        beta = roots[:n, j - 1] + (d - stacked[:n, j - 1]) / slope[:n]
+        beta, _, slope = _newton_step(m, beta, d)
+        roots[:n, j], _, slope = _newton_step(m, beta, d)
+    valid[:, 0] = False  # the residual pass covers the complex columns
+    d = stacked[valid]
+    beta, resid, _ = _newton_step(m, roots[valid], d)
+    miss = np.flatnonzero(~_gate_met(resid, d))
+    if miss.size:
+        beta[miss] = _phi_newton_column(m, d[miss], beta[miss], maxit)[0]
+    roots[valid] = beta
+    rows = np.cumsum([0] + [len(grids[k]) for k in order])
+    out = [None] * len(grids)
+    for k, lo, hi in zip(order, rows[:-1], rows[1:]):
+        out[k] = roots[lo:hi, :grids[k].shape[1]]
+    return out
 
 
 def phi(m: ClaimsModel, delta):
@@ -428,9 +468,9 @@ def phi(m: ClaimsModel, delta):
     with phi(0) = 0 exactly, and the result is real.  Each delta is the
     two-node contour (|delta|, delta) of ``phi_contour``: Newton from 0
     finds the real root at |delta|, and Newton from its predictor the root
-    at delta (for real delta the same root, polished once more).  Every
-    root meets the same 1e-12 relative residual gate, and a failure raises
-    ``PhiConvergenceError``.
+    at delta (for real delta the same root, stepped and polished again).
+    Every root meets the same 1e-12 relative residual gate, and a failure
+    raises ``PhiConvergenceError``.
     """
     d = np.asarray(delta)
     real = not np.iscomplexobj(d)

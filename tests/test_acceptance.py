@@ -111,6 +111,7 @@ def test_criterion_02_infinite_horizon_table(model):
                f"worst relative error {worst:.2e} in {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_measure_change_benchmark(table2_mc):
     res = table2_mc
     mean_ok = abs(res.mean - MC_REFERENCE_MEAN) <= 3.0 * 3.0e-4
@@ -120,12 +121,14 @@ def test_criterion_03_measure_change_benchmark(table2_mc):
         f"(band +-{3 * 3.0e-4}), stderr {res.stderr:.2e} vs {MC_REFERENCE_STDERR:.1e}; "
         f"the published mean is not reproducible from the stated model: this "
         f"simulator matches the published benchmark-table simulation column at "
-        f"(2,20)/(1,10) and its own exact-law counterpart (criterion 4), and the "
-        f"published point value is instead consistent with a doubled horizon t=4"
+        f"(2,20)/(1,10) and its own exact-law counterpart (criterion 4); a doubled "
+        f"horizon does not explain it either: this plan at t=4 gives 0.048908 +- 0.00020, "
+        f"4.46 combined stderr below the published mean"
     )
     _criterion(3, "measure-change benchmark point", mean_ok and stderr_ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_04_esscher_consistency(model, table2_mc):
     # exact tempered increments at a finer step versus the measure-change
     # estimate; paths halved relative to the published run purely for runtime,

@@ -1,6 +1,9 @@
 """Command-line contract tests: TSV shape, determinism, exit codes."""
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -330,6 +333,23 @@ class TestConfigAndIO:
                 "--out", str(out), check=True)
         [(_, rows)] = read_tsv(out)
         assert rows[0][0] == "0.123456789"
+
+    def test_fifo_written_in_place(self, tmp_path):
+        # a FIFO given as --out stays a FIFO, and its reader gets the bytes
+        # a regular file gets
+        argv = ["b", "--preset", "paper-ref", "--t-min", "1", "--t-max", "5", "--t-steps", "3"]
+        regular = tmp_path / "b.tsv"
+        assert cli.main(argv + ["--out", str(regular)]) == 0
+        fifo = tmp_path / "b.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli.main(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [regular.read_bytes()]
 
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.tsv"

@@ -23,6 +23,7 @@ from tsruin import (
     premium_from_loading,
     rescale,
 )
+from tsruin import model as model_module
 from tsruin.laplace import talbot_nodes
 from tsruin.model import _TAIL_SERIES_MAX_X, PhiConvergenceError, _gamma_small, gamma_neg
 
@@ -251,6 +252,25 @@ class TestPhi:
         slope = m.tilt_coefficient * m.rho * (m.alpha - roots) ** (m.rho - 1.0) - m.p
         assert np.all(slope < 0.0)
 
+    @pytest.mark.parametrize("params", [(1.0, 2.0, 0.05, 1e-6), (0.01, 1.0, 0.5, 1e-6)],
+                             ids=["rho_0.05", "rho_0.5"])
+    def test_near_critical_below_the_gate(self, params):
+        # at delta = 1e-12 on near-critical drift the absolute residual gate
+        # is met by a root still 2-3% off; only a small last step stops Newton
+        m = ClaimsModel.from_loading(*params)
+        deltas = [1e-12, 1e-10, 1e-6]
+        roots = phi(m, np.array(deltas))
+        oracle = Oracle(*params)
+        with mpmath.workdps(40):
+            oracle._setup()
+            # E[X_1] = E[Y_1] - p keeps only ~1e-16/xi of its digits in double
+            # precision; give the oracle the package's E[X_1], so the roots
+            # differ by the solve alone
+            oracle.p = oracle.C * oracle.r * oracle.a ** (oracle.r - 1) - mpmath.mpf(m.drift_mean)
+            want = [float(oracle._phi_real(mpmath.mpf(d))) for d in deltas]
+        for delta, got, w in zip(deltas, roots, want):
+            assert_close(got, w, rel=1e-13, msg=f"phi({delta})")
+
     def test_against_brentq_oracle(self, paper_ref):
         from scipy.optimize import brentq
 
@@ -346,6 +366,34 @@ class TestPhiContour:
             assert [r.shape for r in both] == [(3, 18), (5, 24)]
             for got, alone in zip(both, (narrow, wide)):
                 assert got.tobytes() == phi_contour(m, alone).tobytes()
+
+    def test_predictor_misses_are_continued(self, paper_ref, monkeypatch):
+        # the slope _newton_step returns feeds the predictor alone: 10% off,
+        # it leaves some roots above the gate after their column's two
+        # steps, and the masked Newton must continue exactly those
+        shift = max(0.0, paper_ref.psi_alpha)
+        deltas = [talbot_nodes(np.linspace(0.5, 200.0, 40), M, shift) for M in (18, 24)]
+        exact = phi_contour(paper_ref, deltas)
+        step, column = model_module._newton_step, model_module._phi_newton_column
+        masked = []
+
+        def skewed(m, beta, delta):
+            nxt, resid, slope = step(m, beta, delta)
+            return nxt, resid, 1.1 * slope
+
+        def counted(m, delta, seed, maxit):
+            masked.append(delta.size)
+            return column(m, delta, seed, maxit)
+
+        monkeypatch.setattr(model_module, "_newton_step", skewed)
+        monkeypatch.setattr(model_module, "_phi_newton_column", counted)
+        roots = phi_contour(paper_ref, deltas)
+        complex_nodes = sum(d[:, 1:].size for d in deltas)
+        assert masked[0] == 80 and 0 < masked[1] < complex_nodes and len(masked) == 2
+        for d, got, want in zip(deltas, roots, exact):
+            resid = np.abs(paper_ref.psi_x(got) - d)
+            assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(d)))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_newton_cap_raises(self, paper_ref):
         with pytest.raises(PhiConvergenceError, match="unconverged"):
