@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import tempfile
@@ -182,6 +183,9 @@ def _grid(s: dict, axis: str) -> np.ndarray:
         if steps > 1:
             raise UsageError(f"--{axis}-steps {steps} needs --{axis}-max")
         hi = lo
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise UsageError(f"--{axis}-{end} must be finite, got {value}")
     if lo <= 0.0:
         raise UsageError(f"--{axis}-min must be positive (grid is left-open at 0)")
     if hi < lo:
@@ -200,7 +204,8 @@ def _sim_plan(s: dict) -> SimPlan:
 def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
     """Emit TSV atomically (temp file + rename) to a new or regular file, in
     place to an existing FIFO or device (never replaced); stdout when path
-    is None."""
+    is None.  A path that cannot be written is a ``UsageError``, and leaves
+    no temp file."""
     blocks = sections if sections is not None else [(header, rows)]
     chunks = []
     for head, rws in blocks:
@@ -212,20 +217,23 @@ def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsruin-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            return
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsruin-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_b(s: dict) -> int:

@@ -27,6 +27,7 @@ transform used here.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from typing import Callable, Optional
 
@@ -86,19 +87,30 @@ def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
         return float(r / M * acc)
 
 
+@functools.cache
+def _talbot_path(M: int) -> tuple:
+    """The M-only arrays of the fixed-Talbot contour, built once per M and
+    read-only: the path (nodes are shift + r * path) and the trapezoid
+    weights times e^(2M/5 path)."""
+    theta = np.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    path = np.concatenate([[1.0], theta * (cot + 1j)])
+    weight = np.concatenate([[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
+    arrays = path, np.exp(0.4 * M * path) * weight
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _talbot_contour(ts, M: int):
-    """The validated ``ts`` of ``talbot_grid`` with its contour: r = 2M/(5t)
-    per t, the path (nodes are shift + r * path) and the trapezoid weights."""
+    """The validated ``ts`` of ``talbot_grid`` with r = 2M/(5t) per t and
+    the arrays of ``_talbot_path``."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(ts > 0.0):
         raise ValueError("ts must be a 1-d array of positive times")
     if M < 8:
         raise ValueError(f"M must be >= 8, got {M}")
-    theta = np.pi * np.arange(1, M) / M
-    cot = 1.0 / np.tan(theta)
-    path = np.concatenate([[1.0], theta * (cot + 1j)])
-    weight = np.concatenate([[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
-    return ts, 2.0 * M / (5.0 * ts), path, weight
+    return ts, 2.0 * M / (5.0 * ts), *_talbot_path(M)
 
 
 def talbot_nodes(ts, M: int, shift: float = 0.0) -> np.ndarray:
@@ -112,9 +124,9 @@ def talbot_nodes(ts, M: int, shift: float = 0.0) -> np.ndarray:
 def talbot_sum(values: np.ndarray, ts, M: int, shift: float = 0.0) -> np.ndarray:
     """``talbot_grid``'s trapezoidal sum, given the transform ``values`` at
     every node of ``talbot_nodes(ts, M, shift)``."""
-    ts, r, path, weight = _talbot_contour(ts, M)
+    ts, r, _, scaled = _talbot_contour(ts, M)
     # e^(delta t) = e^(shift t) e^(2M/5 path): only the shift depends on t
-    terms = values * (np.exp(0.4 * M * path) * weight)
+    terms = values * scaled
     return r / M * np.exp(shift * ts) * terms.sum(axis=1).real
 
 

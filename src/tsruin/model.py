@@ -19,9 +19,10 @@ remainder of (1+x)^rho (``ClaimsModel.q``).
 The inverse cumulant Phi_X(delta), the root of psi_X(beta) = delta on the
 decreasing branch, is solved by Newton alone, one power per step, on whole
 inversion contours at once (``phi_contour``): a masked loop on the real
-column, then two unconditional steps per complex column from a first-order
-predictor, and one batched residual check and polishing step over every
-complex root, the masked loop continuing the few that miss its gate.
+column, then one unconditional step per complex column from a first-order
+predictor, which only keeps each row on the branch continued from the real
+axis, and one call of the same masked loop over every complex root, which
+brings each to the residual gate and polishes it.
 """
 from __future__ import annotations
 
@@ -123,8 +124,16 @@ def _mean_claims(c: float, alpha: float, rho: float) -> float:
     return -c * rho * gamma_neg(rho) * alpha ** (rho - 1.0)
 
 
+def _require_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def premium_from_loading(mean_claims: float, xi: float) -> float:
     """Premium rate p = (1 + xi) * E[Y_1] for safety loading xi > 0."""
+    _require_finite(mean_claims=mean_claims, xi=xi)
     if mean_claims <= 0.0:
         raise ValueError(f"mean_claims must be positive, got {mean_claims}")
     if xi <= 0.0:
@@ -163,6 +172,7 @@ class ClaimsModel:
     p: float
 
     def __post_init__(self):
+        _require_finite(c=self.c, alpha=self.alpha, rho=self.rho, p=self.p)
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.alpha <= 0.0:
@@ -177,6 +187,7 @@ class ClaimsModel:
     @classmethod
     def from_loading(cls, c: float, alpha: float, rho: float, xi: float) -> "ClaimsModel":
         """Build a model from a safety loading xi via p = (1+xi) E[Y_1]."""
+        _require_finite(c=c, alpha=alpha, rho=rho)  # premium_from_loading checks xi
         return cls(c=c, alpha=alpha, rho=rho,
                    p=premium_from_loading(_mean_claims(c, alpha, rho), xi))
 
@@ -285,12 +296,13 @@ class ClaimsModel:
         return self._psi_x_power(theta)[0]
 
     def _psi_x_power(self, theta):
-        """psi_X(theta) and (a - theta)^rho, from one power: the Newton step
-        of ``phi_contour`` gets psi_X' = k rho (a - theta)^rho / (a - theta) - p
-        from the same power."""
-        power = (self.alpha - theta) ** self.rho
+        """psi_X(theta), (a - theta)^rho and a - theta, from one difference
+        and one power: the Newton step of ``phi_contour`` gets
+        psi_X' = k rho (a - theta)^rho / (a - theta) - p from the same two."""
+        gap = self.alpha - theta
+        power = gap ** self.rho
         return self._near_zero(theta, self._psi_y_direct(power) - self.p * theta,
-                               self.drift_mean), power
+                               self.drift_mean), power, gap
 
 
 class RegimeTag(str, Enum):
@@ -361,28 +373,22 @@ def positive_axis(x, name: str) -> np.ndarray:
 def _newton_step(m: ClaimsModel, beta: np.ndarray, delta: np.ndarray) -> tuple:
     """One Newton step on psi_X(beta) = delta, from one power: the next
     iterate, the residual at ``beta`` and psi_X'(beta)."""
-    psi, power = m._psi_x_power(beta)
+    psi, power, gap = m._psi_x_power(beta)
     resid = psi - delta
-    slope = m.tilt_coefficient * m.rho * power / (m.alpha - beta) - m.p
+    slope = m.tilt_coefficient * m.rho * power / gap - m.p
     return beta - resid / slope, resid, slope
-
-
-def _gate_met(resid: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Where a residual meets the 1e-12 relative gate (absolute for
-    |delta| < 1)."""
-    return np.abs(resid) <= 1e-12 * np.maximum(1.0, np.abs(delta))
 
 
 def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
                        maxit: int) -> tuple:
     """Masked Newton on every entry of ``delta`` at once.  An entry drops
-    out once its residual meets the gate of ``_gate_met`` and the step
-    computed there is below 1e-8 of the new iterate: for |delta| < 1 the
-    gate is absolute, and at delta ~ 1e-12 it is met by a root still off
-    by percents.  That last step is still taken: roots only as close as
-    the gate cost a double-precision Talbot sum of B up to ~1e-8
-    relative.  Returns the roots and psi_X' at each entry's last step (the
-    slope of the next column's predictor).  Raises if any entry is still
+    out once its residual meets the 1e-12 relative gate (absolute for
+    |delta| < 1, so at delta ~ 1e-12 it is met by a root still off by
+    percents) and the step computed there is below 1e-8 of the new
+    iterate.  That last step is still taken: roots only as close as the
+    gate cost a double-precision Talbot sum of B up to ~1e-8 relative.
+    Returns the roots and psi_X' at each entry's last step (the slope of
+    the next column's predictor).  Raises if any entry is still
     unconverged after ``maxit`` iterations."""
     beta, slope = seed.copy(), np.empty_like(seed)
     active = np.arange(delta.size)
@@ -390,7 +396,8 @@ def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
         b, d = beta[active], delta[active]
         nxt, resid, slope[active] = _newton_step(m, b, d)
         beta[active] = nxt
-        done = _gate_met(resid, d) & (np.abs(nxt - b) <= 1e-8 * np.abs(nxt))
+        done = ((np.abs(resid) <= 1e-12 * np.maximum(1.0, np.abs(d)))
+                & (np.abs(nxt - b) <= 1e-8 * np.abs(nxt)))
         active = active[~done]
         if not active.size:
             return beta, slope
@@ -413,14 +420,12 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     monotonically to it on the decreasing branch (phi(0) = 0 exactly, its
     residual being 0).  Every later column starts from the predictor
     root + (delta_next - delta) / psi_X'(root) of the column before it
-    (dPhi/ddelta = 1 / psi_X'(Phi)), so each row is continued along its
-    contour from the real solution, and takes exactly two Newton steps
-    from there.  After the last column one batched pass over every complex
-    root evaluates its residual, requires the 1e-12 relative gate and
-    takes one polishing step; a root that misses the gate is continued by
-    the masked Newton.  So every root meets the gate (plus one polishing
-    step), and a node that does not within ``maxit`` further iterations
-    raises ``PhiConvergenceError``.
+    (dPhi/ddelta = 1 / psi_X'(Phi)) and takes exactly one Newton step from
+    there: the sweep only continues each row along its contour from the
+    real solution, on that branch.  One more call of the masked Newton,
+    over every complex root at once, then brings each to the 1e-12
+    relative residual gate and takes its polishing step; a node that does
+    not converge within ``maxit`` iterations raises ``PhiConvergenceError``.
 
     The arrays of a list share one solve: their rows are stacked, widest
     array first, so column j of every array at least j + 1 wide is a
@@ -437,22 +442,16 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     stacked = np.zeros((widths.size, width), dtype=complex)
     valid = np.arange(width) < widths[:, None]
     stacked[valid] = np.concatenate([grids[k].ravel() for k in order])
+    rows_in = valid.sum(axis=0)  # column j is the first rows_in[j] rows
     roots = np.empty_like(stacked)
     roots[:, 0], slope = _phi_newton_column(m, stacked[:, 0], np.zeros(widths.size, complex),
                                             maxit)
-    for j in range(1, width):
-        n = np.count_nonzero(widths > j)
+    for j, n in enumerate(rows_in[1:].tolist(), 1):
         d = stacked[:n, j]
         beta = roots[:n, j - 1] + (d - stacked[:n, j - 1]) / slope[:n]
-        beta, _, slope = _newton_step(m, beta, d)
         roots[:n, j], _, slope = _newton_step(m, beta, d)
-    valid[:, 0] = False  # the residual pass covers the complex columns
-    d = stacked[valid]
-    beta, resid, _ = _newton_step(m, roots[valid], d)
-    miss = np.flatnonzero(~_gate_met(resid, d))
-    if miss.size:
-        beta[miss] = _phi_newton_column(m, d[miss], beta[miss], maxit)[0]
-    roots[valid] = beta
+    valid[:, 0] = False  # the finishing Newton covers the complex columns
+    roots[valid] = _phi_newton_column(m, stacked[valid], roots[valid], maxit)[0]
     rows = np.cumsum([0] + [len(grids[k]) for k in order])
     out = [None] * len(grids)
     for k, lo, hi in zip(order, rows[:-1], rows[1:]):
@@ -463,9 +462,9 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
 def phi(m: ClaimsModel, delta):
     """Inverse cumulant Phi_X(delta): the smallest root of psi_X(beta) = delta.
 
-    ``delta`` is a scalar or an array, real and >= 0 or complex.  For real
-    delta the root lies on the decreasing branch of psi_X, a value <= 0
-    with phi(0) = 0 exactly, and the result is real.  Each delta is the
+    ``delta`` is a scalar or an array, finite, real and >= 0 or complex.
+    For real delta the root lies on the decreasing branch of psi_X, a value
+    <= 0 with phi(0) = 0 exactly, and the result is real.  Each delta is the
     two-node contour (|delta|, delta) of ``phi_contour``: Newton from 0
     finds the real root at |delta|, and Newton from its predictor the root
     at delta (for real delta the same root, stepped and polished again).
@@ -473,6 +472,8 @@ def phi(m: ClaimsModel, delta):
     raises ``PhiConvergenceError``.
     """
     d = np.asarray(delta)
+    if not np.isfinite(d).all():
+        raise ValueError(f"delta must be finite, got {delta}")
     real = not np.iscomplexobj(d)
     if real and (d < 0.0).any():
         raise ValueError(f"real delta must be >= 0, got {delta}")

@@ -251,8 +251,11 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     A scalar is the one-point grid and returns a float."""
     us = positive_axis(u, "u")
     transform = _eventual_ruin_transform(m)
-    p = _talbot_checked(lambda nodes: [transform(b) for b in nodes], us,
-                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
+
+    def both(nodes):  # one transform call for both term counts, side by side
+        return np.split(transform(np.concatenate(nodes, axis=1)), [nodes[0].shape[1]], axis=1)
+
+    p = _talbot_checked(both, us, _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
     return p if np.ndim(u) else float(p[0])
 
 

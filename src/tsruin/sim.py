@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .model import ClaimsModel, positive_axis
+from .model import ClaimsModel, _require_finite, positive_axis
 
 __all__ = [
     "StableLawParams",
@@ -131,6 +131,7 @@ class SimPlan:
     threads: int = 1
 
     def __post_init__(self):
+        _require_finite(h=self.h)
         if self.h <= 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         if self.n < 1 or self.N < 1:

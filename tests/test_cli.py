@@ -88,6 +88,25 @@ class TestCmdB:
         assert cli.main(argv + [f"--{axis}-min", "1", f"--{axis}-max", "5"]) == 2
         assert f"error: missing --{axis}-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["b", "--preset", "paper-ref", "--c", "nan", "--t-min", "1"], "c"),
+        (["b", "--preset", "paper-ref", "--xi", "nan", "--t-min", "1"], "xi"),
+        (["b", "--preset", "paper-ref", "--p", "inf", "--t-min", "1"], "p"),
+        (["b", "--preset", "paper-ref", "--alpha=-inf", "--t-min", "1"], "alpha"),
+        (["b", "--preset", "paper-ref", "--t-min", "inf"], "--t-min"),
+        (["b", "--preset", "paper-ref", "--t-min", "1", "--t-max", "nan", "--t-steps", "3"],
+         "--t-max"),
+        (["scale-fn", "--preset", "paper-ref", "--u-min", "nan"], "--u-min"),
+        (["simulate", "--preset", "paper-ref", "--approach", "mc", "--u-min", "1",
+          "--t-min", "1", "--h", "nan"], "h"),
+    ])
+    def test_non_finite_is_usage_error(self, capsys, argv, name):
+        # NaN passes every ordered check, so each is named before it is used
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite, got ")
+        assert "Warning" not in err
+
     def test_explicit_premium_overrides_preset_loading(self):
         # --p replaces the preset's xi rather than colliding with it
         res = run_cli("b", "--preset", "paper-ref", "--p", "1.2",
@@ -350,6 +369,14 @@ class TestConfigAndIO:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [regular.read_bytes()]
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "no" / "such" / "b.tsv" if where == "missing directory" else tmp_path
+        argv = ["b", "--preset", "paper-ref", "--t-min", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+        assert not list(tmp_path.rglob(".tsruin-*"))
 
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.tsv"

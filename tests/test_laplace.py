@@ -16,7 +16,7 @@ from tsruin import (
     talbot_grid,
     talbot_invert,
 )
-from tsruin.laplace import _levin_panels, _panel_edges
+from tsruin.laplace import _levin_panels, _panel_edges, _talbot_path
 
 from conftest import MODELS, Oracle
 
@@ -86,6 +86,15 @@ class TestTalbotGrid:
         got = talbot_grid(w_transform, [0.5, 4.0], M=24)
         for u, g in zip([0.5, 4.0], got):
             assert abs(g / talbot_invert(w_transform, u, M=32) - 1.0) < 1e-10
+
+    def test_contour_arrays_shared_read_only(self):
+        # built once per M and handed to every grid, so no caller may write them
+        arrays = _talbot_path(24)
+        talbot_grid(f_t, [1.0, 2.0], M=24)
+        assert all(a is b for a, b in zip(_talbot_path(24), arrays))
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,22 @@ class TestPremium:
         with pytest.raises(ValueError):
             ClaimsModel(c=0.01, alpha=1.0, rho=0.99, p=mean)  # p == E[Y_1]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails no ordered comparison, so each parameter is checked by name
+        for name in ("c", "alpha", "rho", "p"):
+            params = {"c": 1.0, "alpha": 1.0, "rho": 0.5, "p": 10.0, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ClaimsModel(**params)
+        for name in ("c", "alpha", "rho", "xi"):
+            params = {"c": 1.0, "alpha": 1.0, "rho": 0.5, "xi": 0.2, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ClaimsModel.from_loading(**params)
+        with pytest.raises(ValueError, match="^mean_claims must be finite"):
+            premium_from_loading(bad, 0.2)
+        with pytest.raises(ValueError, match="^xi must be finite"):
+            premium_from_loading(1.0, bad)
+
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
             ClaimsModel(c=-1.0, alpha=1.0, rho=0.5, p=10.0)
@@ -230,6 +246,17 @@ def _phi_ig_closed_form(m: ClaimsModel, delta):
 REAL_DELTAS = [0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e4, 1e6]
 
 
+def _oracle_with_drift_of(m, params):
+    """``Oracle(*params)`` at the working precision, given the package's
+    E[X_1]: E[Y_1] - p keeps only ~1e-16/xi of its digits in double
+    precision, so with its own premium the oracle's roots would differ from
+    the package's by that rounding of the model, not by the solve."""
+    oracle = Oracle(*params)
+    oracle._setup()
+    oracle.p = oracle.C * oracle.r * oracle.a ** (oracle.r - 1) - mpmath.mpf(m.drift_mean)
+    return oracle
+
+
 class TestPhi:
     def test_at_zero(self, paper_ref):
         assert phi(paper_ref, 0.0) == 0.0
@@ -260,13 +287,8 @@ class TestPhi:
         m = ClaimsModel.from_loading(*params)
         deltas = [1e-12, 1e-10, 1e-6]
         roots = phi(m, np.array(deltas))
-        oracle = Oracle(*params)
         with mpmath.workdps(40):
-            oracle._setup()
-            # E[X_1] = E[Y_1] - p keeps only ~1e-16/xi of its digits in double
-            # precision; give the oracle the package's E[X_1], so the roots
-            # differ by the solve alone
-            oracle.p = oracle.C * oracle.r * oracle.a ** (oracle.r - 1) - mpmath.mpf(m.drift_mean)
+            oracle = _oracle_with_drift_of(m, params)
             want = [float(oracle._phi_real(mpmath.mpf(d))) for d in deltas]
         for delta, got, w in zip(deltas, roots, want):
             assert_close(got, w, rel=1e-13, msg=f"phi({delta})")
@@ -305,6 +327,13 @@ class TestPhi:
             phi(paper_ref, -1.0)
         with pytest.raises(ValueError):
             phi(paper_ref, np.array([1.0, -1e-300]))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, complex(math.nan, 1.0),
+                                       np.array([1.0, math.inf])])
+    def test_non_finite_rejected(self, paper_ref, delta):
+        # NaN used to spin the Newton loop to its cap
+        with pytest.raises(ValueError, match="delta must be finite"):
+            phi(paper_ref, delta)
 
     def test_types_and_shapes(self, paper_ref):
         assert type(phi(paper_ref, 2.5)) is float
@@ -369,11 +398,12 @@ class TestPhiContour:
 
     def test_predictor_misses_are_continued(self, paper_ref, monkeypatch):
         # the slope _newton_step returns feeds the predictor alone: 10% off,
-        # it leaves some roots above the gate after their column's two
-        # steps, and the masked Newton must continue exactly those
+        # it leaves the sweep's roots further above the gate after their
+        # column's one step, and the one finishing masked Newton over every
+        # complex root must still bring each to the root the exact predictor
+        # gives
         shift = max(0.0, paper_ref.psi_alpha)
         deltas = [talbot_nodes(np.linspace(0.5, 200.0, 40), M, shift) for M in (18, 24)]
-        exact = phi_contour(paper_ref, deltas)
         step, column = model_module._newton_step, model_module._phi_newton_column
         masked = []
 
@@ -382,18 +412,52 @@ class TestPhiContour:
             return nxt, resid, 1.1 * slope
 
         def counted(m, delta, seed, maxit):
-            masked.append(delta.size)
+            masked.append((delta, seed))
             return column(m, delta, seed, maxit)
 
-        monkeypatch.setattr(model_module, "_newton_step", skewed)
         monkeypatch.setattr(model_module, "_phi_newton_column", counted)
+        exact = phi_contour(paper_ref, deltas)
+        monkeypatch.setattr(model_module, "_newton_step", skewed)
         roots = phi_contour(paper_ref, deltas)
         complex_nodes = sum(d[:, 1:].size for d in deltas)
-        assert masked[0] == 80 and 0 < masked[1] < complex_nodes and len(masked) == 2
+        assert [d.size for d, _ in masked] == [80, complex_nodes] * 2
+
+        def worst(delta, seed):  # the sweep's roots, relative to the gate
+            resid = np.abs(paper_ref.psi_x(seed) - delta)
+            return np.max(resid / (1e-12 * np.maximum(1.0, np.abs(delta))))
+
+        assert 1.0 < worst(*masked[1]) < worst(*masked[3])
         for d, got, want in zip(deltas, roots, exact):
             resid = np.abs(paper_ref.psi_x(got) - d)
             assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(d)))
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @given(rho=st.floats(0.05, 0.95), log_alpha=st.floats(-1.0, 1.0),
+           log_c=st.floats(-2.0, 1.0), frac=st.floats(0.0, 1.0),
+           loading=st.sampled_from(["subcritical", "critical", "supercritical", "tiny"]))
+    @settings(max_examples=8, deadline=None)
+    def test_roots_against_oracle_continuation(self, rho, log_alpha, log_c, frac, loading):
+        # both term counts' Talbot nodes of B on t in [0.05, 1e4], in all
+        # three regimes and at a loading near 0 (E[X_1] near 0), against the
+        # oracle's 30-digit Newton continued along each contour row from its
+        # real root
+        threshold = min_loading_for_subcritical(rho)
+        xi = {"subcritical": threshold * (1.5 + 2.5 * frac), "critical": threshold,
+              "supercritical": threshold * (0.2 + 0.5 * frac), "tiny": 10.0 ** (-6.0 + 3.0 * frac)
+              }[loading]
+        params = (10.0 ** log_c, 10.0 ** log_alpha, rho, xi)
+        m = ClaimsModel.from_loading(*params)
+        ts = np.geomspace(0.05, 1e4, 6)
+        deltas = [talbot_nodes(ts, M, max(0.0, m.psi_alpha)) for M in (18, 24)]
+        with mpmath.workdps(30):
+            oracle = _oracle_with_drift_of(m, params)
+            for rows, roots in zip(deltas, phi_contour(m, deltas)):
+                for row, got in zip(rows, roots):
+                    want = [oracle._phi_real(mpmath.mpf(row[0].real))]
+                    for d in row[1:]:
+                        want.append(oracle._newton(mpmath.mpc(d), want[-1]))
+                    want = np.array([complex(w) for w in want])
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), params
 
     def test_newton_cap_raises(self, paper_ref):
         with pytest.raises(PhiConvergenceError, match="unconverged"):

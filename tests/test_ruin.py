@@ -39,7 +39,7 @@ TULTA_REFERENCE = {
 }
 INFINITE_REFERENCE = {1.0: 0.00393118, 1.5: 0.00151651, 2.0: 0.000646473}
 # psi_X evaluations of one B grid (``test_one_phi_solve_for_both_term_counts``)
-NEWTON_STEPS = 54
+NEWTON_STEPS = 31
 # eventual ruin at paper-ref, mpmath Talbot on the shifted transform at 64 digits
 EVENTUAL_RUIN_64 = {9.6: 3.055485227e-8, 20.0: 2.52366771e-13, 45.0: 7.625530228e-25,
                     100.0: 2.105782917e-49}
@@ -184,10 +184,10 @@ class TestShiftedTalbotEngine:
          ["0x1.ec76ff4850266p-2", "0x1.2cb4f7c3901dep+1", "0x1.56fc294536a0fp+2",
           "0x1.64f934b9cd0e6p+2"]),
         ("critical_model", [0.5, 7.0, 120.0, 1000.0],
-         ["0x1.0268e96befc99p-1", "0x1.e89ea54a3a924p+2", "0x1.cbb96f24f958cp+7",
-          "0x1.b28e0934f398cp+12"]),
+         ["0x1.0268e96befd00p-1", "0x1.e89ea54a3a8eap+2", "0x1.cbb96f24f958cp+7",
+          "0x1.b28e0934f3957p+12"]),
         ("ig_model", [0.5, 7.0, 120.0, 1000.0],
-         ["0x1.030fade44d102p-1", "0x1.044e9a577af09p+3", "0x1.bc3b8beac28d0p+9",
+         ["0x1.030fade44d169p-1", "0x1.044e9a577af09p+3", "0x1.bc3b8beac2965p+9",
           "0x1.06f9df744fa84p+31"]),
     ])
     def test_grid_bits_pinned(self, model, ts, pins):
@@ -197,12 +197,11 @@ class TestShiftedTalbotEngine:
     def test_one_phi_solve_for_both_term_counts(self, paper_ref, monkeypatch):
         # on the 40-point grid of the b-regimes benchmark's subcritical
         # command, both term counts share one solve.  The masked Newton runs
-        # twice: on the real column, and on the 15 of 1,600 complex roots that
-        # miss the gate after their column's two steps (all near delta = -0.9
-        # at t = 200, M = 18, where the gate is absolute).  psi_X is evaluated
-        # at most NEWTON_STEPS times in all: 53 (5 for the real column, two
-        # per complex column, the residual pass and one continuing step),
-        # against 75 for a gate test in every column
+        # twice: on the real column, and once over all 1,600 complex roots
+        # after the sweep's one step per column.  psi_X is evaluated at most
+        # NEWTON_STEPS times in all: 31 (5 for the real column, one per
+        # complex column, 3 for the finishing Newton), against 53 for two
+        # steps per column, a residual pass and continuing the misses
         calls = {"masked": 0, "steps": 0}
         column, step = model_module._phi_newton_column, ClaimsModel._psi_x_power
 
@@ -305,6 +304,18 @@ class TestEventualRuinGrid:
             one = prob_eventual_ruin(paper_ref, float(u))
             assert isinstance(one, float) and one == p
 
+    def test_one_transform_call_for_both_term_counts(self, paper_ref, monkeypatch):
+        # both term counts' nodes go through Q's Horner loop in one call
+        sizes, q = [], ClaimsModel.q
+
+        def counted(self, b, *args):
+            sizes.append(b.size)
+            return q(self, b, *args)
+
+        monkeypatch.setattr(ClaimsModel, "q", counted)
+        prob_eventual_ruin(paper_ref, np.linspace(0.5, 40.0, 80))
+        assert sizes == [80 * sum(ruin.TALBOT_TERMS)]
+
     def test_strictly_decreasing(self, paper_ref):
         vals = prob_eventual_ruin(paper_ref, np.linspace(0.05, 100.0, 200))
         assert np.all(np.diff(vals) < 0.0)
@@ -326,23 +337,23 @@ class TestEventualRuinGrid:
 
 
 # float.hex of each estimate on SURFACE_US x SURFACE_TS at the reference
-# model; the B factor of each is within 1.8e-13 relative of the 64-digit oracle
-# (1.73e-13 in the t = 20 column, the furthest)
+# model; the B factor of each is within 1.3e-13 relative of the 64-digit oracle
+# (1.2e-13 in the t = 20 column, the furthest)
 SURFACE_US = [0.5, 1.0, 2.0]
 SURFACE_TS = [1.0, 5.0, 10.0, 20.0]
 SURFACE_PINS = {
-    "tulta": [["0x1.0f980a9cdf242p-9", "0x1.ebfa818f7cd13p-8", "0x1.593d99c90f7d7p-7",
-               "0x1.9032d55f4aaf0p-7"],
-              ["0x1.551877323276ap-11", "0x1.34f049c41bc3ap-9", "0x1.b196b458b4f74p-9",
-               "0x1.f69c4b46236a8p-9"],
-              ["0x1.c0bcf0bb026dfp-14", "0x1.966edd0a08132p-12", "0x1.1d35c350cc2cap-11",
-               "0x1.4a9ca15ea8ccfp-11"]],
-    "rft": [["0x1.8a4150f3665a4p-8", "0x1.6516287550123p-6", "0x1.f529cbf3de5abp-6",
-             "0x1.22789768dcc0bp-5"],
-            ["0x1.688ee38ef748cp-10", "0x1.4690fdbd3d39cp-8", "0x1.ca542f8af4d1fp-8",
-             "0x1.09a4fe2072e8dp-7"],
-            ["0x1.6eb51d8a9e815p-13", "0x1.4c22ce85e7bf2p-11", "0x1.d225497d0ae66p-11",
-             "0x1.0e2cd1808bc01p-10"]],
+    "tulta": [["0x1.0f980a9cdf1cdp-9", "0x1.ebfa818f7ccb4p-8", "0x1.593d99c90f8f2p-7",
+               "0x1.9032d55f4a979p-7"],
+              ["0x1.55187732326d6p-11", "0x1.34f049c41bbffp-9", "0x1.b196b458b50d7p-9",
+               "0x1.f69c4b46234d0p-9"],
+              ["0x1.c0bcf0bb0261dp-14", "0x1.966edd0a080e4p-12", "0x1.1d35c350cc3b4p-11",
+               "0x1.4a9ca15ea8b98p-11"]],
+    "rft": [["0x1.8a4150f3664f9p-8", "0x1.65162875500dfp-6", "0x1.f529cbf3de745p-6",
+             "0x1.22789768dcafap-5"],
+            ["0x1.688ee38ef73efp-10", "0x1.4690fdbd3d35ep-8", "0x1.ca542f8af4e97p-8",
+             "0x1.09a4fe2072d94p-7"],
+            ["0x1.6eb51d8a9e776p-13", "0x1.4c22ce85e7bb2p-11", "0x1.d225497d0afe4p-11",
+             "0x1.0e2cd1808bb03p-10"]],
     "infinite": [["0x1.9a46e976d01acp-7"] * 4, ["0x1.01a24f9c9ee82p-8"] * 4,
                  ["0x1.52f0155e7c0fep-11"] * 4],
 }

@@ -408,6 +408,9 @@ class TestPlanRecords:
             SimPlan(h=0.1, n=1, N=0, seed=0)
         with pytest.raises(ValueError):
             SimPlan(h=0.1, n=1, N=1, seed=0, threads=0)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="h must be finite"):
+                SimPlan(h=h, n=1, N=1, seed=0)
 
     def test_batch_result_validation(self):
         with pytest.raises(ValueError):
