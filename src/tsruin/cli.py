@@ -46,6 +46,7 @@ from .ruin import (
     estimate_rft,
     estimate_tulta,
     prob_eventual_ruin,
+    require_subcritical,
     scale_function,
 )
 from .sim import SimPlan, simulate_ruin_mc, simulate_ruin_naive
@@ -59,9 +60,30 @@ PRESETS = {
     "paper-ref": {"c": 0.01, "alpha": 1.0, "rho": 0.99, "xi": 0.2},
 }
 
-_FLOAT_KEYS = ("c", "alpha", "rho", "p", "xi", "u_min", "u_max", "t_min", "t_max", "h")
-_INT_KEYS = ("u_steps", "t_steps", "paths", "batches", "seed", "threads")
-_STR_KEYS = ("method", "approach", "preset", "out", "config")
+# settings key -> (type, choices, help): each is both a --flag (key with
+# '-' for '_') and a config-file key, converted and checked the same way
+_OPTIONS = {
+    "preset": (str, tuple(sorted(PRESETS)), "named model preset"),
+    "c": (float, None, "jump-measure scale c > 0"),
+    "alpha": (float, None, "tempering rate alpha > 0"),
+    "rho": (float, None, "stability index in (0,1)"),
+    "p": (float, None, "premium rate (exclusive with --xi)"),
+    "xi": (float, None, "safety loading (exclusive with --p)"),
+    "u_min": (float, None, None),
+    "u_max": (float, None, None),
+    "u_steps": (int, None, None),
+    "t_min": (float, None, None),
+    "t_max": (float, None, None),
+    "t_steps": (int, None, None),
+    "h": (float, None, "simulation time step"),
+    "paths": (int, None, "paths per batch"),
+    "batches": (int, None, "number of batches N"),
+    "seed": (int, None, None),
+    "threads": (int, None, None),
+    "method": (str, ("rft", "tulta", "infinite", "mc"), None),
+    "approach": (str, ("naive", "mc"), None),
+    "out": (str, None, "output TSV path (stdout when omitted)"),
+}
 
 
 class UsageError(ValueError):
@@ -86,30 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key=value settings file; flags override")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named model preset")
-        p.add_argument("--c", type=float, help="jump-measure scale c > 0")
-        p.add_argument("--alpha", type=float, help="tempering rate alpha > 0")
-        p.add_argument("--rho", type=float, help="stability index in (0,1)")
-        p.add_argument("--p", type=float, help="premium rate (exclusive with --xi)")
-        p.add_argument("--xi", type=float, help="safety loading (exclusive with --p)")
-        p.add_argument("--u-min", type=float, dest="u_min")
-        p.add_argument("--u-max", type=float, dest="u_max")
-        p.add_argument("--u-steps", type=int, dest="u_steps")
-        p.add_argument("--t-min", type=float, dest="t_min")
-        p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--t-steps", type=int, dest="t_steps")
-        p.add_argument("--h", type=float, help="simulation time step")
-        p.add_argument("--paths", type=int, help="paths per batch")
-        p.add_argument("--batches", type=int, help="number of batches N")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--method", choices=("rft", "tulta", "infinite", "mc"))
-        p.add_argument("--approach", choices=("naive", "mc"))
-        p.add_argument("--out", help="output TSV path (stdout when omitted)")
+        for key, (type_, choices, help_) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type_,
+                           choices=choices, help=help_)
     return parser
 
 
 def _parse_config(path: str) -> dict:
+    """The settings of a flat key=value file, each converted with its flag's
+    type and checked against its flag's choices; a nested ``config=`` is an
+    unknown key."""
     settings: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,25 +133,30 @@ def _parse_config(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key in _FLOAT_KEYS:
-            settings[key] = float(value)
-        elif key in _INT_KEYS:
-            settings[key] = int(value)
-        elif key in _STR_KEYS:
-            settings[key] = value
-        else:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        type_, choices, _ = _OPTIONS[key]
+        try:
+            settings[key] = type_(value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: {key}: invalid {type_.__name__} value: "
+                             f"{value!r}") from None
+        if choices is not None and settings[key] not in choices:
+            raise UsageError(f"{path}:{lineno}: {key}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
     return settings
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
     merged: dict = {"h": 0.01, "paths": 4096, "batches": 30, "seed": 12345, "threads": 1}
-    if args.preset:
-        merged.update(PRESETS[args.preset])
-    if args.config:
-        merged.update(_parse_config(args.config))
-    for key in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS:
-        val = getattr(args, key, None)
+    config = _parse_config(args.config) if args.config else {}
+    # a preset lies beneath the file's own keys; a --preset flag replaces the file's
+    preset = args.preset or config.get("preset")
+    if preset:
+        merged.update(PRESETS[preset])
+    merged.update(config)
+    for key in _OPTIONS:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     # an explicit premium flag replaces a preset/config loading, and vice versa
@@ -239,8 +252,7 @@ def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
 def cmd_b(s: dict) -> int:
     model = _resolve_model(s)
     ts = _grid(s, "t")
-    bf = BFunction(model)
-    rows = list(zip(map(float, ts), bf.grid(ts)))
+    rows = np.column_stack((ts, BFunction(model).grid(ts))).tolist()
     _write_tsv(s.get("out"), ["t", "B"], rows)
     # keep stdout clean for the TSV when no output path was given
     info = sys.stdout if s.get("out") else sys.stderr
@@ -293,11 +305,7 @@ def cmd_simulate(s: dict) -> int:
 
 def cmd_benchmark(s: dict) -> int:
     model = _resolve_model(s)
-    regime = classify_regime(model)
-    if regime.tag is not RegimeTag.SUBCRITICAL:
-        raise RegimeError(
-            f"benchmark requires the subcritical regime, got {regime.tag.value}"
-        )
+    require_subcritical(model, "benchmark")
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
     # both asymptotic columns before the costly simulation

@@ -328,6 +328,7 @@ class ScaleChange:
     b: float
 
     def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError(f"scale factors must be positive, got a={self.a}, b={self.b}")
 

@@ -9,7 +9,8 @@ transform
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
 whole t-grid at once, in double precision on a Talbot contour shifted
 right of that abscissa, and checks every value against a second term
-count (``_talbot_checked``); both term counts share one Phi_X solve.  The
+count (``_talbot_checked``); both term counts share one Phi_X solve.  It
+keeps no state: each call inverts its grid afresh, into an array.  The
 eventual-ruin probability P(u) is inverted the same way for a whole
 u-grid, from its own transform written without cancellation
 (``_eventual_ruin_transform``); the scale function is read off it,
@@ -22,13 +23,12 @@ The estimators take a scalar or a vector ``u`` and ``t`` and return every
 as outer products of a u part and a t part: ``estimate_rft`` is
 tail(u) * B(t), ``estimate_tulta`` is P(u) * min(1, B(t)/B(inf)), and
 ``estimate_infinite_horizon`` is P(u) along t.  Each inverts B and P at
-most once per call, on the whole grid.
+most once per call, on the whole grid.  ``require_subcritical`` is the one
+check of the regime precondition of B(inf) and of what needs it.
 """
 from __future__ import annotations
 
 import math
-import threading
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (P_SERIES, ClaimsModel, RegimeTag, levy_tail, phi, phi_contou
 
 __all__ = [
     "RegimeError",
+    "require_subcritical",
     "BFunction",
     "b_tilde",
     "b_infinity",
@@ -83,14 +84,17 @@ def _b_tilde_at(m: ClaimsModel, delta, root):
     return (root - m.alpha) / ((delta - m.psi_alpha) ** 2 * root)
 
 
-def b_infinity(m: ClaimsModel) -> float:
-    """Limit B(inf) = alpha |E X_1| / psi_X(alpha)^2, finite only subcritically."""
+def require_subcritical(m: ClaimsModel, quantity: str) -> None:
+    """Raise ``RegimeError`` naming ``quantity`` unless psi_X(alpha) < 0."""
     regime = m.regime
     if regime.tag is not RegimeTag.SUBCRITICAL:
-        raise RegimeError(
-            f"B(inf) is infinite in the {regime.tag.value} regime "
-            f"(psi_X(alpha) = {regime.psi_alpha:.6g})"
-        )
+        raise RegimeError(f"{quantity} requires the subcritical regime, got "
+                          f"{regime.tag.value} (psi_X(alpha) = {regime.psi_alpha:.6g})")
+
+
+def b_infinity(m: ClaimsModel) -> float:
+    """Limit B(inf) = alpha |E X_1| / psi_X(alpha)^2, finite only subcritically."""
+    require_subcritical(m, "B(inf)")
     return m.alpha * abs(m.drift_mean) / m.psi_alpha ** 2
 
 
@@ -121,57 +125,44 @@ def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
 
 
 class BFunction:
-    """Memoized evaluator of B(t) for one model.
+    """Evaluator of B(t) for one model; it holds nothing but the model.
 
-    The cache is guarded by a lock so concurrent readers are safe; values
-    are monotone increasing in t (B is an integral of a positive
-    function), which the test suite verifies on grids.  On the plateau of
-    a subcritical profile the increments fall below the ~1e-12 relative
-    noise of the double-precision engine, and there monotonicity holds only
-    to that noise.
+    Every call inverts afresh.  A B value depends on its t alone, not on
+    the grid it is computed in, so ``value(t)`` is bitwise t's entry of any
+    ``grid``.  Values are monotone increasing in t (B is an integral of a
+    positive function), which the test suite verifies on grids.  On the
+    plateau of a subcritical profile the increments fall below the ~1e-12
+    relative noise of the double-precision engine, and there monotonicity
+    holds only to that noise.
     """
 
     def __init__(self, model: ClaimsModel):
         self.model = model
-        self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def value(self, t: float) -> float:
-        """B(t) by numerical inversion; one point of ``grid``."""
-        return self.grid([t])[0]
+        """B(t) by numerical inversion: the one-point ``grid``."""
+        return float(self.grid(t)[0])
 
-    def grid(self, ts) -> list:
-        """B at every t of ``ts``, inverting all uncached points in one pass
-        of ``_talbot_checked`` on the contour shifted to max(0, psi_X(alpha)),
-        with tolerance ``B_TALBOT_RTOL`` (the check also catches a Newton
-        solve that left the analytic branch).
+    def grid(self, ts) -> np.ndarray:
+        """B at every t of a positive scalar or vector ``ts``, as a float
+        array: one pass of ``_talbot_checked`` on the contour shifted to
+        max(0, psi_X(alpha)), with tolerance ``B_TALBOT_RTOL`` (the check
+        also catches a Newton solve that left the analytic branch).
         """
-        ts = [float(t) for t in ts]
-        for t in ts:
-            if t <= 0.0:
-                raise ValueError(f"t must be positive, got {t}")
-        with self._lock:
-            todo = sorted({t for t in ts if t not in self._memo})
-        if todo:
-            m = self.model
+        ts = positive_axis(ts, "t")
+        m = self.model
 
-            def transform(nodes):  # one Phi_X solve for both term counts
-                return [_b_tilde_at(m, d, root) for d, root in zip(nodes, phi_contour(m, nodes))]
+        def transform(nodes):  # one Phi_X solve for both term counts
+            return [_b_tilde_at(m, d, root) for d, root in zip(nodes, phi_contour(m, nodes))]
 
-            vals = _talbot_checked(transform, todo, max(0.0, m.psi_alpha), B_TALBOT_RTOL,
-                                   "B").tolist()
-            with self._lock:
-                self._memo.update(zip(todo, vals))
-        with self._lock:
-            return [self._memo[t] for t in ts]
+        return _talbot_checked(transform, ts, max(0.0, m.psi_alpha), B_TALBOT_RTOL, "B")
 
-    def derivative(self, t: float, h_fd: Optional[float] = None) -> float:
-        """Centered finite-difference B'(t); step balances inversion noise
-        against truncation."""
-        h = h_fd if h_fd is not None else max(1e-4, 1e-3 * t)
-        h = min(h, 0.5 * t)
+    def derivative(self, t: float) -> float:
+        """Centered finite-difference B'(t), with step max(1e-4, 1e-3 t)
+        capped at t/2: it balances inversion noise against truncation."""
+        h = min(max(1e-4, 1e-3 * t), 0.5 * t)
         lo, hi = self.grid([t - h, t + h])
-        return (hi - lo) / (2.0 * h)
+        return float((hi - lo) / (2.0 * h))
 
     def sup_moment(self, t: float) -> float:
         """E exp(alpha * sup_{s<=t} X_s) recovered from the density identity
@@ -180,12 +171,12 @@ class BFunction:
             raise ValueError(f"t must be positive, got {t}")
         return self.derivative(t) - self.model.psi_alpha * self.value(t)
 
-    def mean_estimate(self, T: float, geom_points: int = 48, lin_step: float = 2.0) -> float:
+    def mean_estimate(self, T: float) -> float:
         """Diagnostic integral_0^T (1 - B(t)/B(inf)) dt by trapezoid.
 
         Stabilization of this quantity as T grows is the numerical
         counterpart of the limit distribution having finite expectation.
-        The grid is geometric up to t=20 and linear with a fixed step
+        The grid is geometric (48 points) up to t=20 and linear with step 2
         beyond, so evaluations at different T share nodes and the
         increment between two horizons is a genuine tail integral rather
         than quadrature noise.
@@ -196,12 +187,12 @@ class BFunction:
             return 0.0
         binf = b_infinity(self.model)
         knee = min(T, 20.0)
-        ts = list(np.geomspace(min(1e-3, T), knee, geom_points))
-        ts.extend(np.arange(knee + lin_step, T, lin_step))
+        ts = list(np.geomspace(min(1e-3, T), knee, 48))
+        ts.extend(np.arange(knee + 2.0, T, 2.0))
         if ts[-1] < T:
             ts.append(T)
         ts = np.array(ts)
-        vals = 1.0 - np.array(self.grid(ts)) / binf
+        vals = 1.0 - self.grid(ts) / binf
         integral = float(np.trapezoid(vals, ts))
         # the integrand is 1 on [0, ts[0]) to first order
         return integral + float(ts[0])
@@ -291,7 +282,7 @@ def estimate_rft(m: ClaimsModel, u, t):
     0 or with lost digits.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
-    b = np.array(BFunction(m).grid(ts))
+    b = BFunction(m).grid(ts)
     values = np.array([levy_tail(m, x) for x in us.tolist()])[:, None] * b
     bad = np.argwhere(~((values >= _TINY) & (values < math.inf)))  # row-major
     if bad.size:
@@ -310,13 +301,8 @@ def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
     is computed otherwise.  A value outside [0, 1] raises ``ValueError``.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
-    regime = m.regime
-    if regime.tag is not RegimeTag.SUBCRITICAL:
-        raise RegimeError(
-            f"the normalized finite-time estimate requires the subcritical regime, "
-            f"got {regime.tag.value} (psi_X(alpha) = {regime.psi_alpha:.6g})"
-        )
-    ratio = np.minimum(1.0, np.array(BFunction(m).grid(ts)) / b_infinity(m))
+    require_subcritical(m, "the normalized finite-time estimate")
+    ratio = np.minimum(1.0, BFunction(m).grid(ts) / b_infinity(m))
     p = prob_eventual_ruin(m, us) if p_ruin is None else np.asarray(p_ruin, float).reshape(us.shape)
     values = p[:, None] * ratio
     bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
@@ -335,25 +321,25 @@ def estimate_infinite_horizon(m: ClaimsModel, u, t):
     return _cells(u, t, np.repeat(prob_eventual_ruin(m, us)[:, None], ts.size, axis=1))
 
 
-def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float,
-                      points: int = 12, critical_tol: float = 0.01) -> float:
-    """Least-squares slope of ln B(t) over [t_lo, t_hi].
+def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float, points: int = 12) -> float:
+    """Least-squares slope of ln B(t) over ``points`` equispaced t in
+    [t_lo, t_hi], from one ``BFunction.grid`` pass.
 
     Subcritically B plateaus (slope -> 0); supercritically the slope tends
     to psi_X(alpha) as t grows, though with a slowly decaying 1/t
     correction because the transform's pole at psi_X(alpha) is double.  In
     the critical regime the function additionally checks the linear lower
-    growth bound B(t_hi)/t_hi >= 1 - critical_tol and raises if violated.
+    growth bound B(t_hi)/t_hi >= 0.99 on the grid's last value and raises
+    if violated.
     """
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
-    bf = BFunction(m)
-    ts = np.linspace(t_lo, t_hi, points)
-    vals = np.array(bf.grid(ts))
+    ts = np.linspace(t_lo, t_hi, points)  # ts[-1] is t_hi exactly
+    vals = BFunction(m).grid(ts)
     slope = float(np.polyfit(ts, np.log(vals), 1)[0])
     if m.regime.tag is RegimeTag.CRITICAL:
-        ratio = bf.value(t_hi) / t_hi
-        if ratio < 1.0 - critical_tol:
+        ratio = vals[-1] / t_hi
+        if ratio < 0.99:
             raise InversionError(
                 f"critical-regime linear growth bound violated: B({t_hi})/{t_hi} = {ratio:.4f}"
             )

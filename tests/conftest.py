@@ -57,7 +57,7 @@ def critical_model() -> ClaimsModel:
 
 @pytest.fixture(scope="session")
 def bf_ref(paper_ref) -> BFunction:
-    """Shared memoized B(t) evaluator (double-precision Talbot) for the reference model."""
+    """Shared B(t) evaluator (double-precision Talbot) for the reference model."""
     return BFunction(paper_ref)
 
 

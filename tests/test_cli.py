@@ -395,6 +395,48 @@ class TestConfigAndIO:
         assert res.returncode == 3
         assert "not a positive normal double" in res.stderr
 
+    @pytest.mark.parametrize("command, line, message", [
+        # an unchecked approach=MC falls through to the naive simulator
+        ("simulate", "approach=MC",
+         "approach: invalid choice: 'MC' (choose from 'naive', 'mc')"),
+        ("ruin-surface", "method=MC",
+         "method: invalid choice: 'MC' (choose from 'rft', 'tulta', 'infinite', 'mc')"),
+        ("b", "preset=nope", "preset: invalid choice: 'nope' (choose from 'paper-ref')"),
+        ("b", "c=abc", "c: invalid float value: 'abc'"),
+        ("simulate", "paths=1.5", "paths: invalid int value: '1.5'"),
+        ("b", "config=other.cfg", "unknown key 'config'"),
+    ])
+    def test_config_values_checked_as_flags(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# model\n" + line + "\n")
+        argv = [command, "--config", str(cfg), "--u-min", "1", "--t-min", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+    def test_config_preset_beneath_file_keys_and_flag(self, tmp_path, monkeypatch):
+        critical = dict(zip(("c", "alpha", "rho", "xi"), MODELS["critical_model"]))
+        monkeypatch.setitem(cli.PRESETS, "alt", critical)
+        monkeypatch.setitem(cli._OPTIONS, "preset", (str, ("alt", "paper-ref"), None))
+        cli.build_parser.cache_clear()
+        try:
+            def run(*argv):
+                out = tmp_path / "b.tsv"
+                assert cli.main(["b", "--t-min", "2", *argv, "--out", str(out)]) == 0
+                return out.read_bytes()
+
+            def config(text):
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(text)
+                return "--config", str(cfg)
+
+            assert run(*config("preset=alt\n")) == run("--preset", "alt")
+            assert run(*config("preset=alt\n"), "--preset", "paper-ref") == run(
+                "--preset", "paper-ref")
+            assert run(*config("rho=0.99\npreset=alt\n")) == run(
+                "--preset", "alt", "--rho", "0.99")
+        finally:
+            cli.build_parser.cache_clear()
+
     @pytest.mark.parametrize("flag", [("--engine", "levin"), ("--nodes", "32"), ("--eps", "0.5")])
     def test_no_inversion_flags(self, flag):
         res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1", *flag)

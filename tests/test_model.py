@@ -189,6 +189,10 @@ class TestPremium:
             premium_from_loading(bad, 0.2)
         with pytest.raises(ValueError, match="^xi must be finite"):
             premium_from_loading(1.0, bad)
+        with pytest.raises(ValueError, match="^a must be finite"):
+            ScaleChange(bad, 1.0)
+        with pytest.raises(ValueError, match="^b must be finite"):
+            ScaleChange(1.0, bad)
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):

@@ -91,11 +91,14 @@ class TestBFunction:
     def test_plateau(self, paper_ref, bf_ref):
         assert_close(bf_ref.value(200.0), b_infinity(paper_ref), rel=1e-6)
 
-    def test_memoization(self, paper_ref):
+    def test_value_is_bitwise_any_grid_entry(self, paper_ref):
+        # a B value depends on its t alone, not on the grid it is computed in
         bf = BFunction(paper_ref)
-        first = bf.value(3.0)
-        assert bf.value(3.0) is first or bf.value(3.0) == first
-        assert 3.0 in bf._memo
+        grids = [[0.5, 2.0, 8.0], [8.0, 2.0, 0.5], [2.0], np.linspace(0.5, 8.0, 6)]
+        for ts in grids:
+            vals = bf.grid(ts)
+            assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
+            assert [bf.value(t) for t in ts] == vals.tolist()
 
     def test_lower_bound_all_regimes(self, paper_ref, ig_model, critical_model):
         # B(t) >= (e^(psi t) - 1)/psi, read as t when psi = 0
@@ -158,14 +161,6 @@ class TestShiftedTalbotEngine:
     def test_supercritical_monotone_to_1000(self, ig_model):
         vals = BFunction(ig_model).grid(np.linspace(0.5, 1000.0, 40))
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_grid_fills_memo_for_value(self, paper_ref):
-        bf = BFunction(paper_ref)
-        ts = [0.5, 2.0, 8.0]
-        vals = bf.grid(ts)
-        assert sorted(bf._memo) == ts
-        assert [bf.value(t) for t in ts] == vals
-        assert_close(BFunction(paper_ref).value(2.0), vals[1], rel=1e-13)
 
     def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
         with pytest.raises(InversionError, match="self-check"):
