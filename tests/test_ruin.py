@@ -162,6 +162,13 @@ class TestShiftedTalbotEngine:
         vals = BFunction(ig_model).grid(np.linspace(0.5, 1000.0, 40))
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_value_is_bitwise_across_instances(self, paper_ref):
+        # two evaluators of one model give the same bits; no state carries over
+        ts = [0.5, 2.0, 8.0]
+        vals = BFunction(paper_ref).grid(ts)
+        assert BFunction(paper_ref).grid(ts).tolist() == vals.tolist()
+        assert [BFunction(paper_ref).value(t) for t in ts] == vals.tolist()
+
     def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
         with pytest.raises(InversionError, match="self-check"):
             BFunction(paper_ref).grid([1.0, 5.0])
