@@ -14,15 +14,12 @@ from .laplace import (
 from .model import (
     ClaimsModel,
     PhiConvergenceError,
-    Regime,
     RegimeTag,
     ScaleChange,
-    classify_regime,
     cumulant_x,
     cumulant_y,
     levy_tail,
     levy_tail_asymptotic,
-    mean_y,
     min_loading_for_subcritical,
     phi,
     phi_contour,

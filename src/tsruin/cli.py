@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace import InversionError
-from .model import ClaimsModel, PhiConvergenceError, classify_regime, RegimeTag
+from .model import ClaimsModel, PhiConvergenceError, RegimeTag
 from .ruin import (
     BFunction,
     RegimeError,
@@ -256,12 +256,11 @@ def cmd_b(s: dict) -> int:
     _write_tsv(s.get("out"), ["t", "B"], rows)
     # keep stdout clean for the TSV when no output path was given
     info = sys.stdout if s.get("out") else sys.stderr
-    regime = classify_regime(model)
-    if regime.tag is RegimeTag.SUBCRITICAL:
-        print(f"regime: {regime.tag.value}", file=info)
+    if model.regime is RegimeTag.SUBCRITICAL:
+        print(f"regime: {model.regime.value}", file=info)
         print(f"B(inf) = {_fmt(b_infinity(model))}", file=info)
     else:
-        print(f"warning: regime is {regime.tag.value}; B(inf) is undefined (B grows without bound)",
+        print(f"warning: regime is {model.regime.value}; B(inf) is undefined (B grows without bound)",
               file=sys.stderr)
     return EXIT_OK
 

@@ -3,14 +3,14 @@
 Three engines operate on caller-supplied transforms ``F(delta)`` evaluated
 at complex arguments:
 
-* ``talbot_grid``, the production engine: fixed-Talbot contour
-  deformation with trapezoidal summation, for every t of a grid in one
-  double-precision array pass on a contour that may be shifted right, with
-  F evaluated on the whole node array at once.  ``talbot_nodes`` and
-  ``talbot_sum`` are its two halves: ``ruin`` builds the nodes at two term
-  counts, evaluates its transform on both at once (for B, from one Phi_X
-  solve shared by both term counts) and takes the gap of the two sums as
-  its error estimate.
+* ``talbot_grid``: fixed-Talbot contour deformation with trapezoidal
+  summation, for every t of a grid in one double-precision array pass on a
+  contour that may be shifted right, with F evaluated on the whole node
+  array at once.  The production path runs its two halves,
+  ``talbot_nodes`` and ``talbot_sum``, not ``talbot_grid`` itself: ``ruin``
+  builds the nodes at two term counts, evaluates its transform on both at
+  once (for B, from one Phi_X solve shared by both term counts) and takes
+  the gap of the two sums as its error estimate.
 * ``talbot_invert``, the same rule one t at a time in configurable-precision
   arithmetic (F takes and returns scalars), because the method loses
   roughly 0.6*M decimal digits to cancellation.  A reference engine.

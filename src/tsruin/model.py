@@ -35,16 +35,13 @@ import numpy as np
 
 __all__ = [
     "ClaimsModel",
-    "Regime",
     "RegimeTag",
     "ScaleChange",
     "PhiConvergenceError",
     "cumulant_y",
     "cumulant_x",
-    "mean_y",
     "premium_from_loading",
     "min_loading_for_subcritical",
-    "classify_regime",
     "phi",
     "phi_contour",
     "levy_tail",
@@ -67,6 +64,9 @@ PSI_SERIES = (1.0 / 64.0, 12)  # the 13th term is below 2^-72 of the first
 P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
 _REGIME_TOL = 1e-12
+
+# Newton iterations a contour node may take in ``_phi_newton_column``
+_PHI_MAXIT = 50
 
 
 # cephes Gamma: P/Q approximate Gamma(2 + x) on 0 <= x < 1, highest power first
@@ -221,22 +221,21 @@ class ClaimsModel:
         return self.tilt_coefficient * self.alpha ** self.rho - self.p * self.alpha
 
     @cached_property
-    def regime(self) -> "Regime":
-        """Classification by the sign of psi_X(alpha), made once per model.
+    def regime(self) -> "RegimeTag":
+        """The growth regime of B, by the sign of ``psi_alpha``, classified
+        once per model.
 
         The tolerance is relative, ``_REGIME_TOL * |psi_Y(alpha)|``, so that
         a units change (which rescales every cumulant) cannot flip the class.
+        The loading above which a model is subcritical is
+        ``min_loading_for_subcritical(rho)``.
         """
-        psi_a = self.psi_alpha
         tol = _REGIME_TOL * abs(float(self.psi_y(self.alpha)))
-        if psi_a < -tol:
-            tag = RegimeTag.SUBCRITICAL
-        elif psi_a > tol:
-            tag = RegimeTag.SUPERCRITICAL
-        else:
-            tag = RegimeTag.CRITICAL
-        return Regime(tag=tag, psi_alpha=psi_a,
-                      loading_threshold=min_loading_for_subcritical(self.rho))
+        if self.psi_alpha < -tol:
+            return RegimeTag.SUBCRITICAL
+        if self.psi_alpha > tol:
+            return RegimeTag.SUPERCRITICAL
+        return RegimeTag.CRITICAL
 
     # -- cumulants, valid for real arguments <= alpha and for complex
     #    arguments via the principal branch of (alpha - theta)**rho;
@@ -312,15 +311,6 @@ class RegimeTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class Regime:
-    """Sign classification of psi_X(alpha) with the threshold that produced it."""
-
-    tag: RegimeTag
-    psi_alpha: float
-    loading_threshold: float  # (1-rho)/rho; loading above it => subcritical
-
-
-@dataclass(frozen=True)
 class ScaleChange:
     """Units change: time rescaled by a, currency by b (both > 0)."""
 
@@ -347,22 +337,12 @@ def cumulant_x(m: ClaimsModel, theta: float) -> float:
     return float(m.psi_x(theta))
 
 
-def mean_y(m: ClaimsModel) -> float:
-    """E[Y_1], the mean aggregate claims per unit time."""
-    return m.mean_claims
-
-
-def classify_regime(m: ClaimsModel) -> Regime:
-    """Classify by the sign of psi_X(alpha): the model's cached ``regime``."""
-    return m.regime
-
-
 def positive_axis(x, name: str) -> np.ndarray:
-    """A positive scalar or vector ``x`` as a 1-d float array; the check on
-    the u and t axes of every (u, t) grid function."""
+    """A positive finite scalar or vector ``x`` as a 1-d float array; the
+    check on the u and t axes of every (u, t) grid function."""
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if xs.ndim != 1 or not (xs > 0.0).all():
-        raise ValueError(f"{name} must be a positive scalar or vector, got {x}")
+    if xs.ndim != 1 or not ((xs > 0.0) & (xs < math.inf)).all():
+        raise ValueError(f"{name} must be a positive finite scalar or vector, got {x}")
     return xs
 
 
@@ -380,8 +360,7 @@ def _newton_step(m: ClaimsModel, beta: np.ndarray, delta: np.ndarray) -> tuple:
     return beta - resid / slope, resid, slope
 
 
-def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
-                       maxit: int) -> tuple:
+def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray) -> tuple:
     """Masked Newton on every entry of ``delta`` at once.  An entry drops
     out once its residual meets the 1e-12 relative gate (absolute for
     |delta| < 1, so at delta ~ 1e-12 it is met by a root still off by
@@ -390,10 +369,10 @@ def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
     gate cost a double-precision Talbot sum of B up to ~1e-8 relative.
     Returns the roots and psi_X' at each entry's last step (the slope of
     the next column's predictor).  Raises if any entry is still
-    unconverged after ``maxit`` iterations."""
+    unconverged after ``_PHI_MAXIT`` iterations."""
     beta, slope = seed.copy(), np.empty_like(seed)
     active = np.arange(delta.size)
-    for _ in range(maxit):
+    for _ in range(_PHI_MAXIT):
         b, d = beta[active], delta[active]
         nxt, resid, slope[active] = _newton_step(m, b, d)
         beta[active] = nxt
@@ -404,12 +383,12 @@ def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray,
             return beta, slope
     worst = int(active[np.argmax(np.abs(m.psi_x(beta[active]) - delta[active]))])
     raise PhiConvergenceError(
-        f"Newton stalled for phi({delta[worst]}) after {maxit} iterations "
+        f"Newton stalled for phi({delta[worst]}) after {_PHI_MAXIT} iterations "
         f"({active.size} of {delta.size} contour nodes unconverged)"
     )
 
 
-def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
+def phi_contour(m: ClaimsModel, deltas):
     """Phi_X on a ``(rows, nodes)`` array of inversion contour points, or on
     a list of such arrays of different widths (a list of roots out).
 
@@ -426,7 +405,7 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     real solution, on that branch.  One more call of the masked Newton,
     over every complex root at once, then brings each to the 1e-12
     relative residual gate and takes its polishing step; a node that does
-    not converge within ``maxit`` iterations raises ``PhiConvergenceError``.
+    not converge within ``_PHI_MAXIT`` iterations raises ``PhiConvergenceError``.
 
     The arrays of a list share one solve: their rows are stacked, widest
     array first, so column j of every array at least j + 1 wide is a
@@ -435,7 +414,7 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     each array's roots are bitwise those it gets alone.
     """
     if not isinstance(deltas, list):
-        return phi_contour(m, [deltas], maxit)[0]
+        return phi_contour(m, [deltas])[0]
     grids = [np.asarray(d, dtype=complex) for d in deltas]
     order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[1])
     widths = np.repeat([grids[k].shape[1] for k in order], [len(grids[k]) for k in order])
@@ -445,14 +424,13 @@ def phi_contour(m: ClaimsModel, deltas, maxit: int = 50):
     stacked[valid] = np.concatenate([grids[k].ravel() for k in order])
     rows_in = valid.sum(axis=0)  # column j is the first rows_in[j] rows
     roots = np.empty_like(stacked)
-    roots[:, 0], slope = _phi_newton_column(m, stacked[:, 0], np.zeros(widths.size, complex),
-                                            maxit)
+    roots[:, 0], slope = _phi_newton_column(m, stacked[:, 0], np.zeros(widths.size, complex))
     for j, n in enumerate(rows_in[1:].tolist(), 1):
         d = stacked[:n, j]
         beta = roots[:n, j - 1] + (d - stacked[:n, j - 1]) / slope[:n]
         roots[:n, j], _, slope = _newton_step(m, beta, d)
     valid[:, 0] = False  # the finishing Newton covers the complex columns
-    roots[valid] = _phi_newton_column(m, stacked[valid], roots[valid], maxit)[0]
+    roots[valid] = _phi_newton_column(m, stacked[valid], roots[valid])[0]
     rows = np.cumsum([0] + [len(grids[k]) for k in order])
     out = [None] * len(grids)
     for k, lo, hi in zip(order, rows[:-1], rows[1:]):
@@ -545,6 +523,7 @@ def levy_tail(m: ClaimsModel, u: float) -> float:
     2e-9 at large x.  Checked against a 30-digit incomplete gamma in the
     test suite.
     """
+    _require_finite(u=u)
     if u <= 0.0:
         raise ValueError(f"u must be positive (tail diverges at 0), got {u}")
     r = m.rho
@@ -553,6 +532,7 @@ def levy_tail(m: ClaimsModel, u: float) -> float:
 
 def levy_tail_asymptotic(m: ClaimsModel, u: float) -> float:
     """Leading-order tail c e^(-alpha u) / (alpha u^(1+rho)), adequate for large alpha*u."""
+    _require_finite(u=u)
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     return m.c * math.exp(-m.alpha * u) / (m.alpha * u ** (1.0 + m.rho))

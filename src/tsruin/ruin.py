@@ -35,8 +35,8 @@ import numpy as np
 from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
-from .model import (P_SERIES, ClaimsModel, RegimeTag, levy_tail, phi, phi_contour,
-                    positive_axis)
+from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_finite, levy_tail, phi,
+                    phi_contour, positive_axis)
 
 __all__ = [
     "RegimeError",
@@ -85,11 +85,11 @@ def _b_tilde_at(m: ClaimsModel, delta, root):
 
 
 def require_subcritical(m: ClaimsModel, quantity: str) -> None:
-    """Raise ``RegimeError`` naming ``quantity`` unless psi_X(alpha) < 0."""
-    regime = m.regime
-    if regime.tag is not RegimeTag.SUBCRITICAL:
+    """Raise ``RegimeError`` naming ``quantity`` and giving psi_X(alpha)
+    unless ``m.regime`` is subcritical."""
+    if m.regime is not RegimeTag.SUBCRITICAL:
         raise RegimeError(f"{quantity} requires the subcritical regime, got "
-                          f"{regime.tag.value} (psi_X(alpha) = {regime.psi_alpha:.6g})")
+                          f"{m.regime.value} (psi_X(alpha) = {m.psi_alpha:.6g})")
 
 
 def b_infinity(m: ClaimsModel) -> float:
@@ -160,6 +160,9 @@ class BFunction:
     def derivative(self, t: float) -> float:
         """Centered finite-difference B'(t), with step max(1e-4, 1e-3 t)
         capped at t/2: it balances inversion noise against truncation."""
+        _require_finite(t=t)
+        if t <= 0.0:
+            raise ValueError(f"t must be positive, got {t}")
         h = min(max(1e-4, 1e-3 * t), 0.5 * t)
         lo, hi = self.grid([t - h, t + h])
         return float((hi - lo) / (2.0 * h))
@@ -167,8 +170,6 @@ class BFunction:
     def sup_moment(self, t: float) -> float:
         """E exp(alpha * sup_{s<=t} X_s) recovered from the density identity
         B'(t) = psi_X(alpha) B(t) + E e^(alpha X-bar_t)."""
-        if t <= 0.0:
-            raise ValueError(f"t must be positive, got {t}")
         return self.derivative(t) - self.model.psi_alpha * self.value(t)
 
     def mean_estimate(self, T: float) -> float:
@@ -181,6 +182,7 @@ class BFunction:
         increment between two horizons is a genuine tail integral rather
         than quadrature noise.
         """
+        _require_finite(T=T)
         if T < 0.0:
             raise ValueError(f"T must be nonnegative, got {T}")
         if T == 0.0:
@@ -203,7 +205,7 @@ class BFunction:
 # ---------------------------------------------------------------------------
 
 
-def _eventual_ruin_transform(m: ClaimsModel):
+def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
     """Transform of P(ruin ever) on an array of nodes b, with Q = ``m.q`` at
     ``P_SERIES``:
 
@@ -216,11 +218,8 @@ def _eventual_ruin_transform(m: ClaimsModel):
     near b = 0, so nothing cancels; at b = 0, a node for u = 2M/(5 |shift|),
     Q is the limit k a^(rho-2) C(rho, 2).
     """
-    def transform(b):
-        q = m.q(b, P_SERIES)
-        return q / (m.drift_mean + b * q)
-
-    return transform
+    q = m.q(b, P_SERIES)
+    return q / (m.drift_mean + b * q)
 
 
 def _eventual_ruin_shift(m: ClaimsModel) -> float:
@@ -241,10 +240,10 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     that underflows, at alpha u beyond ~700, raises rather than printing as 0.
     A scalar is the one-point grid and returns a float."""
     us = positive_axis(u, "u")
-    transform = _eventual_ruin_transform(m)
 
     def both(nodes):  # one transform call for both term counts, side by side
-        return np.split(transform(np.concatenate(nodes, axis=1)), [nodes[0].shape[1]], axis=1)
+        return np.split(_eventual_ruin_transform(m, np.concatenate(nodes, axis=1)),
+                        [nodes[0].shape[1]], axis=1)
 
     p = _talbot_checked(both, us, _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
     return p if np.ndim(u) else float(p[0])
@@ -332,12 +331,13 @@ def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float, points: int = 12
     growth bound B(t_hi)/t_hi >= 0.99 on the grid's last value and raises
     if violated.
     """
+    _require_finite(t_lo=t_lo, t_hi=t_hi)
     if not 0.0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
     ts = np.linspace(t_lo, t_hi, points)  # ts[-1] is t_hi exactly
     vals = BFunction(m).grid(ts)
     slope = float(np.polyfit(ts, np.log(vals), 1)[0])
-    if m.regime.tag is RegimeTag.CRITICAL:
+    if m.regime is RegimeTag.CRITICAL:
         ratio = vals[-1] / t_hi
         if ratio < 0.99:
             raise InversionError(

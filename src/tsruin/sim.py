@@ -148,8 +148,6 @@ class BatchResult:
     mean: float | np.ndarray
     stderr: float | np.ndarray
     elapsed_seconds: float
-    batches: int
-    paths_per_batch: int
 
     def __post_init__(self):
         if np.min(self.mean) < 0.0:
@@ -173,8 +171,9 @@ def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
 
     ``job`` returns one float or an array of cell means; the result holds
     floats for ``shape == ()`` and arrays of ``shape`` otherwise.  Each
-    cell's N means are folded as one contiguous vector, so a cell's result
-    does not depend on the grid around it.
+    cell's N means are folded as one contiguous row of a (cells, N) array,
+    so a cell's result does not depend on the grid around it (reducing the
+    (N, cells) array along axis 0 would sum in another order).
     """
     seed = plan.seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, k))) for k in range(plan.N)]
@@ -186,21 +185,15 @@ def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
             means = list(pool.map(job, rngs))
     elapsed = time.perf_counter() - start
     cells = np.ascontiguousarray(np.asarray(means, dtype=np.float64).reshape(plan.N, -1).T)
-    mean = np.array([c.mean() for c in cells]).reshape(shape)
+    mean = cells.mean(axis=1).reshape(shape)
     if plan.N == 1:
         logger.warning("N=1 batch: stderr is degenerate, reporting 0")
         stderr = np.zeros(shape)
     else:
-        stderr = np.array([c.std(ddof=1) / math.sqrt(plan.N) for c in cells]).reshape(shape)
+        stderr = (cells.std(axis=1, ddof=1) / math.sqrt(plan.N)).reshape(shape)
     if shape == ():
         mean, stderr = float(mean), float(stderr)
-    return BatchResult(
-        mean=mean,
-        stderr=stderr,
-        elapsed_seconds=elapsed,
-        batches=plan.N,
-        paths_per_batch=plan.n,
-    )
+    return BatchResult(mean=mean, stderr=stderr, elapsed_seconds=elapsed)
 
 
 def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> BatchResult:

@@ -115,8 +115,8 @@ class TestGridScans:
         assert isinstance(first_passage_scan(u_ang * 0.01, 0.05), int)
 
 
-class TestBackendSelection:
-    def test_numpy_backend_end_to_end(self):
+class TestFreshInterpreter:
+    def test_estimator_end_to_end(self):
         # the full estimator runs on the numpy kernels in a fresh interpreter
         code = (
             "import tsruin\n"

@@ -1,5 +1,6 @@
 """Inversion-engine tests: known transform pairs, cross-engine agreement,
 self-convergence, linearity."""
+import importlib
 import math
 import re
 import subprocess
@@ -233,6 +234,13 @@ def test_import_leaves_mpmath_unloaded():
     code = "import sys, tsruin; print('mpmath' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["_kernels", "laplace", "model", "ruin", "sim"])
+def test_every_exported_name_resolves(module):
+    # a name deleted from a module must not linger in its export list
+    mod = importlib.import_module(f"tsruin.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_numpy_is_the_only_runtime_dependency():

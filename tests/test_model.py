@@ -11,12 +11,10 @@ from tsruin import (
     ClaimsModel,
     RegimeTag,
     ScaleChange,
-    classify_regime,
     cumulant_x,
     cumulant_y,
     levy_tail,
     levy_tail_asymptotic,
-    mean_y,
     min_loading_for_subcritical,
     phi,
     phi_contour,
@@ -70,7 +68,7 @@ class TestCumulants:
     def test_sign_equivalence(self, rho, xi):
         # sign(psi_X(alpha)) < 0 iff p > E[Y_1]/rho
         m = ClaimsModel.from_loading(0.02, 1.3, rho, xi)
-        assert (m.psi_alpha < 0) == (m.p > mean_y(m) / rho)
+        assert (m.psi_alpha < 0) == (m.p > m.mean_claims / rho)
 
     def test_convexity_on_grid(self, paper_ref, ig_model):
         for m in (paper_ref, ig_model):
@@ -120,15 +118,15 @@ class TestCumulants:
 
 class TestMeans:
     def test_reference_mean(self, paper_ref):
-        assert_close(mean_y(paper_ref), 0.9943258511915051, rel=1e-13)
+        assert_close(paper_ref.mean_claims, 0.9943258511915051, rel=1e-13)
         # expected aggregate claims over two time units, published as 1.9886
-        assert_close(2 * mean_y(paper_ref), 1.9886, rel=1e-4)
+        assert_close(2 * paper_ref.mean_claims, 1.9886, rel=1e-4)
 
     def test_inverse_gaussian_mean(self):
         m = ClaimsModel.from_loading(0.7, 2.3, 0.5, 0.4)
-        assert_close(mean_y(m), 0.7 * math.sqrt(math.pi / 2.3), rel=1e-12)
+        assert_close(m.mean_claims, 0.7 * math.sqrt(math.pi / 2.3), rel=1e-12)
         unit = ClaimsModel.from_loading(1.0, math.pi, 0.5, 0.2)
-        assert_close(mean_y(unit), 1.0, rel=1e-12)
+        assert_close(unit.mean_claims, 1.0, rel=1e-12)
 
 
 class TestGamma:
@@ -205,15 +203,14 @@ class TestPremium:
 
 class TestRegime:
     def test_reference_cases(self, paper_ref, ig_model, critical_model):
-        assert classify_regime(paper_ref).tag is RegimeTag.SUBCRITICAL
-        assert classify_regime(ig_model).tag is RegimeTag.SUPERCRITICAL
-        assert classify_regime(critical_model).tag is RegimeTag.CRITICAL
+        assert paper_ref.regime is RegimeTag.SUBCRITICAL
+        assert ig_model.regime is RegimeTag.SUPERCRITICAL
+        assert critical_model.regime is RegimeTag.CRITICAL
 
-    def test_default_tolerance_classified_once(self, paper_ref):
-        assert classify_regime(paper_ref) is classify_regime(paper_ref) is paper_ref.regime
-
-    def test_threshold_reported(self, paper_ref):
-        assert_close(classify_regime(paper_ref).loading_threshold, (1 - 0.99) / 0.99, rel=1e-12)
+    def test_default_tolerance_classified_once(self):
+        m = ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)
+        assert "regime" not in vars(m)
+        assert m.regime is RegimeTag.SUBCRITICAL and "regime" in vars(m)
 
     @given(rho=st.floats(0.2, 0.98), xi=st.floats(0.02, 4.0))
     @settings(max_examples=60, deadline=None)
@@ -222,7 +219,7 @@ class TestRegime:
         if abs(xi - threshold) / threshold < 1e-6:
             return  # numerically on the boundary: classification is tolerance-bound
         m = ClaimsModel.from_loading(0.05, 2.0, rho, xi)
-        tag = classify_regime(m).tag
+        tag = m.regime
         if xi > threshold:
             assert tag is RegimeTag.SUBCRITICAL
         else:
@@ -415,9 +412,9 @@ class TestPhiContour:
             nxt, resid, slope = step(m, beta, delta)
             return nxt, resid, 1.1 * slope
 
-        def counted(m, delta, seed, maxit):
+        def counted(m, delta, seed):
             masked.append((delta, seed))
-            return column(m, delta, seed, maxit)
+            return column(m, delta, seed)
 
         monkeypatch.setattr(model_module, "_phi_newton_column", counted)
         exact = phi_contour(paper_ref, deltas)
@@ -463,9 +460,10 @@ class TestPhiContour:
                     want = np.array([complex(w) for w in want])
                     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), params
 
-    def test_newton_cap_raises(self, paper_ref):
+    def test_newton_cap_raises(self, paper_ref, monkeypatch):
+        monkeypatch.setattr(model_module, "_PHI_MAXIT", 1)
         with pytest.raises(PhiConvergenceError, match="unconverged"):
-            phi_contour(paper_ref, talbot_nodes([1.0, 10.0], 24), maxit=1)
+            phi_contour(paper_ref, talbot_nodes([1.0, 10.0], 24))
 
 
 class TestLevyTail:
@@ -523,6 +521,10 @@ class TestLevyTail:
                 levy_tail(paper_ref, bad)
             with pytest.raises(ValueError):
                 levy_tail_asymptotic(paper_ref, bad)
+        for bad in (math.nan, math.inf):
+            for tail in (levy_tail, levy_tail_asymptotic):
+                with pytest.raises(ValueError, match="u must be finite"):
+                    tail(paper_ref, bad)
 
 
 class TestRescale:
@@ -543,7 +545,7 @@ class TestRescale:
     def test_mean_transforms(self, a, b):
         m = ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)
         scaled = rescale(m, ScaleChange(a, b))
-        assert_close(mean_y(scaled), a * b * mean_y(m), rel=1e-11)
+        assert_close(scaled.mean_claims, a * b * m.mean_claims, rel=1e-11)
 
     @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0), u=st.floats(0.2, 5.0))
     @settings(max_examples=25, deadline=None)

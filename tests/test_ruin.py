@@ -112,6 +112,18 @@ class TestBFunction:
     def test_rejects_nonpositive_t(self, bf_ref):
         with pytest.raises(ValueError):
             bf_ref.value(0.0)
+        for bad in (math.nan, math.inf):
+            for call in (bf_ref.value, bf_ref.grid, lambda t: bf_ref.grid([1.0, t])):
+                with pytest.raises(ValueError, match="t must be a positive finite"):
+                    call(bad)
+            for call in (bf_ref.derivative, bf_ref.sup_moment):
+                with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
+                    call(bad)
+            with pytest.raises(ValueError, match=f"T must be finite, got {bad}"):
+                bf_ref.mean_estimate(bad)
+        for call in (bf_ref.derivative, bf_ref.sup_moment):
+            with pytest.raises(ValueError, match="t must be positive, got 0.0"):
+                call(0.0)
 
     def test_sup_moment(self, paper_ref, bf_ref):
         # E exp(alpha sup X) is 1 at t=0+, nondecreasing, >= max(1, e^(psi t))
@@ -247,6 +259,10 @@ class TestScaleFunction:
     def test_domain(self, paper_ref):
         with pytest.raises(ValueError):
             scale_function(paper_ref, 0.0)
+        for bad in (math.nan, math.inf, [1.0, math.inf]):
+            for f in (scale_function, prob_eventual_ruin):
+                with pytest.raises(ValueError, match="u must be a positive finite"):
+                    f(paper_ref, bad)
 
 
 class TestEventualRuin:
@@ -453,7 +469,8 @@ class TestEstimators:
 
     def test_domain_errors(self, paper_ref):
         for estimate in ESTIMATORS.values():
-            for u, t in [(-1.0, 1.0), (1.0, 0.0), ([1.0, 0.0], 1.0), (1.0, [[1.0]])]:
+            for u, t in [(-1.0, 1.0), (1.0, 0.0), ([1.0, 0.0], 1.0), (1.0, [[1.0]]),
+                         (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
                 with pytest.raises(ValueError):
                     estimate(paper_ref, u, t)
 
@@ -483,3 +500,8 @@ class TestGrowthDiagnostic:
     def test_window_validation(self, paper_ref):
         with pytest.raises(ValueError):
             growth_diagnostic(paper_ref, 10.0, 10.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"t_hi must be finite, got {bad}"):
+                growth_diagnostic(paper_ref, 1.0, bad)
+            with pytest.raises(ValueError, match=f"t_lo must be finite, got {bad}"):
+                growth_diagnostic(paper_ref, bad, 10.0)

@@ -17,7 +17,7 @@ from tsruin import (
     simulate_ruin_naive,
     stable_increment_params,
 )
-from tsruin.sim import _chunk_draws, _tilted_subordinator_increments
+from tsruin.sim import _chunk_draws, _fold_batches, _tilted_subordinator_increments
 from tsruin import _kernels
 from tsruin._kernels import _BLOCK_ELEMENTS as BLOCK
 
@@ -277,6 +277,9 @@ class TestSimulators:
             simulate_ruin_mc(paper_ref, 0.0, 1.0, plan)
         with pytest.raises(ValueError, match="positive"):
             simulate_ruin_naive(paper_ref, [0.5, -1.0], [0.6], plan)
+        for simulate in (simulate_ruin_mc, simulate_ruin_naive):
+            with pytest.raises(ValueError, match="t must be a positive finite"):
+                simulate(paper_ref, 1.0, math.inf, plan)
 
 
 class TestGridEstimator:
@@ -377,7 +380,7 @@ class TestRunBatches:
     def test_single_batch_degenerate(self):
         plan = SimPlan(h=0.1, n=4, N=1, seed=5, threads=1)
         res = run_batches(lambda rng: float(rng.random()), plan)
-        assert res.stderr == 0.0 and res.batches == 1
+        assert res.stderr == 0.0
 
     def test_batches_get_distinct_streams(self):
         plan = SimPlan(h=0.1, n=1, N=6, seed=5, threads=1)
@@ -395,7 +398,23 @@ class TestRunBatches:
     def test_elapsed_recorded(self):
         plan = SimPlan(h=0.1, n=4, N=2, seed=5, threads=1)
         res = run_batches(lambda rng: 0.25, plan)
-        assert res.elapsed_seconds >= 0.0 and res.paths_per_batch == 4
+        assert res.elapsed_seconds >= 0.0
+
+    @pytest.mark.parametrize("N", [2, 37, 300])
+    def test_fold_matches_per_cell_loop(self, N):
+        # the fold reduces every cell's N means at once; a 1-d reduction per
+        # cell is its reference, bit for bit
+        plan = SimPlan(h=0.1, n=1, N=N, seed=9, threads=1)
+        res = _fold_batches(lambda rng: rng.random(12) * 10.0 ** rng.uniform(-9, 3, 12),
+                            plan, (3, 4))
+        means = []
+        run_batches(lambda rng: means.append(rng.random(12) * 10.0 ** rng.uniform(-9, 3, 12))
+                    or 0.0, plan)
+        cells = np.ascontiguousarray(np.array(means).T)
+        mean = np.array([c.mean() for c in cells]).reshape(3, 4)
+        stderr = np.array([c.std(ddof=1) / math.sqrt(N) for c in cells]).reshape(3, 4)
+        assert res.mean.tobytes() == mean.tobytes()
+        assert res.stderr.tobytes() == stderr.tobytes()
 
 
 class TestPlanRecords:
@@ -414,6 +433,6 @@ class TestPlanRecords:
 
     def test_batch_result_validation(self):
         with pytest.raises(ValueError):
-            BatchResult(mean=-0.1, stderr=0.0, elapsed_seconds=0.0, batches=1, paths_per_batch=1)
+            BatchResult(mean=-0.1, stderr=0.0, elapsed_seconds=0.0)
         with pytest.raises(ValueError):
-            BatchResult(mean=0.1, stderr=-1.0, elapsed_seconds=0.0, batches=1, paths_per_batch=1)
+            BatchResult(mean=0.1, stderr=-1.0, elapsed_seconds=0.0)
