@@ -22,7 +22,6 @@ from .model import (
     levy_tail_asymptotic,
     min_loading_for_subcritical,
     phi,
-    phi_contour,
     premium_from_loading,
     rescale,
 )

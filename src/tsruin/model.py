@@ -17,12 +17,12 @@ with k = -c Gamma(-rho), a = alpha and S(x) = R2(x)/x^2 the binomial
 remainder of (1+x)^rho (``ClaimsModel.q``).
 
 The inverse cumulant Phi_X(delta), the root of psi_X(beta) = delta on the
-decreasing branch, is solved by Newton alone, one power per step, on whole
-inversion contours at once (``phi_contour``): a masked loop on the real
-column, then one unconditional step per complex column from a first-order
-predictor, which only keeps each row on the branch continued from the real
-axis, and one call of the same masked loop over every complex root, which
-brings each to the residual gate and polishes it.
+decreasing branch, is solved by Newton alone on a node array of any shape,
+such as whole inversion contours (``phi``): one masked loop over every node
+at once, each seeded at delta / E[X_1], the root of the tangent of psi_X at
+0, with one power per step.  A complex power is taken in polar form
+(``_complex_power``), at about a third of the cost of numpy's complex
+``**`` for rho away from 1/2.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ __all__ = [
     "premium_from_loading",
     "min_loading_for_subcritical",
     "phi",
-    "phi_contour",
     "levy_tail",
     "levy_tail_asymptotic",
     "rescale",
@@ -65,7 +64,7 @@ P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
 _REGIME_TOL = 1e-12
 
-# Newton iterations a contour node may take in ``_phi_newton_column``
+# Newton iterations a node may take in ``_phi_newton``
 _PHI_MAXIT = 50
 
 
@@ -122,6 +121,23 @@ def gamma_neg(rho: float) -> float:
 def _mean_claims(c: float, alpha: float, rho: float) -> float:
     """E[Y_1] of the parameters (c, alpha, rho); one formula for every caller."""
     return -c * rho * gamma_neg(rho) * alpha ** (rho - 1.0)
+
+
+def _complex_power(z, r: float):
+    """The principal power z^r of complex ``z`` (a scalar or an array) in
+    polar form, |z|^r (cos(r arg z) + i sin(r arg z)): two to three times
+    as fast as numpy's complex ``**``, except at r = 1/2, where ``**`` is a
+    complex square root at ~0.6 of its cost.  For |z| in [1e-8, 1e8] it is
+    within 4e-16 relative of a 40-digit power (numpy's ``**``: 3e-15).  On
+    the positive real axis the result is exactly real, |z|^r; on the
+    negative one arg z is +pi or -pi by the sign of the zero imaginary
+    part."""
+    mod = np.hypot(z.real, z.imag) ** r
+    angle = r * np.arctan2(z.imag, z.real)
+    out = np.empty_like(z)
+    np.multiply(mod, np.cos(angle), out=out.real)
+    np.multiply(mod, np.sin(angle), out=out.imag)
+    return out[()]  # a scalar for a scalar z
 
 
 def _require_finite(**values) -> None:
@@ -296,10 +312,11 @@ class ClaimsModel:
 
     def _psi_x_power(self, theta):
         """psi_X(theta), (a - theta)^rho and a - theta, from one difference
-        and one power: the Newton step of ``phi_contour`` gets
-        psi_X' = k rho (a - theta)^rho / (a - theta) - p from the same two."""
+        and one power (``_complex_power`` for complex theta): the Newton step
+        of ``phi`` gets psi_X' = k rho (a - theta)^rho / (a - theta) - p
+        from the same two."""
         gap = self.alpha - theta
-        power = gap ** self.rho
+        power = _complex_power(gap, self.rho) if np.iscomplexobj(gap) else gap ** self.rho
         return self._near_zero(theta, self._psi_y_direct(power) - self.p * theta,
                                self.drift_mean), power, gap
 
@@ -325,6 +342,7 @@ class ScaleChange:
 
 def cumulant_y(m: ClaimsModel, theta: float) -> float:
     """psi_Y(theta) = log E exp(theta * Y_1), finite only for theta <= alpha."""
+    _require_finite(theta=theta)
     if theta > m.alpha:
         raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
     return float(m.psi_y(theta))
@@ -332,6 +350,7 @@ def cumulant_y(m: ClaimsModel, theta: float) -> float:
 
 def cumulant_x(m: ClaimsModel, theta: float) -> float:
     """psi_X(theta) = psi_Y(theta) - p*theta for theta <= alpha."""
+    _require_finite(theta=theta)
     if theta > m.alpha:
         raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
     return float(m.psi_x(theta))
@@ -351,115 +370,60 @@ def positive_axis(x, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _newton_step(m: ClaimsModel, beta: np.ndarray, delta: np.ndarray) -> tuple:
-    """One Newton step on psi_X(beta) = delta, from one power: the next
-    iterate, the residual at ``beta`` and psi_X'(beta)."""
-    psi, power, gap = m._psi_x_power(beta)
-    resid = psi - delta
-    slope = m.tilt_coefficient * m.rho * power / gap - m.p
-    return beta - resid / slope, resid, slope
-
-
-def _phi_newton_column(m: ClaimsModel, delta: np.ndarray, seed: np.ndarray) -> tuple:
-    """Masked Newton on every entry of ``delta`` at once.  An entry drops
-    out once its residual meets the 1e-12 relative gate (absolute for
-    |delta| < 1, so at delta ~ 1e-12 it is met by a root still off by
-    percents) and the step computed there is below 1e-8 of the new
-    iterate.  That last step is still taken: roots only as close as the
-    gate cost a double-precision Talbot sum of B up to ~1e-8 relative.
-    Returns the roots and psi_X' at each entry's last step (the slope of
-    the next column's predictor).  Raises if any entry is still
-    unconverged after ``_PHI_MAXIT`` iterations."""
-    beta, slope = seed.copy(), np.empty_like(seed)
+def _phi_newton(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Masked Newton on psi_X(beta) = delta at every entry at once, from the
+    seeds ``beta`` (overwritten with the roots, which are returned), one
+    power per step.  An entry drops out once its residual meets the 1e-12
+    relative gate (absolute for |delta| < 1, so at delta ~ 1e-12 it is met
+    by a root still off by percents) and the step computed there is below
+    1e-8 of the new iterate.  That last step is still taken: roots only as
+    close as the gate cost a double-precision Talbot sum of B up to ~1e-8
+    relative.  Raises if any entry is still unconverged after
+    ``_PHI_MAXIT`` iterations."""
     active = np.arange(delta.size)
     for _ in range(_PHI_MAXIT):
         b, d = beta[active], delta[active]
-        nxt, resid, slope[active] = _newton_step(m, b, d)
+        psi, power, gap = m._psi_x_power(b)
+        resid = psi - d
+        nxt = b - resid / (m.tilt_coefficient * m.rho * power / gap - m.p)
         beta[active] = nxt
         done = ((np.abs(resid) <= 1e-12 * np.maximum(1.0, np.abs(d)))
                 & (np.abs(nxt - b) <= 1e-8 * np.abs(nxt)))
         active = active[~done]
         if not active.size:
-            return beta, slope
+            return beta
     worst = int(active[np.argmax(np.abs(m.psi_x(beta[active]) - delta[active]))])
     raise PhiConvergenceError(
         f"Newton stalled for phi({delta[worst]}) after {_PHI_MAXIT} iterations "
-        f"({active.size} of {delta.size} contour nodes unconverged)"
+        f"({active.size} of {delta.size} nodes unconverged)"
     )
-
-
-def phi_contour(m: ClaimsModel, deltas):
-    """Phi_X on a ``(rows, nodes)`` array of inversion contour points, or on
-    a list of such arrays of different widths (a list of roots out).
-
-    Each row is one contour, its columns in contour order starting from
-    the real crossing point ``deltas[:, 0]`` (real and >= 0).  The real
-    column runs the masked Newton of ``_phi_newton_column`` from beta = 0:
-    psi_X is convex on the real axis below alpha, so the first step lands
-    left of the root, at delta / E[X_1], and every later one climbs
-    monotonically to it on the decreasing branch (phi(0) = 0 exactly, its
-    residual being 0).  Every later column starts from the predictor
-    root + (delta_next - delta) / psi_X'(root) of the column before it
-    (dPhi/ddelta = 1 / psi_X'(Phi)) and takes exactly one Newton step from
-    there: the sweep only continues each row along its contour from the
-    real solution, on that branch.  One more call of the masked Newton,
-    over every complex root at once, then brings each to the 1e-12
-    relative residual gate and takes its polishing step; a node that does
-    not converge within ``_PHI_MAXIT`` iterations raises ``PhiConvergenceError``.
-
-    The arrays of a list share one solve: their rows are stacked, widest
-    array first, so column j of every array at least j + 1 wide is a
-    prefix of the stacked rows, and both Talbot term counts of ``ruin``
-    cost the Newton steps of the wider one.  Newton acts elementwise, so
-    each array's roots are bitwise those it gets alone.
-    """
-    if not isinstance(deltas, list):
-        return phi_contour(m, [deltas])[0]
-    grids = [np.asarray(d, dtype=complex) for d in deltas]
-    order = sorted(range(len(grids)), key=lambda k: -grids[k].shape[1])
-    widths = np.repeat([grids[k].shape[1] for k in order], [len(grids[k]) for k in order])
-    width = grids[order[0]].shape[1]
-    stacked = np.zeros((widths.size, width), dtype=complex)
-    valid = np.arange(width) < widths[:, None]
-    stacked[valid] = np.concatenate([grids[k].ravel() for k in order])
-    rows_in = valid.sum(axis=0)  # column j is the first rows_in[j] rows
-    roots = np.empty_like(stacked)
-    roots[:, 0], slope = _phi_newton_column(m, stacked[:, 0], np.zeros(widths.size, complex))
-    for j, n in enumerate(rows_in[1:].tolist(), 1):
-        d = stacked[:n, j]
-        beta = roots[:n, j - 1] + (d - stacked[:n, j - 1]) / slope[:n]
-        roots[:n, j], _, slope = _newton_step(m, beta, d)
-    valid[:, 0] = False  # the finishing Newton covers the complex columns
-    roots[valid] = _phi_newton_column(m, stacked[valid], roots[valid])[0]
-    rows = np.cumsum([0] + [len(grids[k]) for k in order])
-    out = [None] * len(grids)
-    for k, lo, hi in zip(order, rows[:-1], rows[1:]):
-        out[k] = roots[lo:hi, :grids[k].shape[1]]
-    return out
 
 
 def phi(m: ClaimsModel, delta):
     """Inverse cumulant Phi_X(delta): the smallest root of psi_X(beta) = delta.
 
-    ``delta`` is a scalar or an array, finite, real and >= 0 or complex.
-    For real delta the root lies on the decreasing branch of psi_X, a value
-    <= 0 with phi(0) = 0 exactly, and the result is real.  Each delta is the
-    two-node contour (|delta|, delta) of ``phi_contour``: Newton from 0
-    finds the real root at |delta|, and Newton from its predictor the root
-    at delta (for real delta the same root, stepped and polished again).
-    Every root meets the same 1e-12 relative residual gate, and a failure
-    raises ``PhiConvergenceError``.
+    ``delta`` is a scalar or an array of any shape, finite, real and >= 0
+    or complex (the nodes of whole inversion contours at once, say).  For
+    real delta the root lies on the decreasing branch of psi_X, a value
+    <= 0 with phi(0) = 0 exactly, and the result is real.  Every node is
+    solved at once by one masked Newton (``_phi_newton``), seeded at
+    delta / E[X_1], the root of the tangent of psi_X at 0.  psi_X is convex
+    on the real axis below alpha, so for real delta the seed lies left of
+    the root and every step climbs monotonically to it on the decreasing
+    branch; a complex node is reached from its seed on the branch
+    continued from the real axis.  Every root meets the same 1e-12
+    relative residual gate and takes one polishing step; a node that does
+    not converge within ``_PHI_MAXIT`` iterations raises
+    ``PhiConvergenceError``.  Newton acts elementwise, so a node's root is
+    bitwise the same in any array of the same dtype.
     """
     d = np.asarray(delta)
     if not np.isfinite(d).all():
         raise ValueError(f"delta must be finite, got {delta}")
-    real = not np.iscomplexobj(d)
-    if real and (d < 0.0).any():
+    if not np.iscomplexobj(d) and (d < 0.0).any():
         raise ValueError(f"real delta must be >= 0, got {delta}")
-    flat = d.ravel().astype(complex)
-    roots = phi_contour(m, np.stack([np.abs(flat), flat], axis=1))[:, 1].reshape(d.shape)
-    if real:
-        roots = roots.real
+    flat = d.ravel().astype(np.result_type(d, float))
+    roots = _phi_newton(m, flat, flat / m.drift_mean).reshape(d.shape)
     return roots if roots.ndim else roots.item()
 
 

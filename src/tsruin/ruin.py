@@ -36,7 +36,7 @@ from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
 from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_finite, levy_tail, phi,
-                    phi_contour, positive_axis)
+                    positive_axis)
 
 __all__ = [
     "RegimeError",
@@ -76,11 +76,7 @@ def b_tilde(m: ClaimsModel, delta):
     """Laplace transform of B at a scalar or an array ``delta``,
     Re delta > max(0, psi_X(alpha)):
     (Phi(delta) - alpha) / ((delta - psi_X(alpha))^2 Phi(delta))."""
-    return _b_tilde_at(m, delta, phi(m, delta))
-
-
-def _b_tilde_at(m: ClaimsModel, delta, root):
-    """B~(delta) given root = Phi_X(delta); delta and root may be arrays."""
+    root = phi(m, delta)
     return (root - m.alpha) / ((delta - m.psi_alpha) ** 2 * root)
 
 
@@ -101,14 +97,16 @@ def b_infinity(m: ClaimsModel) -> float:
 def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
     """The fixed-Talbot inversion (``talbot_grid``) of F on every point of
     ``xs`` at both ``TALBOT_TERMS``; the M=24 values.  F is called once, on
-    the list of both term counts' node arrays, and returns the list of
-    transform values.  Raises ``InversionError`` at the first point whose
-    value is not finite, is below the smallest positive normal double (it
-    would print as 0 or with wrong digits), or differs between the term
-    counts by more than ``rtol`` relative."""
+    both term counts' node arrays side by side (one row per point), and
+    returns the transform values in the same shape.  Raises
+    ``InversionError`` at the first point whose value is not finite, is
+    below the smallest positive normal double (it would print as 0 or with
+    wrong digits), or differs between the term counts by more than
+    ``rtol`` relative."""
     # a non-finite value fails the checks below and raises
     with np.errstate(all="ignore"):
-        values = F([talbot_nodes(xs, M, shift) for M in TALBOT_TERMS])
+        nodes = [talbot_nodes(xs, M, shift) for M in TALBOT_TERMS]
+        values = np.split(F(np.concatenate(nodes, axis=1)), [TALBOT_TERMS[0]], axis=1)
         lo, hi = (talbot_sum(v, xs, M, shift) for v, M in zip(values, TALBOT_TERMS))
         gap = np.abs(hi - lo) / np.abs(hi)
     bad = np.flatnonzero(~((gap <= rtol) & (hi >= _TINY)))
@@ -151,11 +149,8 @@ class BFunction:
         """
         ts = positive_axis(ts, "t")
         m = self.model
-
-        def transform(nodes):  # one Phi_X solve for both term counts
-            return [_b_tilde_at(m, d, root) for d, root in zip(nodes, phi_contour(m, nodes))]
-
-        return _talbot_checked(transform, ts, max(0.0, m.psi_alpha), B_TALBOT_RTOL, "B")
+        return _talbot_checked(lambda nodes: b_tilde(m, nodes), ts, max(0.0, m.psi_alpha),
+                               B_TALBOT_RTOL, "B")
 
     def derivative(self, t: float) -> float:
         """Centered finite-difference B'(t), with step max(1e-4, 1e-3 t)
@@ -240,12 +235,8 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     that underflows, at alpha u beyond ~700, raises rather than printing as 0.
     A scalar is the one-point grid and returns a float."""
     us = positive_axis(u, "u")
-
-    def both(nodes):  # one transform call for both term counts, side by side
-        return np.split(_eventual_ruin_transform(m, np.concatenate(nodes, axis=1)),
-                        [nodes[0].shape[1]], axis=1)
-
-    p = _talbot_checked(both, us, _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
+    p = _talbot_checked(lambda nodes: _eventual_ruin_transform(m, nodes), us,
+                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
     return p if np.ndim(u) else float(p[0])
 
 

@@ -87,6 +87,7 @@ class StableLawParams:
     nu: float
 
     def __post_init__(self):
+        _require_finite(mu=self.mu, nu=self.nu)
         if not (0.0 < self.rho < 1.0 or 1.0 < self.rho < 2.0):
             raise ValueError(f"rho must be in (0,1) or (1,2), got {self.rho}")
         if not -1.0 <= self.beta <= 1.0:
@@ -113,6 +114,7 @@ def sample_stable(params: StableLawParams, rng: np.random.Generator, size=None):
 def stable_increment_params(m: ClaimsModel, h: float) -> StableLawParams:
     """Law of one h-increment of the measure-changed (stable) surplus:
     beta = 1, mu = -p h, nu = (-h c cos(pi rho/2) Gamma(-rho))**(1/rho)."""
+    _require_finite(h=h)
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
     nu = (-h * m.c * math.cos(math.pi * m.rho / 2.0) * m.gamma_neg_rho) ** (1.0 / m.rho)

@@ -6,7 +6,7 @@ implementation provably cannot reproduce (see the failing assertions'
 messages for the measured numbers and the verified explanation):
 
 * criterion 3: the published finite-time Monte Carlo mean at
-  (u=0.1, t=2.0) is ~18% above the true value of the stated model; the
+  (u=0.1, t=2.0) is 19% above the true value of the stated model; the
   same simulator reproduces the published benchmark-table simulation
   column at (u=2, t=20) and (u=1, t=10) and passes the independent
   Esscher-consistency and transform-law checks (criteria 4 and 8).

@@ -41,6 +41,10 @@ class TestStableLawParams:
             StableLawParams(rho=0.5, beta=1.5, mu=0.0, nu=1.0)
         with pytest.raises(ValueError):
             StableLawParams(rho=0.5, beta=1.0, mu=0.0, nu=0.0)
+        for mu, nu, name in [(math.nan, 1.0, "mu"), (-math.inf, 1.0, "mu"),
+                             (0.0, math.nan, "nu"), (0.0, math.inf, "nu")]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                StableLawParams(rho=0.5, beta=1.0, mu=mu, nu=nu)
         StableLawParams(rho=1.5, beta=-1.0, mu=2.0, nu=0.3)  # rho in (1,2) is fine
 
 
@@ -109,6 +113,9 @@ class TestIncrementParams:
     def test_h_validation(self, paper_ref):
         with pytest.raises(ValueError):
             stable_increment_params(paper_ref, 0.0)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="h must be finite"):
+                stable_increment_params(paper_ref, h)
 
 
 class TestTiltedIncrements:
