@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import tempfile
@@ -37,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .laplace import InversionError
-from .model import ClaimsModel, PhiConvergenceError, RegimeTag
+from .model import ClaimsModel, PhiConvergenceError, RegimeTag, _require_int, _require_positive
 from .ruin import (
     BFunction,
     RegimeError,
@@ -190,17 +189,12 @@ def _grid(s: dict, axis: str) -> np.ndarray:
         if hi is not None:
             raise UsageError(f"missing --{axis}-steps")
         steps = 1
-    if steps < 1:
-        raise UsageError(f"--{axis}-steps must be >= 1")
+    steps = _require_int(f"--{axis}-steps", steps, 1)
     if hi is None:
         if steps > 1:
             raise UsageError(f"--{axis}-steps {steps} needs --{axis}-max")
         hi = lo
-    for end, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            raise UsageError(f"--{axis}-{end} must be finite, got {value}")
-    if lo <= 0.0:
-        raise UsageError(f"--{axis}-min must be positive (grid is left-open at 0)")
+    _require_positive(**{f"--{axis}-min": lo, f"--{axis}-max": hi})  # left-open at 0
     if hi < lo:
         raise UsageError(f"--{axis}-max must be >= --{axis}-min")
     return np.linspace(lo, hi, steps)

@@ -24,6 +24,11 @@ Transforms must be analytic to the right of the declared abscissa; the
 Talbot contour additionally requires analyticity in the cut plane away
 from the negative real axis (after the shift), which holds for every
 transform used here.
+
+Every engine checks its arguments before F is called: a time, grid or
+``U`` that is not positive and finite, a shift or ``eps`` that is not
+finite, or a term count that is not an integer >= 8 raises ``ValueError``
+naming it, with the helpers of ``model``.
 """
 from __future__ import annotations
 
@@ -32,6 +37,8 @@ import logging
 from typing import Callable, Optional
 
 import numpy as np
+
+from .model import _require_finite, _require_int, _require_positive, positive_axis
 
 __all__ = ["InversionError", "talbot_invert", "talbot_grid", "talbot_nodes", "talbot_sum",
            "levin_invert"]
@@ -65,10 +72,8 @@ def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
     """
     import mpmath
 
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if M < 8:
-        raise ValueError(f"M must be >= 8, got {M}")
+    _require_positive(t=t)
+    M = _require_int("M", M, 8)
     with mpmath.workdps(M + 10):
         tt = mpmath.mpf(t)
         r = mpmath.mpf(2) * M / (5 * tt)
@@ -102,14 +107,12 @@ def _talbot_path(M: int) -> tuple:
     return arrays
 
 
-def _talbot_contour(ts, M: int):
+def _talbot_contour(ts, M: int, shift: float):
     """The validated ``ts`` of ``talbot_grid`` with r = 2M/(5t) per t and
-    the arrays of ``_talbot_path``."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.all(ts > 0.0):
-        raise ValueError("ts must be a 1-d array of positive times")
-    if M < 8:
-        raise ValueError(f"M must be >= 8, got {M}")
+    the arrays of ``_talbot_path``, after checking ``M`` and ``shift``."""
+    ts = positive_axis(ts, "ts")
+    M = _require_int("M", M, 8)
+    _require_finite(shift=shift)
     return ts, 2.0 * M / (5.0 * ts), *_talbot_path(M)
 
 
@@ -117,14 +120,14 @@ def talbot_nodes(ts, M: int, shift: float = 0.0) -> np.ndarray:
     """The ``(len(ts), M)`` complex array of ``talbot_grid``'s nodes, one row
     per t with its columns in contour order from the real crossing point
     ``shift + r``."""
-    _, r, path, _ = _talbot_contour(ts, M)
+    _, r, path, _ = _talbot_contour(ts, M, shift)
     return shift + r[:, None] * path
 
 
 def talbot_sum(values: np.ndarray, ts, M: int, shift: float = 0.0) -> np.ndarray:
     """``talbot_grid``'s trapezoidal sum, given the transform ``values`` at
     every node of ``talbot_nodes(ts, M, shift)``."""
-    ts, r, _, scaled = _talbot_contour(ts, M)
+    ts, r, _, scaled = _talbot_contour(ts, M, shift)
     # e^(delta t) = e^(shift t) e^(2M/5 path): only the shift depends on t
     terms = values * scaled
     return r / M * np.exp(shift * ts) * terms.sum(axis=1).real
@@ -241,16 +244,14 @@ def levin_invert(
     eps.  Where F raises or returns a non-finite value, ``InversionError``
     is raised.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if n < 8:
-        raise ValueError(f"n must be >= 8, got {n}")
+    _require_positive(t=t)
+    n = _require_int("n", n, 8)
     if eps is None:
         eps = 1.0 / t
     if U is None:
         U = max(float(n), 48.0 / t)
-    if U <= 0.0:
-        raise ValueError(f"U must be positive, got {U}")
+    _require_positive(U=U)
+    _require_finite(eps=eps)
 
     edges = _panel_edges(t, U, eps, n)
     a, b = edges[:-1], edges[1:]

@@ -27,6 +27,7 @@ at once, each seeded at delta / E[X_1], the root of the tangent of psi_X at
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -147,13 +148,30 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_positive(**values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not finite
+    (``_require_finite``), else the first that is not positive."""
+    _require_finite(**values)
+    for name, value in values.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _require_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; raise ``ValueError`` naming ``name`` unless it
+    is an integer (a numpy one included) and, if given, at least ``least``."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+    return k
+
+
 def premium_from_loading(mean_claims: float, xi: float) -> float:
     """Premium rate p = (1 + xi) * E[Y_1] for safety loading xi > 0."""
-    _require_finite(mean_claims=mean_claims, xi=xi)
-    if mean_claims <= 0.0:
-        raise ValueError(f"mean_claims must be positive, got {mean_claims}")
-    if xi <= 0.0:
-        raise ValueError(f"safety loading must be positive (net profit), got {xi}")
+    _require_positive(mean_claims=mean_claims, xi=xi)
     return (1.0 + xi) * mean_claims
 
 
@@ -188,14 +206,9 @@ class ClaimsModel:
     p: float
 
     def __post_init__(self):
-        _require_finite(c=self.c, alpha=self.alpha, rho=self.rho, p=self.p)
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0,1), got {self.rho}")
-        if self.p <= self.mean_claims:
+        _require_positive(c=self.c, alpha=self.alpha)
+        _require_finite(rho=self.rho, p=self.p)
+        if self.p <= self.mean_claims:  # gamma_neg checks rho
             raise ValueError(
                 f"net profit violated: p={self.p} <= E[Y_1]={self.mean_claims}"
             )
@@ -335,25 +348,25 @@ class ScaleChange:
     b: float
 
     def __post_init__(self):
-        _require_finite(a=self.a, b=self.b)
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"scale factors must be positive, got a={self.a}, b={self.b}")
+        _require_positive(a=self.a, b=self.b)
+
+
+def _cumulant_argument(m: ClaimsModel, theta: float) -> float:
+    """``theta``, checked to be finite and <= alpha, where the cumulants are."""
+    _require_finite(theta=theta)
+    if theta > m.alpha:
+        raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
+    return theta
 
 
 def cumulant_y(m: ClaimsModel, theta: float) -> float:
     """psi_Y(theta) = log E exp(theta * Y_1), finite only for theta <= alpha."""
-    _require_finite(theta=theta)
-    if theta > m.alpha:
-        raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
-    return float(m.psi_y(theta))
+    return float(m.psi_y(_cumulant_argument(m, theta)))
 
 
 def cumulant_x(m: ClaimsModel, theta: float) -> float:
     """psi_X(theta) = psi_Y(theta) - p*theta for theta <= alpha."""
-    _require_finite(theta=theta)
-    if theta > m.alpha:
-        raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
-    return float(m.psi_x(theta))
+    return float(m.psi_x(_cumulant_argument(m, theta)))
 
 
 def positive_axis(x, name: str) -> np.ndarray:
@@ -487,18 +500,14 @@ def levy_tail(m: ClaimsModel, u: float) -> float:
     2e-9 at large x.  Checked against a 30-digit incomplete gamma in the
     test suite.
     """
-    _require_finite(u=u)
-    if u <= 0.0:
-        raise ValueError(f"u must be positive (tail diverges at 0), got {u}")
+    _require_positive(u=u)
     r = m.rho
     return m.c * m.alpha ** r * _upper_gamma_neg(r, m.alpha * u)
 
 
 def levy_tail_asymptotic(m: ClaimsModel, u: float) -> float:
     """Leading-order tail c e^(-alpha u) / (alpha u^(1+rho)), adequate for large alpha*u."""
-    _require_finite(u=u)
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
+    _require_positive(u=u)
     return m.c * math.exp(-m.alpha * u) / (m.alpha * u ** (1.0 + m.rho))
 
 
@@ -508,8 +517,4 @@ def rescale(m: ClaimsModel, s: ScaleChange) -> ClaimsModel:
     New parameters: c' = a b**rho c, alpha' = alpha / b, rho unchanged;
     the premium keeps the same safety loading, p' = (1 + xi) E[Y'_1].
     """
-    c_new = s.a * s.b ** m.rho * m.c
-    alpha_new = m.alpha / s.b
-    xi = m.loading
-    mean_new = _mean_claims(c_new, alpha_new, m.rho)
-    return ClaimsModel(c=c_new, alpha=alpha_new, rho=m.rho, p=(1.0 + xi) * mean_new)
+    return ClaimsModel.from_loading(s.a * s.b ** m.rho * m.c, m.alpha / s.b, m.rho, m.loading)

@@ -35,8 +35,8 @@ import numpy as np
 from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
-from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_finite, levy_tail, phi,
-                    positive_axis)
+from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_finite, _require_int,
+                    _require_positive, levy_tail, phi, positive_axis)
 
 __all__ = [
     "RegimeError",
@@ -155,9 +155,7 @@ class BFunction:
     def derivative(self, t: float) -> float:
         """Centered finite-difference B'(t), with step max(1e-4, 1e-3 t)
         capped at t/2: it balances inversion noise against truncation."""
-        _require_finite(t=t)
-        if t <= 0.0:
-            raise ValueError(f"t must be positive, got {t}")
+        _require_positive(t=t)
         h = min(max(1e-4, 1e-3 * t), 0.5 * t)
         lo, hi = self.grid([t - h, t + h])
         return float((hi - lo) / (2.0 * h))
@@ -322,9 +320,10 @@ def growth_diagnostic(m: ClaimsModel, t_lo: float, t_hi: float, points: int = 12
     growth bound B(t_hi)/t_hi >= 0.99 on the grid's last value and raises
     if violated.
     """
-    _require_finite(t_lo=t_lo, t_hi=t_hi)
-    if not 0.0 < t_lo < t_hi:
-        raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
+    _require_positive(t_lo=t_lo, t_hi=t_hi)
+    if t_lo >= t_hi:
+        raise ValueError(f"need t_lo < t_hi, got {t_lo}, {t_hi}")
+    points = _require_int("points", points, 2)  # one point fits no slope
     ts = np.linspace(t_lo, t_hi, points)  # ts[-1] is t_hi exactly
     vals = BFunction(m).grid(ts)
     slope = float(np.polyfit(ts, np.log(vals), 1)[0])

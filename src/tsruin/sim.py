@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .model import ClaimsModel, _require_finite, positive_axis
+from .model import ClaimsModel, _require_finite, _require_int, _require_positive, positive_axis
 
 __all__ = [
     "StableLawParams",
@@ -87,13 +87,12 @@ class StableLawParams:
     nu: float
 
     def __post_init__(self):
-        _require_finite(mu=self.mu, nu=self.nu)
+        _require_finite(mu=self.mu)
+        _require_positive(nu=self.nu)
         if not (0.0 < self.rho < 1.0 or 1.0 < self.rho < 2.0):
             raise ValueError(f"rho must be in (0,1) or (1,2), got {self.rho}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [-1,1], got {self.beta}")
-        if self.nu <= 0.0:
-            raise ValueError(f"scale nu must be positive, got {self.nu}")
 
 
 def sample_stable(params: StableLawParams, rng: np.random.Generator, size=None):
@@ -114,9 +113,7 @@ def sample_stable(params: StableLawParams, rng: np.random.Generator, size=None):
 def stable_increment_params(m: ClaimsModel, h: float) -> StableLawParams:
     """Law of one h-increment of the measure-changed (stable) surplus:
     beta = 1, mu = -p h, nu = (-h c cos(pi rho/2) Gamma(-rho))**(1/rho)."""
-    _require_finite(h=h)
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    _require_positive(h=h)
     nu = (-h * m.c * math.cos(math.pi * m.rho / 2.0) * m.gamma_neg_rho) ** (1.0 / m.rho)
     return StableLawParams(rho=m.rho, beta=1.0, mu=-m.p * h, nu=nu)
 
@@ -124,7 +121,8 @@ def stable_increment_params(m: ClaimsModel, h: float) -> StableLawParams:
 @dataclass(frozen=True)
 class SimPlan:
     """One simulation run: step h, n paths per batch, N batches, RNG seed,
-    and the worker-thread count (which never affects the result)."""
+    and the worker-thread count (which never affects the result).  The
+    counts and the seed may be numpy integers; they are stored as ints."""
 
     h: float
     n: int
@@ -133,13 +131,9 @@ class SimPlan:
     threads: int = 1
 
     def __post_init__(self):
-        _require_finite(h=self.h)
-        if self.h <= 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        if self.n < 1 or self.N < 1:
-            raise ValueError(f"need n >= 1 and N >= 1, got n={self.n}, N={self.N}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        _require_positive(h=self.h)
+        for name, least in (("n", 1), ("N", 1), ("seed", None), ("threads", 1)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -365,15 +359,14 @@ def _tilted_subordinator_increments(
 def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     """Direct estimator: exact tempered stable increments, hit fraction.
     Takes scalar or vector ``u`` and ``t`` as ``simulate_ruin_mc`` does."""
-    params = stable_increment_params(m, plan.h)  # mu unused: drift added below
-    theta0, scale0 = _kernels.cms_constants(params.rho, 1.0)
-    drift = -m.p * plan.h
+    params = stable_increment_params(m, plan.h)  # mu is the drift, added below
+    theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
 
     def scan(rng, npaths, steps, us, ends):
         v = _tilted_subordinator_increments(
             rng, npaths * steps, params.nu, params.rho, m.alpha, theta0, scale0
         ).reshape(npaths, steps)
-        v += drift
+        v += params.mu
         counts = np.zeros((len(us), len(ends)), dtype=np.int64)
         _kernels.first_passage_scan(v, us, ends, counts)
         return counts

@@ -17,7 +17,7 @@ from tsruin import (
     talbot_grid,
     talbot_invert,
 )
-from tsruin.laplace import _levin_panels, _panel_edges, _talbot_path
+from tsruin.laplace import _levin_panels, _panel_edges, _talbot_path, talbot_nodes, talbot_sum
 
 from conftest import MODELS, Oracle
 
@@ -56,6 +56,12 @@ class TestTalbot:
             talbot_invert(f_t, 0.0, M=32)
         with pytest.raises(ValueError):
             talbot_invert(f_t, 1.0, M=4)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^t must be finite, got {bad}"):
+                talbot_invert(f_t, bad, M=32)
+        with pytest.raises(ValueError, match="^M must be an integer, got 8.5"):
+            talbot_invert(f_t, 1.0, M=8.5)
+        assert talbot_invert(f_t, 1.0, M=np.int64(16)) == talbot_invert(f_t, 1.0, M=16)
 
     def test_failure_reported_not_fabricated(self):
         def broken(d):
@@ -102,6 +108,18 @@ class TestTalbotGrid:
             talbot_grid(f_t, [1.0, 0.0], M=24)
         with pytest.raises(ValueError):
             talbot_grid(f_t, [1.0], M=4)
+        values = np.ones((1, 24))
+        for engine in (lambda ts, M=24, shift=0.0: talbot_grid(f_exp, ts, M, shift),
+                       lambda ts, M=24, shift=0.0: talbot_nodes(ts, M, shift),
+                       lambda ts, M=24, shift=0.0: talbot_sum(values, ts, M, shift)):
+            with pytest.raises(ValueError, match="^ts must be a positive finite"):
+                engine([1.0, math.inf])
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^shift must be finite, got {bad}"):
+                    engine([1.0], shift=bad)
+            # no fixed-Talbot rule has a fractional term count
+            with pytest.raises(ValueError, match="^M must be an integer, got 8.5"):
+                engine([1.0], M=8.5)
 
 
 class TestLevin:
@@ -129,6 +147,13 @@ class TestLevin:
             levin_invert(f_t, 1.0, n=4)
         with pytest.raises(ValueError):
             levin_invert(f_t, 1.0, U=-3.0)
+        for bad in (math.nan, math.inf):
+            for name in ("t", "U", "eps"):
+                kwargs = {"t": 1.0, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}"):
+                    levin_invert(f_t, **kwargs)
+        with pytest.raises(ValueError, match="^n must be an integer, got 8.5"):
+            levin_invert(f_t, 1.0, n=8.5)
 
     def test_failure_reported(self):
         def broken(d):

@@ -498,6 +498,9 @@ class TestGrowthDiagnostic:
     def test_window_validation(self, paper_ref):
         with pytest.raises(ValueError):
             growth_diagnostic(paper_ref, 10.0, 10.0)
+        for points in (0, 1):  # one point fits no slope
+            with pytest.raises(ValueError, match=f"^points must be >= 2, got {points}"):
+                growth_diagnostic(paper_ref, 1.0, 2.0, points=points)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"t_hi must be finite, got {bad}"):
                 growth_diagnostic(paper_ref, 1.0, bad)

@@ -425,7 +425,7 @@ class TestRunBatches:
 
 
 class TestPlanRecords:
-    def test_plan_validation(self):
+    def test_plan_validation(self, paper_ref):
         with pytest.raises(ValueError):
             SimPlan(h=0.0, n=1, N=1, seed=0)
         with pytest.raises(ValueError):
@@ -437,6 +437,16 @@ class TestPlanRecords:
         for h in (math.nan, math.inf):
             with pytest.raises(ValueError, match="h must be finite"):
                 SimPlan(h=h, n=1, N=1, seed=0)
+        for name in ("n", "N", "seed", "threads"):
+            kwargs = {"h": 0.1, "n": 1, "N": 1, "seed": 0, name: 1.5}
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5"):
+                SimPlan(**kwargs)
+        # numpy integers are stored as ints, which PCG64.advance needs
+        plan = SimPlan(h=0.1, n=np.int64(4), N=np.int32(2), seed=np.uint64(1),
+                       threads=np.int8(1))
+        assert all(type(v) is int for v in (plan.n, plan.N, plan.seed, plan.threads))
+        got = simulate_ruin_mc(paper_ref, 0.2, 0.4, plan).mean
+        assert got == simulate_ruin_mc(paper_ref, 0.2, 0.4, SimPlan(0.1, 4, 2, 1)).mean
 
     def test_batch_result_validation(self):
         with pytest.raises(ValueError):
