@@ -10,8 +10,10 @@ scale-fn      scale function and eventual-ruin probability on a u-grid
 
 B(t) and P(ruin ever) are inverted in double precision on a shifted Talbot
 contour at two term counts, M=18 and M=24; a value whose two counts
-disagree, or that is not a positive normal double, fails the command with
-exit code 3.  There is no engine to choose and no inversion setting.
+disagree fails the command with exit code 3.  So does any value that is
+not a positive normal double (B, P, the rft and tulta estimates, and the
+simulated column s of ``benchmark``, whose ratios divide by it), named by
+its cell.  There is no engine to choose and no inversion setting.
 ``ruin-surface`` and ``benchmark`` compute each estimate on the whole
 (u, t)-grid in one call, with B and P(ruin ever) inverted once per grid.
 
@@ -21,8 +23,8 @@ temporary name and atomically renamed, so a failed run leaves no partial
 output.  Identical inputs yield byte-identical outputs, except for the
 ``elapsed`` column of ``simulate``, which is wall time.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 regime
-precondition violation.
+Exit codes: 0 success, 2 usage error (a ``ValueError``), 3 numerical failure
+(an ``ArithmeticError``), 4 regime precondition violation (``RegimeError``).
 """
 from __future__ import annotations
 
@@ -31,12 +33,11 @@ import functools
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
-from .laplace import InversionError
-from .model import ClaimsModel, PhiConvergenceError, RegimeTag, _require_int, _require_positive
+from .model import (ClaimsModel, RegimeTag, _require_int, _require_positive,
+                    _require_reportable)
 from .ruin import (
     BFunction,
     RegimeError,
@@ -86,7 +87,7 @@ _OPTIONS = {
 
 
 class UsageError(ValueError):
-    pass
+    """A command-line usage error: exit 2, as for any ``ValueError``."""
 
 
 def _fmt(x: float) -> str:
@@ -173,12 +174,9 @@ def _resolve_model(s: dict) -> ClaimsModel:
     has_p, has_xi = "p" in s, "xi" in s
     if has_p == has_xi:
         raise UsageError("exactly one of --p and --xi must be given")
-    try:
-        if has_p:
-            return ClaimsModel(c=s["c"], alpha=s["alpha"], rho=s["rho"], p=s["p"])
-        return ClaimsModel.from_loading(c=s["c"], alpha=s["alpha"], rho=s["rho"], xi=s["xi"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if has_p:
+        return ClaimsModel(c=s["c"], alpha=s["alpha"], rho=s["rho"], p=s["p"])
+    return ClaimsModel.from_loading(c=s["c"], alpha=s["alpha"], rho=s["rho"], xi=s["xi"])
 
 
 def _grid(s: dict, axis: str) -> np.ndarray:
@@ -201,21 +199,17 @@ def _grid(s: dict, axis: str) -> np.ndarray:
 
 
 def _sim_plan(s: dict) -> SimPlan:
-    try:
-        return SimPlan(h=s["h"], n=s["paths"], N=s["batches"], seed=s["seed"],
-                       threads=s["threads"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SimPlan(h=s["h"], n=s["paths"], N=s["batches"], seed=s["seed"], threads=s["threads"])
 
 
-def _write_tsv(path: Optional[str], header: list, rows, sections=None) -> None:
-    """Emit TSV atomically (temp file + rename) to a new or regular file, in
-    place to an existing FIFO or device (never replaced); stdout when path
-    is None.  A path that cannot be written is a ``UsageError``, and leaves
-    no temp file."""
-    blocks = sections if sections is not None else [(header, rows)]
+def _write_tsv(path: str | None, *sections) -> None:
+    """Emit the ``(header, rows)`` ``sections`` as TSV, a blank line between
+    two, atomically (temp file + rename) to a new or regular file, in place
+    to an existing FIFO or device (never replaced); stdout when path is
+    None.  A path that cannot be written is a ``UsageError``, and leaves no
+    temp file."""
     chunks = []
-    for head, rws in blocks:
+    for head, rws in sections:
         chunks.append("# " + "\t".join(head) + "\n")
         for row in rws:
             chunks.append("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -247,7 +241,7 @@ def cmd_b(s: dict) -> int:
     model = _resolve_model(s)
     ts = _grid(s, "t")
     rows = np.column_stack((ts, BFunction(model).grid(ts))).tolist()
-    _write_tsv(s.get("out"), ["t", "B"], rows)
+    _write_tsv(s.get("out"), (["t", "B"], rows))
     # keep stdout clean for the TSV when no output path was given
     info = sys.stdout if s.get("out") else sys.stderr
     if model.regime is RegimeTag.SUBCRITICAL:
@@ -276,7 +270,7 @@ def cmd_ruin_surface(s: dict) -> int:
         header, surfaces = ["u", "t", "value"], [estimate(model, us, ts)]
     rows = [(u, t, *(float(v[i, j]) for v in surfaces))
             for i, u in enumerate(us.tolist()) for j, t in enumerate(ts.tolist())]
-    _write_tsv(s.get("out"), header, rows)
+    _write_tsv(s.get("out"), (header, rows))
     return EXIT_OK
 
 
@@ -292,7 +286,7 @@ def cmd_simulate(s: dict) -> int:
     rows = [(u, t, float(res.mean[i, j]), float(res.stderr[i, j]), res.elapsed_seconds,
              plan.n, plan.N, plan.h, plan.seed)
             for i, u in enumerate(map(float, us)) for j, t in enumerate(map(float, ts))]
-    _write_tsv(s.get("out"), ["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"], rows)
+    _write_tsv(s.get("out"), (["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"], rows))
     return EXIT_OK
 
 
@@ -304,17 +298,13 @@ def cmd_benchmark(s: dict) -> int:
     # both asymptotic columns before the costly simulation
     p_ever = prob_eventual_ruin(model, us)
     asym = estimate_tulta(model, us, ts, p_ruin=p_ever)
-    sims = simulate_ruin_mc(model, us, ts, plan).mean
-    zero = np.argwhere(sims == 0.0)
-    if zero.size:
-        i, j = zero[0]
-        raise ArithmeticError(
-            f"simulated estimate s = 0 at u={us[i]}, t={ts[j]}: the ratios to s are undefined")
+    sims = _require_reportable("simulated estimate s", simulate_ruin_mc(model, us, ts, plan).mean,
+                               u=us, t=ts)
     rows = [(u, t, a, sim, p, a / sim, p / sim, abs(a - sim) / sim, abs(p - sim) / sim)
             for u, p, a_row, sim_row in zip(us.tolist(), p_ever.tolist(), asym.tolist(),
                                             sims.tolist())
             for t, a, sim in zip(ts.tolist(), a_row, sim_row)]
-    _write_tsv(s.get("out"), ["u", "t", "a", "s", "i", "a/s", "i/s", "|a-s|/s", "|i-s|/s"], rows)
+    _write_tsv(s.get("out"), (["u", "t", "a", "s", "i", "a/s", "i/s", "|a-s|/s", "|i-s|/s"], rows))
     return EXIT_OK
 
 
@@ -324,8 +314,7 @@ def cmd_scale_fn(s: dict) -> int:
     p_rows = list(zip(us.tolist(), prob_eventual_ruin(model, us).tolist()))
     # one call per u: perfbench's span on scale_function reads a scalar u
     w_rows = [(u, scale_function(model, u, p_ruin=p)) for u, p in p_rows]
-    _write_tsv(s.get("out"), None, None,
-               sections=[(["u", "W"], w_rows), (["u", "P_ruin"], p_rows)])
+    _write_tsv(s.get("out"), (["u", "W"], w_rows), (["u", "P_ruin"], p_rows))
     return EXIT_OK
 
 
@@ -344,18 +333,10 @@ def main(argv=None) -> int:
     try:
         settings = _merge_settings(args)
         return _COMMANDS[args.command](settings)
-    except UsageError as exc:
+    except (ValueError, ArithmeticError) as exc:  # RegimeError and UsageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except (InversionError, PhiConvergenceError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_REGIME if isinstance(exc, RegimeError) else
+                EXIT_NUMERICAL if isinstance(exc, ArithmeticError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

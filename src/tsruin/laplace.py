@@ -28,7 +28,9 @@ transform used here.
 Every engine checks its arguments before F is called: a time, grid or
 ``U`` that is not positive and finite, a shift or ``eps`` that is not
 finite, or a term count that is not an integer >= 8 raises ``ValueError``
-naming it, with the helpers of ``model``.
+naming it, with the helpers of ``model``.  Where F returns a value that is
+not finite, every engine raises ``InversionError`` naming t rather than
+returning NaN.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ logger = logging.getLogger(__name__)
 TransformFn = Callable[[complex], complex]
 
 
-class InversionError(RuntimeError):
+class InversionError(ArithmeticError):
     """An inversion engine could not produce a trustworthy value."""
 
 
@@ -89,6 +91,8 @@ def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
             raise
         except Exception as exc:  # transform evaluation failed: report, don't fabricate
             raise InversionError(f"transform evaluation failed on Talbot contour at t={t}: {exc}") from exc
+        if not mpmath.isfinite(acc):
+            raise InversionError(f"transform is not finite on the Talbot contour (t={t})")
         return float(r / M * acc)
 
 
@@ -128,6 +132,9 @@ def talbot_sum(values: np.ndarray, ts, M: int, shift: float = 0.0) -> np.ndarray
     """``talbot_grid``'s trapezoidal sum, given the transform ``values`` at
     every node of ``talbot_nodes(ts, M, shift)``."""
     ts, r, _, scaled = _talbot_contour(ts, M, shift)
+    if not np.isfinite(values).all():
+        t = ts[~np.isfinite(values).all(axis=1)][0]
+        raise InversionError(f"transform is not finite on the Talbot contour (t={t})")
     # e^(delta t) = e^(shift t) e^(2M/5 path): only the shift depends on t
     terms = values * scaled
     return r / M * np.exp(shift * ts) * terms.sum(axis=1).real

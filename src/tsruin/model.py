@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class PhiConvergenceError(RuntimeError):
+class PhiConvergenceError(ArithmeticError):
     """Root finding for the inverse cumulant failed; carries the residual."""
 
 
@@ -64,6 +64,7 @@ PSI_SERIES = (1.0 / 64.0, 12)  # the 13th term is below 2^-72 of the first
 P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
 _REGIME_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # below it a value prints as 0 or with wrong digits
 
 # Newton iterations a node may take in ``_phi_newton``
 _PHI_MAXIT = 50
@@ -155,6 +156,21 @@ def _require_positive(**values) -> None:
     for name, value in values.items():
         if value <= 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _require_reportable(what: str, values: np.ndarray, upper: float = math.inf,
+                        **axes) -> np.ndarray:
+    """Return ``values`` if every entry is a finite, positive normal double <=
+    ``upper``; else raise ``FloatingPointError`` naming ``what`` and the first
+    bad entry's (row-major) coordinate on each of ``axes``, one per dimension."""
+    bad = np.argwhere(~(np.isfinite(values) & (values >= _TINY) & (values <= upper)))
+    if bad.size:
+        where = ", ".join(f"{name}={axis[k]}" for (name, axis), k in zip(axes.items(), bad[0]))
+        v, bound = values[tuple(bad[0])], "" if upper == math.inf else f" <= {upper:g}"
+        reason = (f"not a positive normal double{bound}" if np.isfinite(v)
+                  else "not finite in double precision")
+        raise FloatingPointError(f"{what} at {where} is {v:.6e}, {reason}")
+    return values
 
 
 def _require_int(name: str, value, least: int | None = None) -> int:

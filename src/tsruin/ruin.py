@@ -24,7 +24,9 @@ as outer products of a u part and a t part: ``estimate_rft`` is
 tail(u) * B(t), ``estimate_tulta`` is P(u) * min(1, B(t)/B(inf)), and
 ``estimate_infinite_horizon`` is P(u) along t.  Each inverts B and P at
 most once per call, on the whole grid.  ``require_subcritical`` is the one
-check of the regime precondition of B(inf) and of what needs it.
+check of the regime precondition of B(inf) and of what needs it.  Every B,
+P and estimate passes ``model._require_reportable``, so one that is not a
+finite, positive normal double (P and tulta: <= 1) raises, naming its cell.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .laplace import InversionError, talbot_nodes, talbot_sum
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
 from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_finite, _require_int,
-                    _require_positive, levy_tail, phi, positive_axis)
+                    _require_positive, _require_reportable, levy_tail, phi, positive_axis)
 
 __all__ = [
     "RegimeError",
@@ -60,7 +62,6 @@ B_TALBOT_RTOL = 1e-8
 # at u in [100, 150] P's M=18/M=24 gap reaches 2.4e-8 while M=24 stays
 # within 5e-9 of a 64-digit reference
 P_TALBOT_RTOL = 1e-7
-_TINY = np.finfo(float).tiny
 
 
 class RegimeError(ValueError):
@@ -94,30 +95,24 @@ def b_infinity(m: ClaimsModel) -> float:
     return m.alpha * abs(m.drift_mean) / m.psi_alpha ** 2
 
 
-def _talbot_checked(F, xs, shift: float, rtol: float, name: str) -> np.ndarray:
+def _talbot_checked(F, xs, shift: float, rtol: float, name: str, axis: str,
+                    upper: float = math.inf) -> np.ndarray:
     """The fixed-Talbot inversion (``talbot_grid``) of F on every point of
     ``xs`` at both ``TALBOT_TERMS``; the M=24 values.  F is called once, on
     both term counts' node arrays side by side (one row per point), and
-    returns the transform values in the same shape.  Raises
-    ``InversionError`` at the first point whose value is not finite, is
-    below the smallest positive normal double (it would print as 0 or with
-    wrong digits), or differs between the term counts by more than
-    ``rtol`` relative."""
-    # a non-finite value fails the checks below and raises
-    with np.errstate(all="ignore"):
+    returns the transform values in the same shape.  Each M=24 value must be
+    reportable (``_require_reportable``: named on ``axis``, <= ``upper``) and
+    within ``rtol`` relative of its M=18 value (else ``InversionError``)."""
+    with np.errstate(all="ignore"):  # a non-finite value or sum raises below
         nodes = [talbot_nodes(xs, M, shift) for M in TALBOT_TERMS]
         values = np.split(F(np.concatenate(nodes, axis=1)), [TALBOT_TERMS[0]], axis=1)
         lo, hi = (talbot_sum(v, xs, M, shift) for v, M in zip(values, TALBOT_TERMS))
-        gap = np.abs(hi - lo) / np.abs(hi)
-    bad = np.flatnonzero(~((gap <= rtol) & (hi >= _TINY)))
+        gap = np.abs(_require_reportable(name, hi, upper, **{axis: xs}) - lo) / hi
+    bad = np.flatnonzero(~(gap <= rtol))
     if bad.size:
-        i, x, v = bad[0], xs[bad[0]], hi[bad[0]]
-        if not np.isfinite(v):
-            raise InversionError(f"{name}({x}) is not finite in double precision ({v})")
-        if not v >= _TINY:
-            raise InversionError(f"{name}({x}) = {v:.6e} is not a positive normal double")
+        i = bad[0]
         raise InversionError(
-            f"{name}({x}) failed its Talbot self-check: M={TALBOT_TERMS[0]} and "
+            f"{name}({xs[i]}) failed its Talbot self-check: M={TALBOT_TERMS[0]} and "
             f"M={TALBOT_TERMS[1]} differ by {gap[i]:.3e} relative (tolerance {rtol:g})")
     return hi
 
@@ -150,7 +145,7 @@ class BFunction:
         ts = positive_axis(ts, "t")
         m = self.model
         return _talbot_checked(lambda nodes: b_tilde(m, nodes), ts, max(0.0, m.psi_alpha),
-                               B_TALBOT_RTOL, "B")
+                               B_TALBOT_RTOL, "B", "t")
 
     def derivative(self, t: float) -> float:
         """Centered finite-difference B'(t), with step max(1e-4, 1e-3 t)
@@ -234,15 +229,28 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     A scalar is the one-point grid and returns a float."""
     us = positive_axis(u, "u")
     p = _talbot_checked(lambda nodes: _eventual_ruin_transform(m, nodes), us,
-                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P")
+                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P", "u", upper=1.0)
     return p if np.ndim(u) else float(p[0])
+
+
+def _require_probability(p_ruin):
+    """A caller's P(ruin ever), a float or an array, if every entry is in
+    (0, 1] (NaN is not); else ``ValueError`` naming ``p_ruin``."""
+    if isinstance(p_ruin, float):  # scale_function takes one per call: no numpy
+        ok = 0.0 < p_ruin <= 1.0
+    else:
+        p_ruin = np.asarray(p_ruin, dtype=np.float64)
+        ok = ((p_ruin > 0.0) & (p_ruin <= 1.0)).all()
+    if not ok:
+        raise ValueError(f"p_ruin must be in (0, 1], got {p_ruin} (0, NaN or outside [0, 1])")
+    return p_ruin
 
 
 def scale_function(m: ClaimsModel, u, p_ruin=None):
     """Scale function W(u) = (1 - P(ruin ever))/|E X_1| at a scalar or a vector
     ``u``, nondecreasing to 1/|E X_1|; ``p_ruin`` is P(ruin ever) at ``u`` when
     the caller already has it."""
-    p = prob_eventual_ruin(m, u) if p_ruin is None else p_ruin
+    p = prob_eventual_ruin(m, u) if p_ruin is None else _require_probability(p_ruin)
     return (1.0 - p) / abs(m.drift_mean)
 
 
@@ -263,21 +271,13 @@ def estimate_rft(m: ClaimsModel, u, t):
     vector ``u`` and ``t``, in shape shape(u) + shape(t) (a float for one
     cell); may exceed 1 for small u.
 
-    One Levy tail per u and one ``BFunction.grid`` pass over t.  Raises
-    ``FloatingPointError`` at the first cell (u outer, t inner) where the
-    estimate is not a positive normal double (the tail underflows once
-    alpha u exceeds ~700), rather than returning a positive probability as
-    0 or with lost digits.
+    One Levy tail per u and one ``BFunction.grid`` pass over t.  The tail
+    underflows once alpha u exceeds ~700, where the cell raises.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     b = BFunction(m).grid(ts)
     values = np.array([levy_tail(m, x) for x in us.tolist()])[:, None] * b
-    bad = np.argwhere(~((values >= _TINY) & (values < math.inf)))  # row-major
-    if bad.size:
-        i, j = bad[0]
-        raise FloatingPointError(f"rft estimate at u={us[i]}, t={ts[j]} is {values[i, j]:.6e}, "
-                                 f"not a positive normal double")
-    return _cells(u, t, values)
+    return _cells(u, t, _require_reportable("rft estimate", values, u=us, t=ts))
 
 
 def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
@@ -286,19 +286,14 @@ def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
     for one cell); subcritical only.
 
     ``p_ruin`` is P(ruin ever) at ``u`` when the caller already has it; it
-    is computed otherwise.  A value outside [0, 1] raises ``ValueError``.
+    is computed otherwise.  A cell must be a positive normal double <= 1.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     require_subcritical(m, "the normalized finite-time estimate")
+    p = prob_eventual_ruin(m, us) if p_ruin is None else _require_probability(p_ruin)
     ratio = np.minimum(1.0, BFunction(m).grid(ts) / b_infinity(m))
-    p = prob_eventual_ruin(m, us) if p_ruin is None else np.asarray(p_ruin, float).reshape(us.shape)
-    values = p[:, None] * ratio
-    bad = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"tulta estimate at u={us[i]}, t={ts[j]} is {values[i, j]}, "
-                         f"outside [0, 1]")
-    return _cells(u, t, values)
+    values = np.reshape(p, us.shape)[:, None] * ratio
+    return _cells(u, t, _require_reportable("tulta estimate", values, 1.0, u=us, t=ts))
 
 
 def estimate_infinite_horizon(m: ClaimsModel, u, t):

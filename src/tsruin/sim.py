@@ -353,7 +353,7 @@ def _tilted_subordinator_increments(
         accept = rng.random(pending.size) <= np.exp(-alpha * proposal)
         out[pending[accept]] = proposal[accept]
         pending = pending[~accept]
-    raise RuntimeError(f"tilting rejection exceeded {_MAX_REJECTION_ROUNDS} rounds")
+    raise ArithmeticError(f"tilting rejection exceeded {_MAX_REJECTION_ROUNDS} rounds")
 
 
 def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from tsruin import cli
+from tsruin import cli, sim
 
 from conftest import MODELS, Oracle
 
@@ -166,14 +166,17 @@ class TestCmdRuinSurface:
         assert any(float(r[2]) > 1.0 for r in rows)
 
     def test_rft_underflow_exit_code(self, tmp_path):
-        # the Levy tail underflows past alpha u ~ 700: no 0 or subnormal printed
+        # no 0 or subnormal printed: the Levy tail underflows past alpha u ~ 700,
+        # and P(690) is normal but B(1e-12)/B(inf) takes tulta below the range
         out = tmp_path / "s.tsv"
-        res = run_cli("ruin-surface", "--preset", "paper-ref", "--method", "rft",
-                      "--u-min", "700", "--u-max", "800", "--u-steps", "2",
-                      "--t-min", "1", "--t-steps", "1", "--out", str(out))
-        assert res.returncode == 3
-        assert "not a positive normal double" in res.stderr
-        assert not out.exists()
+        for method, u_grid, t_min in [
+                ("rft", ["--u-min", "700", "--u-max", "800", "--u-steps", "2"], "1"),
+                ("tulta", ["--u-min", "690"], "1e-12")]:
+            res = run_cli("ruin-surface", "--preset", "paper-ref", "--method", method, *u_grid,
+                          "--t-min", t_min, "--t-steps", "1", "--out", str(out))
+            assert res.returncode == 3
+            assert "not a positive normal double" in res.stderr
+            assert not out.exists()
 
     def test_mc_emits_stderr_column(self, tmp_path):
         out = tmp_path / "s.tsv"
@@ -294,7 +297,7 @@ class TestCmdBenchmark:
                       "--t-min", "1", "--t-steps", "1", "--h", "0.5", "--paths", "2",
                       "--batches", "2", "--seed", "1", "--out", str(out))
         assert res.returncode == 3
-        assert "s = 0 at u=2.0, t=1.0" in res.stderr
+        assert "s at u=2.0, t=1.0 is 0.000000e+00, not a positive normal double" in res.stderr
         assert not out.exists()
 
     def test_supercritical_exit(self):
@@ -388,12 +391,18 @@ class TestConfigAndIO:
         assert not out.exists()
         assert not list(tmp_path.glob(".tsruin-*"))
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # P(ruin ever) at u = 800 is below the smallest positive normal double
         res = run_cli("scale-fn", "--preset", "paper-ref", "--u-min", "800", "--u-steps", "1",
                       "--out", str(tmp_path / "x.tsv"))
         assert res.returncode == 3
         assert "not a positive normal double" in res.stderr
+        # the tilting rejection cap: an ArithmeticError, not a traceback
+        monkeypatch.setattr(sim, "_MAX_REJECTION_ROUNDS", 1)
+        assert cli.main(["simulate", "--preset", "paper-ref", "--approach", "naive",
+                         "--u-min", "0.1", "--t-min", "2", "--paths", "64", "--batches", "2",
+                         "--out", str(tmp_path / "y.tsv")]) == 3
+        assert capsys.readouterr().err == "error: tilting rejection exceeded 1 rounds\n"
 
     @pytest.mark.parametrize("command, line, message", [
         # an unchecked approach=MC falls through to the naive simulator

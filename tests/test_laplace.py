@@ -69,6 +69,12 @@ class TestTalbot:
 
         with pytest.raises(InversionError, match="transform evaluation failed"):
             talbot_invert(broken, 1.0, M=16)
+        # a NaN transform value is reported, not summed, by both Talbot engines;
+        # of the grid's rows only t = 2 has nodes with |d| < 4
+        with pytest.raises(InversionError, match=r"^transform is not finite .*\(t=2\.0\)"):
+            talbot_invert(lambda d: math.nan, 2.0, M=16)
+        with pytest.raises(InversionError, match=r"^transform is not finite .*\(t=2\.0\)"):
+            talbot_grid(lambda d: np.where(abs(d) < 4.0, np.nan, 1.0), [1.0, 2.0], 16)
 
 
 class TestTalbotGrid:

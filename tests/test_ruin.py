@@ -188,7 +188,7 @@ class TestShiftedTalbotEngine:
     def test_overflow_raises(self):
         # psi_X(alpha) = 2.93: B(300) ~ e^879 is beyond double precision
         m = ClaimsModel.from_loading(1.0, 2.0, 0.3, 0.5)
-        with pytest.raises(InversionError, match="not finite"):
+        with pytest.raises(FloatingPointError, match="not finite"):
             BFunction(m).value(300.0)
 
     # float.hex of B on the models of the b-regimes benchmark; each within
@@ -257,6 +257,9 @@ class TestScaleFunction:
     def test_domain(self, paper_ref):
         with pytest.raises(ValueError):
             scale_function(paper_ref, 0.0)
+        for bad in (1.5, math.nan):
+            with pytest.raises(ValueError, match=r"^p_ruin .*outside \[0, 1\]"):
+                scale_function(paper_ref, 1.0, p_ruin=bad)
         for bad in (math.nan, math.inf, [1.0, math.inf]):
             for f in (scale_function, prob_eventual_ruin):
                 with pytest.raises(ValueError, match="u must be a positive finite"):
@@ -348,7 +351,7 @@ class TestEventualRuinGrid:
 
     def test_underflow_raises(self, paper_ref):
         # e^(-alpha u) underflows: P must not be printed as 0
-        with pytest.raises(InversionError, match="not a positive normal double"):
+        with pytest.raises(FloatingPointError, match="not a positive normal double"):
             prob_eventual_ruin(paper_ref, 800.0)
 
 
@@ -406,6 +409,10 @@ class TestEstimators:
         with pytest.raises(FloatingPointError,
                            match=r"^rft estimate at u=691\.0, t=1\.0 is .*not a positive normal"):
             estimate_rft(paper_ref, us, ts)
+        # P(690) ~ 1e-300 is normal; times B(1e-12)/B(inf) it is subnormal
+        with pytest.raises(FloatingPointError,
+                           match=r"^tulta estimate at u=690\.0, t=1e-12 is .*not a positive normal"):
+            estimate_tulta(paper_ref, [690.0], [1e-12, 1.0])
 
     def test_tulta_reference_values(self, paper_ref):
         for (u, t), want in TULTA_REFERENCE.items():
@@ -422,7 +429,7 @@ class TestEstimators:
         vals = estimate_tulta(paper_ref, 1.0, [2.0, 5.0, 10.0, 20.0])
         assert np.all(np.diff(vals) >= 0.0)
 
-    @pytest.mark.parametrize("p_ruin", [1.5, -0.1])
+    @pytest.mark.parametrize("p_ruin", [1.5, -0.1, 0.0, math.nan])
     def test_tulta_rejects_probability_out_of_range(self, paper_ref, p_ruin):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             estimate_tulta(paper_ref, 1.0, 10.0, p_ruin=p_ruin)
