@@ -4,48 +4,14 @@ Finite-time and infinite-horizon ruin estimates via numerical Laplace
 inversion of the asymptotic ruin-time profile, cross-checked by
 importance-sampled Monte Carlo simulation under an exponential change of
 measure to a stable process.
-"""
-from .laplace import (
-    InversionError,
-    levin_invert,
-    talbot_grid,
-    talbot_invert,
-)
-from .model import (
-    ClaimsModel,
-    PhiConvergenceError,
-    RegimeTag,
-    ScaleChange,
-    cumulant_x,
-    cumulant_y,
-    levy_tail,
-    levy_tail_asymptotic,
-    min_loading_for_subcritical,
-    phi,
-    premium_from_loading,
-    rescale,
-)
-from .ruin import (
-    BFunction,
-    RegimeError,
-    b_infinity,
-    b_tilde,
-    estimate_infinite_horizon,
-    estimate_rft,
-    estimate_tulta,
-    growth_diagnostic,
-    prob_eventual_ruin,
-    scale_function,
-)
-from .sim import (
-    BatchResult,
-    SimPlan,
-    StableLawParams,
-    run_batches,
-    sample_stable,
-    simulate_ruin_mc,
-    simulate_ruin_naive,
-    stable_increment_params,
-)
 
+The package's API is the union of its modules' ``__all__``.
+"""
+from . import laplace, model, ruin, sim
+from .laplace import *  # noqa: F403
+from .model import *  # noqa: F403
+from .ruin import *  # noqa: F403
+from .sim import *  # noqa: F403
+
+__all__ = [*laplace.__all__, *model.__all__, *ruin.__all__, *sim.__all__]
 __version__ = "0.1.0"

@@ -11,16 +11,14 @@ array of levels and ``ends`` an increasing array of step counts (one per
 horizon).  With a scalar barrier and ``ends=None`` they reduce to the
 one-cell scan over the full path.
 
-Blocks.  ``stable_standard`` computes its flattened input in blocks of
-``_BLOCK_ELEMENTS``; the two scans take ``max(1, _BLOCK_ELEMENTS // steps)``
-paths at a time, turn them into partial sums in place (``mc_weight_scan``
-first into increments), and keep only each path's running maximum (and Z)
-at the ends, of shape (npaths, len(ends)).  A block is computed in place,
-in its slice of the output or in one reused path buffer, with one scratch
-buffer of block size beside it, so no temporary grows with the input.
-``mc_weight_scan`` reads its draws only as ``u_ang[lo:hi]`` and
-``w_exp[lo:hi]``, each row block once and in order, so it also takes draw
-sources that exist one block at a time (``sim._DrawRows``).
+Blocks.  Every kernel works a block of rows at a time, as many as fill
+``_BLOCK_ELEMENTS`` and at least one.  ``stable_standard`` and
+``mc_weight_scan`` read their draws only as ``u_ang[lo:hi]`` and
+``w_exp[lo:hi]``, each row block once and in order, so they take draws that
+exist one block at a time (``sim._DrawRows``) as well as arrays.  Both
+scans build their paths in one loop (``_build_paths``), as partial sums in
+one reused buffer, and keep only each path's running maximum and value at
+the ends, of shape (npaths, len(ends)); no temporary grows with the input.
 
 Bit identity.  Each element goes through the ufuncs of the one-expression
 transform ``scale0 * sin(rho (u + theta0)) / cos(u)^(1/rho) * (cos(u - rho
@@ -80,19 +78,21 @@ def _cms_into(u_ang, w_exp, rho, theta0, scale0, out, tmp):
     out *= tmp
 
 
+def _block_rows(row_elems: int) -> int:
+    """Rows of ``row_elems`` elements per block."""
+    return max(1, _BLOCK_ELEMENTS // max(1, row_elems))
+
+
 def stable_standard(u_ang, w_exp, rho, theta0, scale0):
-    """Standardised stable variates from angles and exponentials, computed
-    in flat blocks of ``_BLOCK_ELEMENTS``; returns an array of their
-    broadcast shape."""
-    u_ang, w_exp = np.broadcast_arrays(np.asarray(u_ang, dtype=np.float64),
-                                       np.asarray(w_exp, dtype=np.float64))
+    """Standardised stable variates from angles and exponentials of one
+    shape, read a row block of about ``_BLOCK_ELEMENTS`` at a time (arrays or
+    ``sim._DrawRows``); returns an array of that shape."""
     out = np.empty(u_ang.shape)
-    u_flat, w_flat, o_flat = u_ang.reshape(-1), w_exp.reshape(-1), out.reshape(-1)
-    tmp = np.empty(min(_BLOCK_ELEMENTS, out.size))
-    for lo in range(0, out.size, _BLOCK_ELEMENTS):
-        hi = min(lo + _BLOCK_ELEMENTS, out.size)
-        _cms_into(u_flat[lo:hi], w_flat[lo:hi], rho, theta0, scale0, o_flat[lo:hi],
-                  tmp[:hi - lo])
+    rows = _block_rows(math.prod(out.shape[1:]))
+    tmp = np.empty_like(out[:rows])
+    for lo in range(0, len(out), rows):
+        hi = min(lo + rows, len(out))
+        _cms_into(u_ang[lo:hi], w_exp[lo:hi], rho, theta0, scale0, out[lo:hi], tmp[:hi - lo])
     return out
 
 
@@ -104,38 +104,51 @@ def _running_max(path, ends):
     return np.maximum.accumulate(np.maximum.reduceat(path, starts, axis=1), axis=1)
 
 
+def _build_paths(shape, fill, barrier, ends):
+    """Paths of ``shape`` (npaths, steps), a row block at a time: ``fill(lo,
+    hi, blk)`` writes the partial sums of rows lo..hi-1 into ``blk``.
+
+    Returns ``barrier`` as a 1-d array of levels, each path's running
+    maximum and value at the ends, of shape (npaths, len(ends)), and the
+    number of paths above the lowest level by the last end.
+    """
+    npaths, steps = shape
+    ends = np.array([steps] if ends is None else ends, dtype=np.intp)
+    levels = np.atleast_1d(barrier)
+    rows = _block_rows(steps)
+    path = np.empty((min(rows, npaths), steps))
+    runmax = np.empty((npaths, len(ends)))
+    z_end = np.empty((npaths, len(ends)))
+    for lo in range(0, npaths, rows):
+        hi = min(lo + rows, npaths)
+        blk = path[:hi - lo]
+        fill(lo, hi, blk)
+        runmax[lo:hi] = _running_max(blk, ends)
+        z_end[lo:hi] = blk[:, ends - 1]
+    return levels, runmax, z_end, int((runmax[:, -1] > levels.min()).sum())
+
+
 def mc_weight_scan(u_ang, w_exp, rho, theta0, scale0, nu, mu, barrier, alpha, ends=None):
     """Sum of exp(-alpha * Z_t) over paths that crossed the barrier by t.
 
     Returns (sums, crossing), where sums has shape (len(barrier), len(ends))
     (a float for a scalar barrier and ``ends=None``) and crossing is the
     number of paths above the lowest barrier by the last end.
-
-    Paths are built a block of rows at a time; only each path's running
-    maximum and Z at the ends are kept.
     """
     npaths, steps = u_ang.shape
-    ends = np.array([steps] if ends is None else ends, dtype=np.intp)
-    levels = np.atleast_1d(barrier)
-    rows = max(1, _BLOCK_ELEMENTS // steps)
-    path = np.empty((min(rows, npaths), steps))
-    tmp = np.empty_like(path)
-    runmax = np.empty((npaths, len(ends)))
-    z_end = np.empty((npaths, len(ends)))
-    for lo in range(0, npaths, rows):
-        hi = min(lo + rows, npaths)
-        blk = path[:hi - lo]
+    tmp = np.empty((min(_block_rows(steps), npaths), steps))
+
+    def fill(lo, hi, blk):
         _cms_into(u_ang[lo:hi], w_exp[lo:hi], rho, theta0, scale0, blk, tmp[:hi - lo])
         blk *= nu
         blk += mu
         np.cumsum(blk, axis=1, out=blk)
-        runmax[lo:hi] = _running_max(blk, ends)
-        z_end[lo:hi] = blk[:, ends - 1]
+
+    levels, runmax, z_end, crossing = _build_paths(u_ang.shape, fill, barrier, ends)
     weights = np.exp(-alpha * z_end)
-    sums = np.array([[weights[runmax[:, j] > b, j].sum() for j in range(len(ends))]
+    sums = np.array([[weights[runmax[:, j] > b, j].sum() for j in range(runmax.shape[1])]
                      for b in levels])
-    crossing = int((runmax[:, -1] > levels.min()).sum())
-    return (float(sums[0, 0]) if np.ndim(barrier) == 0 and len(ends) == 1 else sums), crossing
+    return (float(sums[0, 0]) if np.ndim(barrier) == 0 and sums.shape[1] == 1 else sums), crossing
 
 
 def first_passage_scan(incr, barrier, ends=None, counts=None):
@@ -143,22 +156,11 @@ def first_passage_scan(incr, barrier, ends=None, counts=None):
     one, for an array) by the last end.
 
     With ``counts`` of shape (len(barrier), len(ends)), also adds to it,
-    per cell, the number of paths above barrier i by end j.
-
-    The partial sums are taken a block of rows at a time into one reused
-    path buffer; ``incr`` is left unchanged.
+    per cell, the number of paths above barrier i by end j.  ``incr`` is
+    left unchanged.
     """
-    npaths, steps = incr.shape
-    ends = np.array([steps] if ends is None else ends, dtype=np.intp)
-    levels = np.atleast_1d(barrier)
-    rows = max(1, _BLOCK_ELEMENTS // steps)
-    path = np.empty((min(rows, npaths), steps))
-    runmax = np.empty((npaths, len(ends)))
-    for lo in range(0, npaths, rows):
-        hi = min(lo + rows, npaths)
-        blk = path[:hi - lo]
-        np.cumsum(incr[lo:hi], axis=1, out=blk)
-        runmax[lo:hi] = _running_max(blk, ends)
+    levels, runmax, _, crossing = _build_paths(
+        incr.shape, lambda lo, hi, blk: np.cumsum(incr[lo:hi], axis=1, out=blk), barrier, ends)
     if counts is not None:
         counts += (runmax[None, :, :] > levels[:, None, None]).sum(axis=1)
-    return int((runmax[:, -1] > levels.min()).sum())
+    return crossing

@@ -150,20 +150,15 @@ def _parse_config(path: str) -> dict:
 def _merge_settings(args: argparse.Namespace) -> dict:
     merged: dict = {"h": 0.01, "paths": 4096, "batches": 30, "seed": 12345, "threads": 1}
     config = _parse_config(args.config) if args.config else {}
-    # a preset lies beneath the file's own keys; a --preset flag replaces the file's
-    preset = args.preset or config.get("preset")
-    if preset:
-        merged.update(PRESETS[preset])
-    merged.update(config)
-    for key in _OPTIONS:
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
-    # an explicit premium flag replaces a preset/config loading, and vice versa
-    if args.p is not None and args.xi is None:
-        merged.pop("xi", None)
-    if args.xi is not None and args.p is None:
-        merged.pop("p", None)
+    flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
+    # layers preset < file < flags, where a --preset flag replaces the file's
+    # preset; a layer's premium (p or xi) replaces both of the layers below
+    preset = PRESETS.get(args.preset or config.get("preset"), {})
+    for layer in (preset, config, flags):
+        if "p" in layer or "xi" in layer:
+            merged.pop("p", None)
+            merged.pop("xi", None)
+        merged.update(layer)
     return merged
 
 

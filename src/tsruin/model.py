@@ -115,8 +115,7 @@ def gamma_neg(rho: float) -> float:
     30-digit Gamma to scipy's accuracy, 4 ulp on (0, 1) (both checked in the
     test suite).
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0,1), got {rho}")
+    _require_rho(rho)
     return _gamma_small(1.0 - rho) / (-rho)
 
 
@@ -158,6 +157,12 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _require_rho(rho: float) -> None:
+    """Raise ``ValueError`` unless the stability index ``rho`` is in (0, 1)."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must be in (0,1), got {rho}")
+
+
 def _require_reportable(what: str, values: np.ndarray, upper: float = math.inf,
                         **axes) -> np.ndarray:
     """Return ``values`` if every entry is a finite, positive normal double <=
@@ -193,8 +198,7 @@ def premium_from_loading(mean_claims: float, xi: float) -> float:
 
 def min_loading_for_subcritical(rho: float) -> float:
     """Smallest safety loading for which psi_X(alpha) < 0, i.e. (1-rho)/rho."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0,1), got {rho}")
+    _require_rho(rho)
     return (1.0 - rho) / rho
 
 

@@ -133,7 +133,9 @@ class BFunction:
         self.model = model
 
     def value(self, t: float) -> float:
-        """B(t) by numerical inversion: the one-point ``grid``."""
+        """B(t) at a scalar t by numerical inversion: the one-point ``grid``."""
+        if np.ndim(t):
+            raise ValueError(f"t must be a scalar, got shape {np.shape(t)}")
         return float(self.grid(t)[0])
 
     def grid(self, ts) -> np.ndarray:
@@ -233,10 +235,14 @@ def prob_eventual_ruin(m: ClaimsModel, u):
     return p if np.ndim(u) else float(p[0])
 
 
-def _require_probability(p_ruin):
-    """A caller's P(ruin ever), a float or an array, if every entry is in
-    (0, 1] (NaN is not); else ``ValueError`` naming ``p_ruin``."""
-    if isinstance(p_ruin, float):  # scale_function takes one per call: no numpy
+def _require_probability(p_ruin, u):
+    """A caller's P(ruin ever) at ``u``, a float or an array of u's shape, if
+    every entry is in (0, 1] (NaN is not); else ``ValueError`` naming
+    ``p_ruin``."""
+    one_float = isinstance(p_ruin, float) and isinstance(u, float)  # scale-fn's: no numpy
+    if not one_float and np.shape(p_ruin) != np.shape(u):
+        raise ValueError(f"p_ruin must have the shape of u, {np.shape(u)}, got {np.shape(p_ruin)}")
+    if isinstance(p_ruin, float):
         ok = 0.0 < p_ruin <= 1.0
     else:
         p_ruin = np.asarray(p_ruin, dtype=np.float64)
@@ -250,7 +256,7 @@ def scale_function(m: ClaimsModel, u, p_ruin=None):
     """Scale function W(u) = (1 - P(ruin ever))/|E X_1| at a scalar or a vector
     ``u``, nondecreasing to 1/|E X_1|; ``p_ruin`` is P(ruin ever) at ``u`` when
     the caller already has it."""
-    p = prob_eventual_ruin(m, u) if p_ruin is None else _require_probability(p_ruin)
+    p = prob_eventual_ruin(m, u) if p_ruin is None else _require_probability(p_ruin, u)
     return (1.0 - p) / abs(m.drift_mean)
 
 
@@ -290,7 +296,7 @@ def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     require_subcritical(m, "the normalized finite-time estimate")
-    p = prob_eventual_ruin(m, us) if p_ruin is None else _require_probability(p_ruin)
+    p = prob_eventual_ruin(m, us) if p_ruin is None else _require_probability(p_ruin, u)
     ratio = np.minimum(1.0, BFunction(m).grid(ts) / b_infinity(m))
     values = np.reshape(p, us.shape)[:, None] * ratio
     return _cells(u, t, _require_reportable("tulta estimate", values, 1.0, u=us, t=ts))

@@ -22,15 +22,16 @@ Batches are deterministic: batch k draws from a generator seeded by
 ``SeedSequence((seed, k))``, so results are bit-identical for a fixed plan
 regardless of thread count or scheduling.
 
-Stream layout.  A batch simulates its paths in chunks of ``_chunk_paths``
-rows.  A chunk of n draws reads n uniforms (the angles) from the batch's
-stream, then its n exponentials; the naive sampler's first rejection round
-then reads its n accept uniforms.  The draws are never held whole: a second
-PCG64, advanced by n, reads the exponentials beside the angles, and both
-are drawn a block of rows at a time, just before the kernels use them
-(``_chunk_draws``).  Memory therefore stays at a few blocks per worker,
-plus the naive sampler's one increment array per chunk, while every
-variate is the one a one-shot draw would give.
+Stream layout.  A batch simulates its paths in chunks of about
+``_CHUNK_ELEMENTS`` elements.  ``_chunk_draws`` reads every angle and
+exponential: n elements (a chunk, a rejection round) read n uniforms (the
+angles), then n exponentials, then a round's n accept uniforms.  None is
+held whole: a second PCG64, advanced by n, reads the exponentials beside
+the angles, a block of rows at a time, just before the kernels use them.
+The naive sampler runs one rejection round (``_tilting_round``) on a
+chunk, then on its rejected elements until none is left.  Memory stays at
+a few blocks per worker, plus the naive sampler's one increment array per
+chunk, and every variate is the one a one-shot draw would give.
 """
 from __future__ import annotations
 
@@ -98,14 +99,15 @@ class StableLawParams:
 def sample_stable(params: StableLawParams, rng: np.random.Generator, size=None):
     """Draw from the stable law by the Chambers-Mallows-Stuck transform.
 
-    Exact and loop-free: one uniform angle and one exponential variate per
-    sample.  Returns a scalar for ``size=None``, otherwise an array.
+    Exact: one uniform angle and one exponential variate per sample, read
+    through ``_chunk_draws``, so ``rng`` must be a PCG64 generator (as from
+    ``default_rng``).  Returns a scalar for ``size=None``, otherwise an array.
     """
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
-    shape = (1,) if size is None else size
-    u_ang = np.pi * (rng.random(shape) - 0.5)
-    w_exp = rng.standard_exponential(shape)
-    std = _kernels.stable_standard(u_ang, w_exp, params.rho, theta0, scale0)
+    # Python ints: PCG64.advance overflows on a numpy integer's product
+    shape = tuple(_require_int("size", k, 0) for k in np.ravel(1 if size is None else size))
+    with _chunk_draws(rng, shape) as (u_ang, w_exp, _):
+        std = _kernels.stable_standard(u_ang, w_exp, params.rho, theta0, scale0)
     out = params.nu * std + params.mu
     return float(out[0]) if size is None else out
 
@@ -202,23 +204,19 @@ def run_batches(job: Callable[[np.random.Generator], float], plan: SimPlan) -> B
     return _fold_batches(job, plan)
 
 
-def _chunk_paths(steps: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // steps)
-
-
 def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
     """Every (u, t) cell from one path set per batch.
 
     Every horizon is checked before any path is drawn.  Paths run to the
-    largest horizon in chunks of ``_chunk_paths`` rows; ``scan(rng, npaths,
-    steps, us, ends)`` draws a chunk and returns its per-(u, end) sums.
-    A cell's batch mean is its sum over the batch's paths divided by n,
-    times ``factor(t)``.
+    largest horizon in chunks of about ``_CHUNK_ELEMENTS`` elements;
+    ``scan(rng, npaths, steps, us, ends)`` draws a chunk and returns its
+    per-(u, end) sums.  A cell's batch mean is its sum over the batch's
+    paths divided by n, times ``factor(t)``.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     ends, col = np.unique([_steps_for(float(x), plan.h) for x in ts], return_inverse=True)
     steps = int(ends[-1])
-    chunk = _chunk_paths(steps)
+    chunk = max(1, _CHUNK_ELEMENTS // steps)
     factors = np.array([factor(float(x)) for x in ts])
 
     def batch_job(rng: np.random.Generator) -> np.ndarray:
@@ -312,6 +310,27 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     return _simulate_grid(u, t, plan, scan, lambda x: math.exp(m.psi_alpha * x))
 
 
+def _tilting_round(rng: np.random.Generator, count: int, nu: float, rho: float,
+                   alpha: float, theta0: float, scale0: float):
+    """One tilting-rejection round: ``count`` proposals nu V, V standard
+    stable, drawn through ``_chunk_draws``, each accepted with probability
+    exp(-alpha nu V) by the uniforms that follow the exponentials, a block
+    at a time.  Returns the proposals and the indices of the rejected ones."""
+    prob = np.empty(min(_kernels._BLOCK_ELEMENTS, count))
+    rejected = []
+    with _chunk_draws(rng, (count,)) as (u_ang, w_exp, after):
+        proposal = _kernels.stable_standard(u_ang, w_exp, rho, theta0, scale0)
+        accept_u = _DrawRows(lambda blk: after.random(out=blk), (count,))
+        for lo in range(0, count, len(prob)):
+            hi = min(lo + len(prob), count)
+            proposal[lo:hi] *= nu
+            p = prob[:hi - lo]
+            np.multiply(-alpha, proposal[lo:hi], out=p)
+            np.exp(p, out=p)
+            rejected.append(lo + np.flatnonzero(~(accept_u[lo:hi] <= p)))
+    return proposal, np.concatenate(rejected)
+
+
 def _tilted_subordinator_increments(
     rng: np.random.Generator, count: int, nu: float, rho: float, alpha: float,
     theta0: float, scale0: float,
@@ -320,39 +339,16 @@ def _tilted_subordinator_increments(
 
     Proposals V are stable subordinator increments (law of Z_h); accepting
     with probability exp(-alpha V) leaves the density proportional to
-    exp(-alpha x) f_Z(x), which is exactly the tempered increment law.
-
-    The first round proposes every element: its proposals go a block at a
-    time straight into the output, from the chunk's split stream
-    (``_chunk_draws``), and its accept uniforms follow the exponentials.
-    Later rounds redraw the rejected elements only.
+    exp(-alpha x) f_Z(x), which is exactly the tempered increment law.  One
+    round runs on every element, then on the rejected ones until none is left.
     """
-    out = np.empty(count)
-    block = _kernels._BLOCK_ELEMENTS
-    tmp = np.empty(min(block, count))
-    rejected = []
-    with _chunk_draws(rng, (count,)) as (u_ang, w_exp, after):
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            proposal = _kernels.stable_standard(u_ang[lo:hi], w_exp[lo:hi], rho, theta0, scale0)
-            np.multiply(nu, proposal, out=out[lo:hi])
-        accept_u = _DrawRows(lambda blk: after.random(out=blk), (count,))
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            prob = tmp[:hi - lo]
-            np.multiply(-alpha, out[lo:hi], out=prob)
-            np.exp(prob, out=prob)
-            rejected.append(lo + np.flatnonzero(~(accept_u[lo:hi] <= prob)))
-    pending = np.concatenate(rejected)
+    out, pending = _tilting_round(rng, count, nu, rho, alpha, theta0, scale0)
     for _ in range(_MAX_REJECTION_ROUNDS - 1):
         if pending.size == 0:
             return out
-        u_ang = np.pi * (rng.random(pending.size) - 0.5)
-        w_exp = rng.standard_exponential(pending.size)
-        proposal = nu * _kernels.stable_standard(u_ang, w_exp, rho, theta0, scale0)
-        accept = rng.random(pending.size) <= np.exp(-alpha * proposal)
-        out[pending[accept]] = proposal[accept]
-        pending = pending[~accept]
+        proposal, rejected = _tilting_round(rng, pending.size, nu, rho, alpha, theta0, scale0)
+        out[pending] = proposal
+        pending = pending[rejected]
     raise ArithmeticError(f"tilting rejection exceeded {_MAX_REJECTION_ROUNDS} rounds")
 
 

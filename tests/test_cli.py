@@ -113,6 +113,25 @@ class TestCmdB:
                       "--t-min", "1", "--t-steps", "1")
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("text, flags", [
+        ("preset=paper-ref\np=1.5\n", []),
+        ("p=1.5\n", ["--preset", "paper-ref"]),
+    ], ids=["file-preset", "flag-preset"])
+    def test_config_premium_overrides_preset_loading(self, tmp_path, capsys, text, flags):
+        # a file's p replaces the preset's xi, as --p does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert cli.main(["b", "--config", str(cfg), *flags, "--t-min", "1"]) == 0
+        from_file = capsys.readouterr()
+        assert cli.main(["b", "--preset", "paper-ref", "--p", "1.5", "--t-min", "1"]) == 0
+        assert from_file == capsys.readouterr()
+
+    def test_both_premiums_in_one_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=1.5\nxi=0.3\n")
+        assert cli.main(["b", "--preset", "paper-ref", "--config", str(cfg), "--t-min", "1"]) == 2
+        assert capsys.readouterr().err == "error: exactly one of --p and --xi must be given\n"
+
     def test_both_premium_flags_rejected(self):
         res = run_cli("b", "--preset", "paper-ref", "--p", "1.2", "--xi", "0.3",
                       "--t-min", "1", "--t-steps", "1")

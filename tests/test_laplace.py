@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tsruin
 from tsruin import (
     InversionError,
     b_tilde,
@@ -272,6 +273,14 @@ def test_every_exported_name_resolves(module):
     # a name deleted from a module must not linger in its export list
     mod = importlib.import_module(f"tsruin.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_exports_every_module_export():
+    # the package re-exports its public modules' names, and nothing else
+    union = [name for module in ("laplace", "model", "ruin", "sim")
+             for name in importlib.import_module(f"tsruin.{module}").__all__]
+    assert [name for name in union if not hasattr(tsruin, name)] == []
+    assert sorted(tsruin.__all__) == sorted(union)
 
 
 def test_numpy_is_the_only_runtime_dependency():

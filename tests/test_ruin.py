@@ -112,6 +112,8 @@ class TestBFunction:
     def test_rejects_nonpositive_t(self, bf_ref):
         with pytest.raises(ValueError):
             bf_ref.value(0.0)
+        with pytest.raises(ValueError, match=r"t must be a scalar, got shape \(2,\)"):
+            bf_ref.value(np.array([1.0, 2.0]))  # not B at the first t alone
         for bad in (math.nan, math.inf):
             for call in (bf_ref.value, bf_ref.grid, lambda t: bf_ref.grid([1.0, t])):
                 with pytest.raises(ValueError, match="t must be a positive finite"):
@@ -260,6 +262,9 @@ class TestScaleFunction:
         for bad in (1.5, math.nan):
             with pytest.raises(ValueError, match=r"^p_ruin .*outside \[0, 1\]"):
                 scale_function(paper_ref, 1.0, p_ruin=bad)
+        # one P for two u is not W at either
+        with pytest.raises(ValueError, match=r"^p_ruin must have the shape of u, \(2,\)"):
+            scale_function(paper_ref, [1.0, 2.0], p_ruin=0.5)
         for bad in (math.nan, math.inf, [1.0, math.inf]):
             for f in (scale_function, prob_eventual_ruin):
                 with pytest.raises(ValueError, match="u must be a positive finite"):
@@ -478,6 +483,8 @@ class TestEstimators:
                          (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
                 with pytest.raises(ValueError):
                     estimate(paper_ref, u, t)
+        with pytest.raises(ValueError, match=r"^p_ruin must have the shape of u, \(2,\)"):
+            estimate_tulta(paper_ref, [1.0, 2.0], 5.0, p_ruin=0.5)
 
 
 class TestGrowthDiagnostic:

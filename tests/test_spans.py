@@ -45,3 +45,31 @@ def test_one_estimate_span_per_surface_command(tmp_path):
         assert names.count(f"ruin.estimate_{method}") == 1
     assert names.count("model.levy_tail") == 3  # one per u, for rft only
     assert names.count("ruin.BFunction.value") == 0
+
+
+def test_kernel_spans_carry_metadata_on_monte_carlo_commands(tmp_path):
+    # a kernel argument without .shape or .size (a draw source, say) breaks
+    # the traced benchmark's metadata, not the untraced commands
+    point = ["--preset", "paper-ref", "--u-min", "0.1", "--t-min", "2", "--h", "0.05",
+             "--paths", "256", "--batches", "2"]
+    tracer = spans.Tracer()
+    tracer.install(tsruin)
+    try:
+        for argv in (["simulate", "--approach", "mc"], ["simulate", "--approach", "naive"],
+                     ["benchmark"]):
+            assert tsruin.cli.main([*argv, *point, "--out", str(tmp_path / "out.tsv")]) == 0
+    finally:
+        tracer.uninstall()
+    keys = {"kernels.mc_weight_scan": {"rows", "elems", "hits"},
+            "kernels.stable_standard": {"elems"},
+            "kernels.first_passage_scan": {"rows", "elems", "hits"}}
+    elems = {}
+    for name, want in keys.items():
+        metas = [span[6] for span in tracer.spans if span[1] == name]
+        assert metas, name
+        for meta in metas:
+            assert set(meta) == want, name
+            assert all(isinstance(v, int) and v >= 0 for v in meta.values()), (name, meta)
+        elems[name] = sum(meta["elems"] for meta in metas)
+    # the naive sampler proposes every increment it scans at least once
+    assert elems["kernels.stable_standard"] >= elems["kernels.first_passage_scan"] > 0
