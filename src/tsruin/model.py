@@ -165,13 +165,14 @@ def _require_rho(rho: float) -> None:
 
 def _require_reportable(what: str, values: np.ndarray, upper: float = math.inf,
                         **axes) -> np.ndarray:
-    """Return ``values`` if every entry is a finite, positive normal double <=
-    ``upper``; else raise ``FloatingPointError`` naming ``what`` and the first
-    bad entry's (row-major) coordinate on each of ``axes``, one per dimension."""
-    bad = np.argwhere(~(np.isfinite(values) & (values >= _TINY) & (values <= upper)))
+    """Return ``values`` if every entry (a scalar is one) is a finite, positive
+    normal double <= ``upper``; else raise ``FloatingPointError`` naming ``what``
+    and the first bad entry's (row-major) coordinate on each of ``axes``."""
+    flat = np.atleast_1d(values)  # argwhere of a 0-d array finds nothing
+    bad = np.argwhere(~(np.isfinite(flat) & (flat >= _TINY) & (flat <= upper)))
     if bad.size:
         where = ", ".join(f"{name}={axis[k]}" for (name, axis), k in zip(axes.items(), bad[0]))
-        v, bound = values[tuple(bad[0])], "" if upper == math.inf else f" <= {upper:g}"
+        v, bound = flat[tuple(bad[0])], "" if upper == math.inf else f" <= {upper:g}"
         reason = (f"not a positive normal double{bound}" if np.isfinite(v)
                   else "not finite in double precision")
         raise FloatingPointError(f"{what} at {where} is {v:.6e}, {reason}")
@@ -258,6 +259,11 @@ class ClaimsModel:
     def drift_mean(self) -> float:
         """E[X_1] = E[Y_1] - p, negative under net profit."""
         return self.mean_claims - self.p
+
+    @cached_property
+    def variance(self) -> float:
+        """Var[X_1] = psi_X''(0) = k rho (1 - rho) alpha^(rho-2), k = -c Gamma(-rho)."""
+        return self._q_scale * (self.rho * (1.0 - self.rho))  # -2 Q(0), to the bit
 
     @cached_property
     def loading(self) -> float:
@@ -518,17 +524,18 @@ def levy_tail(m: ClaimsModel, u: float) -> float:
     [1e-4, 600], the worst relative error was 2.7e-13 (rho = 0.01,
     x = 0.98); the former form through scipy's Q(1-rho, x) was off by up to
     2e-9 at large x.  Checked against a 30-digit incomplete gamma in the
-    test suite.
+    test suite.  A tail that is not a normal double (alpha u > ~690) raises.
     """
     _require_positive(u=u)
-    r = m.rho
-    return m.c * m.alpha ** r * _upper_gamma_neg(r, m.alpha * u)
+    tail = m.c * m.alpha ** m.rho * _upper_gamma_neg(m.rho, m.alpha * u)
+    return _require_reportable("Levy tail", tail, u=[u])
 
 
 def levy_tail_asymptotic(m: ClaimsModel, u: float) -> float:
     """Leading-order tail c e^(-alpha u) / (alpha u^(1+rho)), adequate for large alpha*u."""
     _require_positive(u=u)
-    return m.c * math.exp(-m.alpha * u) / (m.alpha * u ** (1.0 + m.rho))
+    tail = m.c * math.exp(-m.alpha * u) / (m.alpha * u ** (1.0 + m.rho))
+    return _require_reportable("asymptotic Levy tail", tail, u=[u])
 
 
 def rescale(m: ClaimsModel, s: ScaleChange) -> ClaimsModel:

@@ -11,9 +11,11 @@ messages for the measured numbers and the verified explanation):
   column at (u=2, t=20) and (u=1, t=10) and passes the independent
   Esscher-consistency and transform-law checks (criteria 4 and 8).
 * criterion 7 (supercritical half): the log-slope limit psi_X(alpha) holds
-  as t -> infinity, but the transform's double pole adds a 1/t correction
-  that is still 3x the limit on the stated [20, 50] window; the same
-  statement passes on [600, 1000].
+  as t -> infinity, but the measured slope on the stated [20, 50] window is
+  still 3.3x the limit.  The pole terms of the transform (its double pole
+  at psi_X(alpha) and its pole at 0) account for part of that gap only:
+  they predict 4.1x, and leave out a remainder that is 34% of B at t = 20.
+  On [600, 1000] the pole terms match B and the statement passes.
 * criterion 10: the eventual-ruin/tail ratio converges to its limit like
   ~1.1/u to ~1.3/u, so the 3% band is first met near u = 43, far beyond
   the stated u = 5 (where the true gap is 22%); the required shrink from
@@ -39,6 +41,7 @@ from tsruin import (
     growth_diagnostic,
     levin_invert,
     levy_tail,
+    phi,
     prob_eventual_ruin,
     rescale,
     sample_stable,
@@ -53,7 +56,7 @@ from tsruin.ruin import B_TALBOT_RTOL
 from tsruin.sim import _tilted_subordinator_increments
 from tsruin import _kernels
 
-from conftest import Oracle
+from conftest import Oracle, assert_close
 
 TULTA_REFERENCE = {
     (1.0, 10.0): 0.00330802,
@@ -187,15 +190,46 @@ def test_criterion_07_growth_regimes(model, bf):
     slope = growth_diagnostic(super_model, 20.0, 50.0, points=10)
     slope_gap = abs(slope / super_model.psi_alpha - 1.0)
     slope_ok = slope_gap <= 0.10
+    ts = np.linspace(20.0, 50.0, 10)  # growth_diagnostic's grid
+    terms = _pole_terms(super_model, ts)
+    predicted = np.polyfit(ts, np.log(terms), 1)[0]
+    rest = 1.0 - terms / BFunction(super_model).grid(ts)
     detail = (
         f"plateau |B(200)/B(inf)-1| {plateau} (<=1e-2); "
         f"supercritical slope {slope:.5f} vs psi {super_model.psi_alpha:.5f} "
-        f"(gap {slope_gap:.0%}, required <=10%): the transform's double pole at "
-        f"psi adds a d(ln t)/dt ~ 1/t term, so [20,50] sits outside the "
-        f"asymptotic regime; the same check passes on [600,1000] "
-        f"(see test_growth_asymptotic_window)"
+        f"(gap {slope_gap:.0%}, required <=10%): [20,50] sits outside the "
+        f"asymptotic regime. The transform's pole terms, at psi (double) and at 0, "
+        f"predict a slope of {predicted:.4f} there against the measured {slope:.4f}; "
+        f"the prediction leaves out the remainder of B, {rest[0]:.0%} of B at t=20 "
+        f"and {rest[-1]:.1%} at t=50. On [600,1000] the pole terms match B and the "
+        f"same check passes (see test_pole_terms_match_b_late and "
+        f"test_growth_asymptotic_window)"
     )
     _criterion(7, "growth regimes", plateau_ok and slope_ok, detail)
+
+
+def _pole_terms(m: ClaimsModel, ts):
+    """B's terms from the poles of its transform, e^(psi t) (A t + C) + D, of a
+    supercritical model, psi = psi_X(alpha): with Phi = Phi_X(psi) and
+    Phi' = 1/psi_X'(Phi), the double pole at psi gives A = 1 - alpha/Phi and
+    C = alpha Phi'/Phi^2, and the pole of 1/Phi_X at 0 gives
+    D = alpha |E[X_1]|/psi^2."""
+    psi = m.psi_alpha
+    root = phi(m, psi)
+    slope_at_root = m.tilt_coefficient * m.rho * (m.alpha - root) ** (m.rho - 1.0) - m.p
+    a, c = 1.0 - m.alpha / root, m.alpha / (slope_at_root * root ** 2)
+    return np.exp(psi * ts) * (a * ts + c) + m.alpha * abs(m.drift_mean) / psi ** 2
+
+
+def test_pole_terms_match_b_late():
+    # companion to criterion 7: on [600, 1000] B is its pole terms to 3.9e-7
+    # relative, and their log-slope is growth_diagnostic's to 5e-8
+    super_model = ClaimsModel.from_loading(0.01, 1.0, 0.5, 0.2)
+    ts = np.linspace(600.0, 1000.0, 9)
+    terms = _pole_terms(super_model, ts)
+    np.testing.assert_allclose(terms, BFunction(super_model).grid(ts), rtol=1e-6)
+    assert_close(np.polyfit(ts, np.log(terms), 1)[0],
+                 growth_diagnostic(super_model, 600.0, 1000.0, points=9), rel=2e-7)
 
 
 def test_growth_asymptotic_window():

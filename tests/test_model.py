@@ -131,6 +131,29 @@ class TestMeans:
         unit = ClaimsModel.from_loading(1.0, math.pi, 0.5, 0.2)
         assert_close(unit.mean_claims, 1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_variance(self, name):
+        # Var[X_1] = psi_X''(0) is -2 Q(0) to the bit, and mpmath's second
+        # derivative of the oracle's psi_X at 0 (p drops out of it)
+        m = ClaimsModel.from_loading(*MODELS[name])
+        assert m.variance == -2.0 * m.q(np.zeros(1))[0]
+        oracle = Oracle(*MODELS[name])
+        with mpmath.workdps(30):
+            oracle._setup()
+            want = mpmath.diff(oracle.psi, 0, 2)
+        assert_close(m.variance, float(want), rel=1e-13)
+
+
+class TestRequireReportable:
+    def test_scalar_is_one_entry(self):
+        # a 0-d value is checked as a one-entry vector and named on its axis
+        for bad in (1e-310, 0.0, math.nan, math.inf, np.float64(1e-310), np.array(0.0)):
+            with pytest.raises(FloatingPointError, match=r"^x at u=1\.0 is "):
+                model_module._require_reportable("x", bad, u=[1.0])
+        with pytest.raises(FloatingPointError, match=r"^P at u=2\.0 is 1\.5.*normal double <= 1$"):
+            model_module._require_reportable("P", 1.5, 1.0, u=[2.0])
+        assert model_module._require_reportable("x", 2.0, u=[1.0]) == 2.0
+
 
 class TestGamma:
     """The cephes Gamma port behind gamma_neg, which sets every Monte Carlo byte."""
@@ -555,6 +578,14 @@ class TestLevyTail:
             for tail in (levy_tail, levy_tail_asymptotic):
                 with pytest.raises(ValueError, match="u must be finite"):
                     tail(paper_ref, bad)
+        # a positive tail past alpha u ~ 690 is subnormal (691) or 0.0 (745, 800)
+        for u in (691.0, 745.0, 800.0):
+            with pytest.raises(FloatingPointError,
+                               match=rf"^Levy tail at u={u} is .*not a positive normal double"):
+                levy_tail(paper_ref, u)
+        with pytest.raises(FloatingPointError,
+                           match=r"^asymptotic Levy tail at u=745\.0 is 0\.000000e\+00, not a"):
+            levy_tail_asymptotic(paper_ref, 745.0)
 
 
 class TestRescale:

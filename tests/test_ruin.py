@@ -2,6 +2,7 @@
 ruin, the two finite-time estimates, and growth diagnostics."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from tsruin import (
     estimate_tulta,
     growth_diagnostic,
     levy_tail,
+    limit_law_mean,
     prob_eventual_ruin,
     rescale,
     scale_function,
@@ -43,6 +45,32 @@ NEWTON_STEPS = 4
 # eventual ruin at paper-ref, mpmath Talbot on the shifted transform at 64 digits
 EVENTUAL_RUIN_64 = {9.6: 3.055485227e-8, 20.0: 2.52366771e-13, 45.0: 7.625530228e-25,
                     100.0: 2.105782917e-49}
+
+# subcritical models (c, alpha, rho, xi): the two subcritical fixtures, and
+# one each with a fast and a slow approach of B to B(inf)
+SUBCRITICAL = {"paper_ref": MODELS["paper_ref"], "large_t_model": MODELS["large_t_model"],
+               "fast": (1.0, 2.0, 0.3, 3.0), "slow": (0.01, 1.0, 0.5, 1.5)}
+
+
+class SupOracle(Oracle):
+    """``Oracle`` with E exp(alpha sup_{s<=t} X_s), the mpmath Talbot rule on
+    its transform (Phi(d) - alpha) / ((d - psi_X(alpha)) Phi(d)), solved node
+    by node as ``Oracle.b`` solves B's."""
+
+    def sup_moment(self, t: float, M: int):
+        with mpmath.workdps(M):
+            self._setup()
+            last = []
+
+            def transform(d):
+                if mpmath.im(d) == 0:
+                    root = self._phi_real(mpmath.re(d))
+                else:
+                    root = self._newton(d, last[-1])
+                last.append(root)
+                return (root - self.a) / ((d - self.psi_a) * root)
+
+            return mpmath.invertlaplace(transform, t, method="talbot", degree=M)
 
 
 @pytest.fixture
@@ -115,17 +143,14 @@ class TestBFunction:
         with pytest.raises(ValueError, match=r"t must be a scalar, got shape \(2,\)"):
             bf_ref.value(np.array([1.0, 2.0]))  # not B at the first t alone
         for bad in (math.nan, math.inf):
-            for call in (bf_ref.value, bf_ref.grid, lambda t: bf_ref.grid([1.0, t])):
+            for call in (bf_ref.value, bf_ref.grid, lambda t: bf_ref.grid([1.0, t]),
+                         bf_ref.sup_moment, lambda t: bf_ref.sup_moment([1.0, t])):
                 with pytest.raises(ValueError, match="t must be a positive finite"):
                     call(bad)
-            for call in (bf_ref.derivative, bf_ref.sup_moment):
-                with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
-                    call(bad)
-            with pytest.raises(ValueError, match=f"T must be finite, got {bad}"):
-                bf_ref.mean_estimate(bad)
-        for call in (bf_ref.derivative, bf_ref.sup_moment):
-            with pytest.raises(ValueError, match="t must be positive, got 0.0"):
-                call(0.0)
+        for bad in (0.0, -1.0, [[1.0]]):
+            with pytest.raises(ValueError,
+                               match="t must be a positive finite scalar or vector"):
+                bf_ref.sup_moment(bad)
 
     def test_sup_moment(self, paper_ref, bf_ref):
         # E exp(alpha sup X) is 1 at t=0+, nondecreasing, >= max(1, e^(psi t))
@@ -135,6 +160,31 @@ class TestBFunction:
         for t, v in zip([0.1, 1.0, 5.0, 10.0, 20.0], vals):
             assert v >= max(1.0, math.exp(paper_ref.psi_alpha * t)) - 1e-3
 
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_sup_moment_against_mpmath_rule(self, model):
+        ts = [0.1, 1.0, 5.0, 20.0, 100.0]
+        got = BFunction(ClaimsModel.from_loading(*MODELS[model])).sup_moment(ts)
+        oracle = SupOracle(*MODELS[model])
+        for t, v in zip(ts, got):
+            assert_close(v, float(oracle.sup_moment(t, 32)), rel=1e-10,
+                         msg=f"E exp(alpha sup X) at t={t}")
+
+    @pytest.mark.parametrize("name", list(SUBCRITICAL))
+    def test_sup_moment_plateau(self, name):
+        # subcritically X-bar_t -> X-bar_inf, and E e^(alpha X-bar_inf) =
+        # alpha E[X_1]/psi_X(alpha) = -psi_X(alpha) B(inf)
+        m = ClaimsModel.from_loading(*SUBCRITICAL[name])
+        for v in BFunction(m).sup_moment([5000.0, 10000.0]):
+            assert_close(v, m.alpha * m.drift_mean / m.psi_alpha, rel=1e-11)
+
+    def test_sup_moment_scalar_is_bitwise_any_grid_entry(self, ig_model):
+        bf = BFunction(ig_model)
+        for ts in ([0.5, 2.0, 8.0], [8.0, 2.0, 0.5], np.linspace(0.5, 8.0, 6)):
+            vals = bf.sup_moment(ts)
+            assert isinstance(vals, np.ndarray) and vals.shape == (len(ts),)
+            assert [bf.sup_moment(t) for t in ts] == vals.tolist()
+        assert type(bf.sup_moment(2.0)) is float
+
     def test_sandwich_upper_bound(self, paper_ref, bf_ref):
         # B(t) <= (e^(psi t) - 1)/psi * E e^(alpha sup X)
         psi = paper_ref.psi_alpha
@@ -142,15 +192,27 @@ class TestBFunction:
             upper = (math.exp(psi * t) - 1.0) / psi * bf_ref.sup_moment(t)
             assert bf_ref.value(t) <= upper * (1.0 + 1e-6)
 
-    def test_mean_estimate(self, paper_ref):
-        bf = BFunction(paper_ref)
-        assert bf.mean_estimate(0.0) == 0.0
-        m50 = bf.mean_estimate(50.0)
-        m100 = bf.mean_estimate(100.0)
-        m200 = bf.mean_estimate(200.0)
-        assert 0.0 < m50 <= m100 <= m200
-        # stabilization consistent with a finite mean of the limit law
-        assert m200 - m100 < 1e-4
+    @pytest.mark.parametrize("name, T", [("paper_ref", 800.0), ("large_t_model", 50.0),
+                                         ("fast", 200.0), ("slow", 8000.0)])
+    def test_limit_law_mean(self, name, T):
+        # the closed form against integral_0^T (1 - B/B(inf)) dt, T past which
+        # the rest is negligible: geometric trapezoids of 4000 and 7999 points
+        # (every second node of the finer is a node of the coarser),
+        # Richardson-extrapolated
+        m = ClaimsModel.from_loading(*SUBCRITICAL[name])
+        binf, t0 = b_infinity(m), 1e-9  # 1 - B/B(inf) is 1 on [0, t0) to first order
+
+        def trapezoid(n):
+            ts = np.geomspace(t0, T, n)
+            return t0 + np.trapezoid(1.0 - BFunction(m).grid(ts) / binf, ts)
+
+        coarse, fine = trapezoid(4000), trapezoid(7999)
+        assert_close(limit_law_mean(m), (4.0 * fine - coarse) / 3.0, rel=1e-8)
+
+    def test_limit_law_mean_subcritical_only(self, ig_model, critical_model):
+        for m in (ig_model, critical_model):
+            with pytest.raises(RegimeError, match="the limit law's mean requires the subcritical"):
+                limit_law_mean(m)
 
 
 class TestShiftedTalbotEngine:
@@ -407,12 +469,12 @@ class TestEstimators:
         assert estimate_rft(paper_ref, 0.01, 10.0) > 1.0
 
     def test_rft_underflow_names_first_cell(self, paper_ref):
-        # the tail leaves the normal range near alpha u = 691: there B(200) ~ 5.6
-        # still lifts the product into it, B(1) ~ 0.92 does not.  Row-major
-        # order (u outer) fails at (691, 1) before (800, 200).
+        # the tail leaves the normal range near alpha u = 691 and raises there,
+        # before any product: B(200) ~ 5.6 would lift a subnormal tail, whose
+        # lost digits stay lost, back into the normal range
         us, ts = [690.0, 691.0, 800.0], [200.0, 1.0]
         with pytest.raises(FloatingPointError,
-                           match=r"^rft estimate at u=691\.0, t=1\.0 is .*not a positive normal"):
+                           match=r"^Levy tail at u=691\.0 is .*not a positive normal"):
             estimate_rft(paper_ref, us, ts)
         # P(690) ~ 1e-300 is normal; times B(1e-12)/B(inf) it is subnormal
         with pytest.raises(FloatingPointError,
