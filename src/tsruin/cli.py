@@ -8,12 +8,12 @@ simulate      Monte Carlo estimates on a (u, t)-grid
 benchmark     asymptotic vs simulated vs infinite-horizon comparison table
 scale-fn      scale function and eventual-ruin probability on a u-grid
 
-B(t) and P(ruin ever) are inverted in double precision on a shifted Talbot
-contour at two term counts, M=18 and M=24; a value whose two counts
-disagree fails the command with exit code 3.  So does any value that is
-not a positive normal double (B, P, the rft and tulta estimates, and the
-simulated column s of ``benchmark``, whose ratios divide by it), named by
-its cell.  There is no engine to choose and no inversion setting.
+B(t) and P(ruin ever) are inverted in double precision on shifted
+hyperbolic contours at two node counts, N=24 and N=32; a value whose two
+counts disagree fails the command with exit code 3.  So does any value
+that is not a positive normal double (B, P, the rft and tulta estimates,
+and the simulated column s of ``benchmark``, whose ratios divide by it),
+named by its cell.  There is no engine to choose and no inversion setting.
 ``ruin-surface`` and ``benchmark`` compute each estimate on the whole
 (u, t)-grid in one call, with B and P(ruin ever) inverted once per grid.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import tempfile
@@ -90,8 +91,12 @@ class UsageError(ValueError):
     """A command-line usage error: exit 2, as for any ``ValueError``."""
 
 
+# every float the CLI prints: 9 significant digits
+_FLOAT_FORMAT = "%.9g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+    return _FLOAT_FORMAT % x
 
 
 @functools.cache  # one parser per process: main may run many commands
@@ -201,15 +206,18 @@ def _write_tsv(path: str | None, *sections) -> None:
     """Emit the ``(header, rows)`` ``sections`` as TSV, a blank line between
     two, atomically (temp file + rename) to a new or regular file, in place
     to an existing FIFO or device (never replaced); stdout when path is
-    None.  A path that cannot be written is a ``UsageError``, and leaves no
-    temp file."""
-    chunks = []
+    None.  Each section is one format operation, whose column types are
+    those of its first row: a float column is written as ``_fmt`` writes a
+    float, any other as ``str``.  A path that cannot be written is a
+    ``UsageError``, and leaves no temp file."""
+    texts = []
     for head, rws in sections:
-        chunks.append("# " + "\t".join(head) + "\n")
-        for row in rws:
-            chunks.append("\t".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        chunks.append("\n")
-    text = "".join(chunks[:-1])  # no trailing blank line
+        text = "# " + "\t".join(head) + "\n"
+        if rws:
+            line = "\t".join(_FLOAT_FORMAT if isinstance(v, float) else "%s" for v in rws[0])
+            text += (line + "\n") * len(rws) % tuple(itertools.chain.from_iterable(rws))
+        texts.append(text)
+    text = "\n".join(texts)
     if path is None:
         sys.stdout.write(text)
         return
@@ -263,8 +271,8 @@ def cmd_ruin_surface(s: dict) -> int:
         estimate = {"rft": estimate_rft, "tulta": estimate_tulta,
                     "infinite": estimate_infinite_horizon}[method]
         header, surfaces = ["u", "t", "value"], [estimate(model, us, ts)]
-    rows = [(u, t, *(float(v[i, j]) for v in surfaces))
-            for i, u in enumerate(us.tolist()) for j, t in enumerate(ts.tolist())]
+    rows = np.column_stack((np.repeat(us, ts.size), np.tile(ts, us.size),
+                            *(v.ravel() for v in surfaces))).tolist()
     _write_tsv(s.get("out"), (header, rows))
     return EXIT_OK
 

@@ -56,10 +56,10 @@ class PhiConvergenceError(ArithmeticError):
 
 # (window, terms): S(x) is summed as its first ``terms`` binomial terms for
 # |x| < window, where the direct form loses ~2^-52/|x|^2 relative to
-# cancellation.  psi_X needs the short window only.  P(ruin ever) needs the
-# long one: at large u it is a small difference of Talbot terms far larger
-# than itself (with the short window its M=18/M=24 gap exceeds 1e-7 from
-# u ~ 9 at the reference model).
+# cancellation.  psi_X needs the short window only.  P(ruin ever) takes the
+# long one: at large u it is a small difference of contour terms far larger
+# than itself (with the short window its N=24/N=32 gap at the reference
+# model grows from 7.6e-11 to 1.1e-9 on u in [0.01, 300]).
 PSI_SERIES = (1.0 / 64.0, 12)  # the 13th term is below 2^-72 of the first
 P_SERIES = (0.5, 60)  # the 61st term is below 2^-59 of the first
 
@@ -334,14 +334,17 @@ class ClaimsModel:
         """Q(b) = k a^(rho-2) S(b/a) on an array ``b``, with
         S(x) = R2(x)/x^2 and R2(x) = (1+x)^rho - 1 - rho x: S is its binomial
         series inside the window of ``series`` (C(rho, 2) at x = 0) and the
-        direct form outside it."""
+        direct form outside it, whose power is ``_complex_power`` for
+        complex b."""
         window, terms = series
         x = b / self.alpha
         near = np.abs(x) < window
         s = np.empty_like(x)
         s[near] = np.polyval(self._series_coef[terms - 1::-1], x[near])
         xf = x[~near]
-        s[~near] = ((1.0 + xf) ** self.rho - 1.0 - self.rho * xf) / xf ** 2
+        power = (_complex_power(1.0 + xf, self.rho) if np.iscomplexobj(xf)
+                 else (1.0 + xf) ** self.rho)
+        s[~near] = (power - 1.0 - self.rho * xf) / xf ** 2
         return self._q_scale * s
 
     def psi_x(self, theta):
@@ -416,8 +419,8 @@ def _phi_newton(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
     relative gate (absolute for |delta| < 1, so at delta ~ 1e-12 it is met
     by a root still off by percents) and the step computed there is below
     1e-8 of the new iterate.  That last step is still taken: roots only as
-    close as the gate cost a double-precision Talbot sum of B up to ~1e-8
-    relative.  Raises if any entry is still unconverged after
+    close as the gate cost the double-precision inversion of B up to
+    ~2e-10 relative.  Raises if any entry is still unconverged after
     ``_PHI_MAXIT`` iterations."""
     active = np.arange(delta.size)
     for _ in range(_PHI_MAXIT):

@@ -7,14 +7,15 @@ transform
     B~(delta) = (Phi_X(delta) - alpha) / ((delta - psi_X(alpha))^2 Phi_X(delta)),
 
 valid for Re delta > max(0, psi_X(alpha)).  ``BFunction`` inverts it for a
-whole t-grid at once, in double precision on a Talbot contour shifted
-right of that abscissa, and checks every value against a second term
-count (``_talbot_checked``); both term counts share one Phi_X solve.  It
-keeps no state: each call inverts its grid afresh, into an array.  The
-eventual-ruin probability P(u) is inverted the same way for a whole
-u-grid, from its own transform written without cancellation
-(``_eventual_ruin_transform``); the scale function is read off it,
-W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u) cancels once P is small.
+whole t-grid at once, in double precision on hyperbolic contours shifted
+right of that abscissa, one per window of t that the grid touches, and
+checks every value against a second node count (``_inverted_checked``);
+both node counts share one Phi_X solve.  It keeps no state: each call
+inverts its grid afresh, into an array.  The eventual-ruin probability
+P(u) is inverted the same way for a whole u-grid, from its own transform
+written without cancellation (``_eventual_ruin_transform``); the scale
+function is read off it, W(u) = (1 - P(u))/|E[X_1]|, as 1 + E[X_1] W(u)
+cancels once P is small.
 ``BFunction`` inverts ``b_tilde``, B~ at an array of nodes, and reads a
 diagnostic off it: E exp(alpha sup_{s<=t} X_s) (``sup_moment``), inverted
 from (delta - psi_X(alpha)) B~.  The mean of the limit law B(t)/B(inf),
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .laplace import InversionError, talbot_nodes, talbot_sum
+from .laplace import HYPERBOLA_RULES, InversionError, hyperbola_grid
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
 from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_int, _require_positive,
@@ -57,14 +58,17 @@ __all__ = [
     "growth_diagnostic",
 ]
 
-# Every double-precision Talbot inversion runs at both term counts; their
-# gap is its error estimate.  24 is about the most that double precision
-# carries (the rounding error grows like e^(2M/5) * 1e-16).
-TALBOT_TERMS = (18, 24)
-B_TALBOT_RTOL = 1e-8
-# at u in [100, 150] P's M=18/M=24 gap reaches 2.4e-8 while M=24 stays
-# within 5e-9 of a 64-digit reference
-P_TALBOT_RTOL = 1e-7
+# Every double-precision inversion runs on both rules of
+# ``HYPERBOLA_RULES``; the gap of the two is its error estimate.  B's gap
+# reaches 3.5e-11 (the critical fixture model at t = 3384) on t-grids over
+# [1e-3, 1e4] of eight models.
+B_INVERSION_RTOL = 1e-8
+# P's gap reaches 2.0e-10 (at u = 126 of (5, 3, 0.95, 0.3)) on u-grids over
+# [0.01, 300] of the same models, while at the reference model the N=32
+# value stays within 5e-12 of a 64-digit reference; the tolerance is the
+# one of the fixed-Talbot rules (M=18, M=24) before, whose gap reached
+# 2.4e-8 at u in [100, 150]
+P_INVERSION_RTOL = 1e-7
 
 
 class RegimeError(ValueError):
@@ -109,25 +113,24 @@ def limit_law_mean(m: ClaimsModel) -> float:
     return 1.0 / (m.alpha * mean) - m.variance / (2.0 * mean ** 2) - 2.0 / m.psi_alpha
 
 
-def _talbot_checked(F, xs, shift: float, rtol: float, name: str, axis: str,
-                    upper: float = math.inf) -> np.ndarray:
-    """The fixed-Talbot inversion (``talbot_grid``) of F on every point of
-    ``xs`` at both ``TALBOT_TERMS``; the M=24 values.  F is called once, on
-    both term counts' node arrays side by side (one row per point), and
-    returns the transform values in the same shape.  Each M=24 value must be
-    reportable (``_require_reportable``: named on ``axis``, <= ``upper``) and
-    within ``rtol`` relative of its M=18 value (else ``InversionError``)."""
+def _inverted_checked(F, xs, shift: float, rtol: float, name: str, axis: str,
+                      upper: float = math.inf) -> np.ndarray:
+    """The inversion (``hyperbola_grid``) of F on every point of ``xs`` at
+    both ``HYPERBOLA_RULES``; the values of the larger.  F is called once,
+    on the nodes of every window that ``xs`` touches, and returns the
+    transform values in the same shape.  Each value must be reportable
+    (``_require_reportable``: named on ``axis``, <= ``upper``) and within
+    ``rtol`` relative of the smaller rule's (else ``InversionError``)."""
+    big, small = HYPERBOLA_RULES
     with np.errstate(all="ignore"):  # a non-finite value or sum raises below
-        nodes = [talbot_nodes(xs, M, shift) for M in TALBOT_TERMS]
-        values = np.split(F(np.concatenate(nodes, axis=1)), [TALBOT_TERMS[0]], axis=1)
-        lo, hi = (talbot_sum(v, xs, M, shift) for v, M in zip(values, TALBOT_TERMS))
+        hi, lo = hyperbola_grid(F, xs, shift)
         gap = np.abs(_require_reportable(name, hi, upper, **{axis: xs}) - lo) / hi
     bad = np.flatnonzero(~(gap <= rtol))
     if bad.size:
         i = bad[0]
         raise InversionError(
-            f"{name}({xs[i]}) failed its Talbot self-check: M={TALBOT_TERMS[0]} and "
-            f"M={TALBOT_TERMS[1]} differ by {gap[i]:.3e} relative (tolerance {rtol:g})")
+            f"{name}({xs[i]}) failed its inversion self-check: N={small} and N={big} "
+            f"differ by {gap[i]:.3e} relative (tolerance {rtol:g})")
     return hi
 
 
@@ -154,8 +157,8 @@ class BFunction:
 
     def grid(self, ts) -> np.ndarray:
         """B at every t of a positive scalar or vector ``ts``, as a float
-        array: one pass of ``_talbot_checked`` on the contour shifted to
-        max(0, psi_X(alpha)), with tolerance ``B_TALBOT_RTOL`` (the check
+        array: one pass of ``_inverted_checked`` on the contour shifted to
+        max(0, psi_X(alpha)), with tolerance ``B_INVERSION_RTOL`` (the check
         also catches a Newton solve that left the analytic branch).
         """
         return self._invert(b_tilde, ts, "B")
@@ -173,8 +176,8 @@ class BFunction:
         """``transform(model, nodes)`` inverted at every t of ``ts`` as ``grid``
         inverts B, its values named ``name``."""
         m = self.model
-        return _talbot_checked(lambda nodes: transform(m, nodes), positive_axis(ts, "t"),
-                               max(0.0, m.psi_alpha), B_TALBOT_RTOL, name, "t")
+        return _inverted_checked(lambda nodes: transform(m, nodes), positive_axis(ts, "t"),
+                                 max(0.0, m.psi_alpha), B_INVERSION_RTOL, name, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +195,9 @@ def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
     pole at b = 0 algebraically: in the first, rounding leaves
     E[X_1] != psi_X'(0) and a residual pole whose residue (~1e-16) any
     contour enclosing b = 0 adds to P.  Q sums its remainder as a series
-    near b = 0, so nothing cancels; at b = 0, a node for u = 2M/(5 |shift|),
-    Q is the limit k a^(rho-2) C(rho, 2).
+    near b = 0, so nothing cancels; at b = 0 (a node where the real
+    crossing point of a window's contour is 0) Q is the limit
+    k a^(rho-2) C(rho, 2).
     """
     q = m.q(b, P_SERIES)
     return q / (m.drift_mean + b * q)
@@ -213,12 +217,12 @@ def _eventual_ruin_shift(m: ClaimsModel) -> float:
 
 def prob_eventual_ruin(m: ClaimsModel, u):
     """P(ruin ever) at a scalar or a vector ``u``, in one double-precision pass
-    (``_talbot_checked`` on the contour at ``_eventual_ruin_shift``): a value
+    (``_inverted_checked`` on the contour at ``_eventual_ruin_shift``): a value
     that underflows, at alpha u beyond ~700, raises rather than printing as 0.
     A scalar is the one-point grid and returns a float."""
     us = positive_axis(u, "u")
-    p = _talbot_checked(lambda nodes: _eventual_ruin_transform(m, nodes), us,
-                        _eventual_ruin_shift(m), P_TALBOT_RTOL, "P", "u", upper=1.0)
+    p = _inverted_checked(lambda nodes: _eventual_ruin_transform(m, nodes), us,
+                          _eventual_ruin_shift(m), P_INVERSION_RTOL, "P", "u", upper=1.0)
     return p if np.ndim(u) else float(p[0])
 
 

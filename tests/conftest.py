@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +17,27 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 def load_perfbench(name: str):
     """The module ``perfbench/<name>.py``, loaded by file path (``perfbench``
-    is not a package)."""
+    is not a package) and registered in ``sys.modules``, where its
+    dataclasses look themselves up."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 # B, W and P(ruin ever) in mpmath, written independently of the package
 Oracle = load_perfbench("oracle").Oracle
+
+
+def oracle_refs() -> dict:
+    """``perfbench/refs/oracle.json``: 64-digit B and P(ruin ever) on every
+    grid variant of the deterministic benchmark workloads, keyed by
+    workload, variant and command label (the grids are those of
+    ``load_perfbench("workloads").commands``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "oracle.json"
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 # fixture name -> (c, alpha, rho, xi), for ClaimsModel.from_loading and Oracle
 MODELS = {
@@ -34,7 +47,7 @@ MODELS = {
     "ig_model": (0.01, 1.0, 0.5, 0.2),
     # rho = 1/(1+xi) exactly: psi_X(alpha) = 0 to rounding
     "critical_model": (0.01, 1.0, 1.0 / 1.2, 0.2),
-    # B's Talbot nodes for t in [1000, 10000] come within |theta/alpha| ~ 1e-4
+    # B's contour nodes for t in [1000, 10000] come within |delta/alpha| ~ 1e-4
     # of 0, where psi_X cancels unless summed as a series
     "large_t_model": (5.0, 3.0, 0.95, 0.3),
 }
@@ -57,7 +70,7 @@ def critical_model() -> ClaimsModel:
 
 @pytest.fixture(scope="session")
 def bf_ref(paper_ref) -> BFunction:
-    """Shared B(t) evaluator (double-precision Talbot) for the reference model."""
+    """Shared B(t) evaluator (double-precision inversion) for the reference model."""
     return BFunction(paper_ref)
 
 

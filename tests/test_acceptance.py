@@ -48,11 +48,11 @@ from tsruin import (
     simulate_ruin_mc,
     simulate_ruin_naive,
     stable_increment_params,
-    talbot_grid,
+    hyperbola_grid,
     talbot_invert,
 )
 from tsruin.model import ScaleChange
-from tsruin.ruin import B_TALBOT_RTOL
+from tsruin.ruin import B_INVERSION_RTOL
 from tsruin.sim import _tilted_subordinator_increments
 from tsruin import _kernels
 
@@ -154,10 +154,10 @@ def test_criterion_05_engine_validation(model):
         probs.append(abs(talbot_invert(lambda d: 1 / (d + 1), t, M=32) - math.exp(-t)))
         probs.append(abs(levin_invert(lambda d: 1 / d**2, t, n=24) - t))
         probs.append(abs(levin_invert(lambda d: 1 / (d + 1), t, n=24) - math.exp(-t)))
-    # the production engine, at the term count whose values the package reports
+    # the production engine, on the rule whose values the package reports
     ts = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
-    probs.extend(np.abs(talbot_grid(lambda d: 1 / d**2, ts, 24) - ts))
-    probs.extend(np.abs(talbot_grid(lambda d: 1 / (d + 1), ts, 24) - np.exp(-ts)))
+    probs.extend(np.abs(hyperbola_grid(lambda d: 1 / d**2, ts)[0] - ts))
+    probs.extend(np.abs(hyperbola_grid(lambda d: 1 / (d + 1), ts)[0] - np.exp(-ts)))
     known_worst = max(probs)
     gaps = []
     oracle = Oracle(0.01, 1.0, 0.99, 0.2)
@@ -183,8 +183,8 @@ def test_criterion_07_growth_regimes(model, bf):
     plateau_gap = abs(bf.value(200.0) / binf - 1.0)
     plateau_ok = plateau_gap <= 0.01
     # below the inversion's own tolerance the figure is rounding noise
-    plateau = (f"< {B_TALBOT_RTOL:.0e} (the inversion's self-check tolerance)"
-               if plateau_gap <= B_TALBOT_RTOL else f"= {plateau_gap:.2e}")
+    plateau = (f"< {B_INVERSION_RTOL:.0e} (the inversion's self-check tolerance)"
+               if plateau_gap <= B_INVERSION_RTOL else f"= {plateau_gap:.2e}")
 
     super_model = ClaimsModel.from_loading(0.01, 1.0, 0.5, 0.2)
     slope = growth_diagnostic(super_model, 20.0, 50.0, points=10)

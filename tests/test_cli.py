@@ -1,4 +1,7 @@
 """Command-line contract tests: TSV shape, determinism, exit codes."""
+import contextlib
+import io
+import math
 import os
 import stat
 import subprocess
@@ -6,6 +9,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsruin import cli, sim
 
@@ -138,8 +143,9 @@ class TestCmdB:
         assert res.returncode == 2
 
     def test_large_t_passes_self_check(self, tmp_path):
-        # the Talbot nodes of t >= 1000 reach |delta/alpha| ~ 1e-3, where the
-        # direct form of psi_X cancels: B(7000)'s M=18/M=24 gap was 1.3e-8
+        # the contour nodes of t >= 1000 reach |delta/alpha| ~ 1e-4, where the
+        # direct form of psi_X cancels: with it, B(7000)'s gap on the former
+        # fixed-Talbot rules (M=18 and M=24) was 1.3e-8
         out = tmp_path / "b.tsv"
         run_cli("b", "--c", "5", "--alpha", "3", "--rho", "0.95", "--xi", "0.3",
                 "--t-min", "1000", "--t-max", "10000", "--t-steps", "4", "--out", str(out),
@@ -483,6 +489,51 @@ class TestConfigAndIO:
         res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1")
         assert res.returncode == 0
         assert res.stdout.startswith("# t\tB\n")
+
+
+def _tsv_per_value(*sections) -> str:
+    """The TSV text of ``sections`` formatted one value at a time."""
+    chunks = []
+    for head, rows in sections:
+        chunks.append("# " + "\t".join(head) + "\n")
+        for row in rows:
+            chunks.append("\t".join(f"{v:.9g}" if isinstance(v, float) else str(v)
+                                    for v in row) + "\n")
+        chunks.append("\n")
+    return "".join(chunks[:-1])
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300,
+                -1e300, 1e-300, -1e-300]
+
+
+@st.composite
+def _tsv_sections(draw):
+    """One to three sections, each of columns of one type (float or int) and
+    zero or more rows."""
+    sections = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+        column = {True: st.floats() | st.sampled_from(_EDGE_FLOATS), False: st.integers()}
+        rows = draw(st.lists(st.tuples(*(column[k] for k in kinds)), max_size=8))
+        sections.append(([f"c{i}" for i in range(len(kinds))], rows))
+    return sections
+
+
+class TestWriteTsv:
+    @given(sections=_tsv_sections())
+    @settings(max_examples=200, deadline=None)
+    def test_same_text_as_per_value_formatting(self, sections):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_tsv(None, *sections)
+        assert out.getvalue() == _tsv_per_value(*sections)
+
+    def test_empty_section(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_tsv(None, (["u", "W"], []), (["u", "P"], [(1.0, -0.0)]))
+        assert out.getvalue() == "# u\tW\n\n# u\tP\n1\t-0\n"
 
 
 class TestInProcess:

@@ -14,11 +14,13 @@ import tsruin
 from tsruin import (
     InversionError,
     b_tilde,
+    hyperbola_grid,
+    hyperbola_nodes,
     levin_invert,
-    talbot_grid,
     talbot_invert,
 )
-from tsruin.laplace import _levin_panels, _panel_edges, _talbot_path, talbot_nodes, talbot_sum
+from tsruin.laplace import (HYPERBOLA_RULES, WINDOW, _hyperbola_path, _levin_panels, _panel_edges,
+                            _windows)
 
 from conftest import MODELS, Oracle
 
@@ -70,63 +72,87 @@ class TestTalbot:
 
         with pytest.raises(InversionError, match="transform evaluation failed"):
             talbot_invert(broken, 1.0, M=16)
-        # a NaN transform value is reported, not summed, by both Talbot engines;
-        # of the grid's rows only t = 2 has nodes with |d| < 4
+        # a NaN transform value is reported, not summed
         with pytest.raises(InversionError, match=r"^transform is not finite .*\(t=2\.0\)"):
             talbot_invert(lambda d: math.nan, 2.0, M=16)
-        with pytest.raises(InversionError, match=r"^transform is not finite .*\(t=2\.0\)"):
-            talbot_grid(lambda d: np.where(abs(d) < 4.0, np.nan, 1.0), [1.0, 2.0], 16)
 
 
 class TestTalbotGrid:
+    """The double-precision grid engine, ``hyperbola_grid``, which replaced a
+    fixed-Talbot one; the class keeps its name, and its tests their ids."""
+
     def test_known_pairs(self):
         ts = np.array(TS)
-        assert np.allclose(talbot_grid(f_t, ts, M=24), ts, rtol=1e-11, atol=0.0)
+        for values in hyperbola_grid(f_t, ts):
+            assert np.allclose(values, ts, rtol=1e-11, atol=0.0)
         # double precision resolves e^-t to ~1e-12 absolute, not relative
-        assert np.allclose(talbot_grid(f_exp, ts, M=24), np.exp(-ts), rtol=0.0, atol=1e-12)
+        for values in hyperbola_grid(f_exp, ts):
+            assert np.allclose(values, np.exp(-ts), rtol=0.0, atol=1e-12)
 
     def test_shift_past_a_double_pole(self):
-        # 1/(d-1)^2 <-> t e^t: the unshifted contour crosses the real axis at
-        # r = 2M/(5t) < 1 for t > 2M/5, leaving the pole right of the
-        # contour; shifted by 1 the contour stays right of it for every t
+        # 1/(d-1)^2 <-> t e^t: unshifted, the contour of t's window crosses
+        # the real axis at m N (1 - sin a)/t1 < 1 for t1 >= 25, leaving the
+        # pole right of the contour; shifted by 1 it stays right of it for
+        # every t
         ts = np.array([1.0, 10.0, 50.0])
-        got = talbot_grid(lambda d: 1.0 / (d - 1.0) ** 2, ts, M=24, shift=1.0)
-        assert np.allclose(got, ts * np.exp(ts), rtol=1e-10, atol=0.0)
+        for got in hyperbola_grid(lambda d: 1.0 / (d - 1.0) ** 2, ts, shift=1.0):
+            assert np.allclose(got, ts * np.exp(ts), rtol=1e-10, atol=0.0)
 
     def test_matches_scalar_engine(self, paper_ref):
         def w_transform(beta):
             return 1.0 / paper_ref.psi_x(-beta)
 
-        got = talbot_grid(w_transform, [0.5, 4.0], M=24)
-        for u, g in zip([0.5, 4.0], got):
-            assert abs(g / talbot_invert(w_transform, u, M=32) - 1.0) < 1e-10
+        for got in hyperbola_grid(w_transform, [0.5, 4.0]):
+            for u, g in zip([0.5, 4.0], got):
+                assert abs(g / talbot_invert(w_transform, u, M=32) - 1.0) < 1e-10
+
+    def test_one_transform_call_on_the_windows_touched(self):
+        # t = 5^k closes its window (5^(k-1), 5^k]; (1, 5] holds none of ts
+        calls = []
+
+        def F(d):
+            calls.append(d)
+            return f_t(d)
+
+        ts = [0.3, 1.0, 5.0 * (1.0 + 2.0 ** -52), 25.0, 26.0]
+        hyperbola_grid(F, ts)
+        assert len(calls) == 1 and np.array_equal(calls[0], hyperbola_nodes(ts))
+        assert calls[0].shape == (3, sum(N + 1 for N in HYPERBOLA_RULES))
+
+    def test_windows_close_at_powers_of_five(self):
+        # t lies in (5^(k-1), 5^k] also where log(t)/log(5) rounds past k
+        ts = np.array([WINDOW ** k * f for k in range(-8, 12)
+                       for f in (1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52)])
+        powers = WINDOW ** np.arange(-9.0, 13.0)
+        _, ends, window = _windows(ts, 0.0)
+        assert np.array_equal(ends[window], powers[np.searchsorted(powers, ts)])
 
     def test_contour_arrays_shared_read_only(self):
-        # built once per M and handed to every grid, so no caller may write them
-        arrays = _talbot_path(24)
-        talbot_grid(f_t, [1.0, 2.0], M=24)
-        assert all(a is b for a, b in zip(_talbot_path(24), arrays))
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+        # built once per rule and handed to every grid, so no caller may write them
+        arrays = {N: _hyperbola_path(N) for N in HYPERBOLA_RULES}
+        hyperbola_grid(f_t, [1.0, 2.0])
+        for N, pair in arrays.items():
+            assert all(a is b for a, b in zip(_hyperbola_path(N), pair))
+            for a in pair:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            talbot_grid(f_t, [1.0, 0.0], M=24)
-        with pytest.raises(ValueError):
-            talbot_grid(f_t, [1.0], M=4)
-        values = np.ones((1, 24))
-        for engine in (lambda ts, M=24, shift=0.0: talbot_grid(f_exp, ts, M, shift),
-                       lambda ts, M=24, shift=0.0: talbot_nodes(ts, M, shift),
-                       lambda ts, M=24, shift=0.0: talbot_sum(values, ts, M, shift)):
+            hyperbola_grid(f_t, [1.0, 0.0])
+        for engine in (lambda ts, shift=0.0: hyperbola_grid(f_exp, ts, shift),
+                       lambda ts, shift=0.0: hyperbola_nodes(ts, shift)):
             with pytest.raises(ValueError, match="^ts must be a positive finite"):
                 engine([1.0, math.inf])
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"^shift must be finite, got {bad}"):
                     engine([1.0], shift=bad)
-            # no fixed-Talbot rule has a fractional term count
-            with pytest.raises(ValueError, match="^M must be an integer, got 8.5"):
-                engine([1.0], M=8.5)
+
+    def test_non_finite_transform_names_t(self):
+        # of the two windows, only t = 2's has nodes with |d| < 2
+        with pytest.raises(InversionError,
+                           match=r"^transform is not finite on the hyperbolic contour \(t=2\.0\)"):
+            hyperbola_grid(lambda d: np.where(abs(d) < 2.0, np.nan, 1.0), [1.0, 2.0])
 
 
 class TestLevin:

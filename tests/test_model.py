@@ -21,7 +21,7 @@ from tsruin import (
     rescale,
 )
 from tsruin import model as model_module
-from tsruin.laplace import talbot_nodes
+from tsruin.laplace import HYPERBOLA_RULES, hyperbola_nodes
 from tsruin.model import (_TAIL_SERIES_MAX_X, PhiConvergenceError, _complex_power, _gamma_small,
                           gamma_neg)
 
@@ -410,18 +410,25 @@ def _continued(m, row):
     return np.array(roots)
 
 
+def _rule_rows(deltas):
+    """``hyperbola_nodes``' array split into one array per rule, whose rows
+    run in contour order from the real node."""
+    return np.split(deltas, [next(iter(HYPERBOLA_RULES)) + 1], axis=1)
+
+
 class TestPhiContour:
     def test_matches_scalar_continuation(self, paper_ref, ig_model):
         # the whole contour at once versus continued node by node along each row
         for m in (paper_ref, ig_model):
-            deltas = talbot_nodes([0.01, 1.0, 50.0], 24, shift=max(0.0, m.psi_alpha))
+            deltas = hyperbola_nodes([0.01, 1.0, 50.0], shift=max(0.0, m.psi_alpha))
             roots = phi(m, deltas)
-            for row, got in zip(deltas, roots):
-                want = _continued(m, row)
-                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+            for rows, got_rows in zip(_rule_rows(deltas), _rule_rows(roots)):
+                for row, got in zip(rows, got_rows):
+                    want = _continued(m, row)
+                    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_closed_form_inverse_gaussian(self, ig_model):
-        deltas = talbot_nodes([1e-3, 0.5, 20.0, 900.0], 24, shift=ig_model.psi_alpha)
+        deltas = hyperbola_nodes([1e-3, 0.5, 20.0, 900.0], shift=ig_model.psi_alpha)
         roots = phi(ig_model, deltas)
         closed = _phi_ig_closed_form(ig_model, deltas)
         assert np.all(np.abs(roots - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
@@ -433,21 +440,20 @@ class TestPhiContour:
         # one call get bitwise the roots each array gets alone
         for m in (paper_ref, ig_model):
             shift = max(0.0, m.psi_alpha)
-            narrow = talbot_nodes([0.05, 3.0, 700.0], 18, shift)
-            wide = talbot_nodes([0.01, 0.5, 9.0, 120.0, 1000.0], 24, shift)
+            narrow = hyperbola_nodes([0.05, 3.0, 700.0], shift)
+            wide = hyperbola_nodes([0.01, 0.5, 9.0, 120.0, 1000.0, 9000.0], shift)
             both = phi(m, np.concatenate([narrow.ravel(), wide.ravel()]))
             assert both.tobytes() == phi(m, narrow).tobytes() + phi(m, wide).tobytes()
 
     @pytest.mark.parametrize("xi", [1e-9, 1e-12])
     def test_near_critical_contours(self, xi, monkeypatch):
         # E[X_1] ~ -xi E[Y_1]: the seed delta / E[X_1] of a node lies far
-        # left of its root, and every node of both term counts' contours on
-        # the 40-point B grid must still meet the residual gate, within
+        # left of its root, and every node of both rules' contours on the
+        # 40-point B grid must still meet the residual gate, within
         # _PHI_MAXIT iterations and on the branch continued from the real axis
         m = ClaimsModel.from_loading(0.01, 1.0, 0.99, xi)
         shift = max(0.0, m.psi_alpha)
-        deltas = np.concatenate([talbot_nodes(np.linspace(0.5, 200.0, 40), M, shift)
-                                 for M in (18, 24)], axis=1)
+        deltas = hyperbola_nodes(np.linspace(0.5, 200.0, 40), shift)
         calls, power = [], ClaimsModel._psi_x_power
 
         def counted(self, theta):
@@ -460,16 +466,17 @@ class TestPhiContour:
         assert len(calls) < model_module._PHI_MAXIT and calls[0] == deltas.size
         resid = np.abs(m.psi_x(roots) - deltas)
         assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(deltas)))
-        for i in (0, 20, 39):
-            want = _continued(m, deltas[i])
-            assert np.all(np.abs(roots[i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        for rows, got_rows in zip(_rule_rows(deltas), _rule_rows(roots)):
+            for row, got in zip(rows, got_rows):
+                want = _continued(m, row)
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     @given(rho=st.floats(0.05, 0.95), log_alpha=st.floats(-1.0, 1.0),
            log_c=st.floats(-2.0, 1.0), frac=st.floats(0.0, 1.0),
            loading=st.sampled_from(["subcritical", "critical", "supercritical", "tiny"]))
     @settings(max_examples=8, deadline=None)
     def test_roots_against_oracle_continuation(self, rho, log_alpha, log_c, frac, loading):
-        # both term counts' Talbot nodes of B on t in [0.05, 1e4], in all
+        # both rules' nodes of B on t in [0.05, 1e4], in all
         # three regimes and at a loading near 0 (E[X_1] near 0), against the
         # oracle's 30-digit Newton continued along each contour row from its
         # real root
@@ -480,11 +487,10 @@ class TestPhiContour:
         params = (10.0 ** log_c, 10.0 ** log_alpha, rho, xi)
         m = ClaimsModel.from_loading(*params)
         ts = np.geomspace(0.05, 1e4, 6)
-        deltas = np.concatenate([talbot_nodes(ts, M, max(0.0, m.psi_alpha)) for M in (18, 24)],
-                                axis=1)
+        deltas = hyperbola_nodes(ts, max(0.0, m.psi_alpha))
         with mpmath.workdps(30):
             oracle = _oracle_with_drift_of(m, params)
-            for rows in np.split(deltas, [18], axis=1):
+            for rows in _rule_rows(deltas):
                 for row, got in zip(rows, phi(m, rows)):
                     want = [oracle._phi_real(mpmath.mpf(row[0].real))]
                     for d in row[1:]:
@@ -495,7 +501,7 @@ class TestPhiContour:
     def test_newton_cap_raises(self, paper_ref, monkeypatch):
         monkeypatch.setattr(model_module, "_PHI_MAXIT", 1)
         with pytest.raises(PhiConvergenceError, match="unconverged"):
-            phi(paper_ref, talbot_nodes([1.0, 10.0], 24))
+            phi(paper_ref, hyperbola_nodes([1.0, 10.0]))
 
 
 class TestComplexPower:

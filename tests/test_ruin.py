@@ -28,7 +28,7 @@ from tsruin import (
 from tsruin import model as model_module
 from tsruin import ruin
 
-from conftest import MODELS, Oracle, assert_close
+from conftest import MODELS, Oracle, assert_close, load_perfbench, oracle_refs
 
 # published benchmark values for the reference model (asymptotic and
 # infinite-horizon columns), reproduced by this package to ~1e-6 relative
@@ -42,9 +42,14 @@ TULTA_REFERENCE = {
 INFINITE_REFERENCE = {1.0: 0.00393118, 1.5: 0.00151651, 2.0: 0.000646473}
 # psi_X evaluations of one B grid (``test_one_phi_solve_for_both_term_counts``)
 NEWTON_STEPS = 4
+# the nodes of both inversion rules on one window
+NODES_PER_WINDOW = sum(N + 1 for N in ruin.HYPERBOLA_RULES)
 # eventual ruin at paper-ref, mpmath Talbot on the shifted transform at 64 digits
 EVENTUAL_RUIN_64 = {9.6: 3.055485227e-8, 20.0: 2.52366771e-13, 45.0: 7.625530228e-25,
                     100.0: 2.105782917e-49}
+
+# the benchmark's commands and grids, for its stored 64-digit references
+WORKLOADS = load_perfbench("workloads")
 
 # subcritical models (c, alpha, rho, xi): the two subcritical fixtures, and
 # one each with a fast and a slow approach of B to B(inf)
@@ -74,15 +79,15 @@ class SupOracle(Oracle):
 
 
 @pytest.fixture
-def skewed_m18(monkeypatch):
-    """ruin.talbot_sum with its M=18 values moved by 1e-6 relative."""
-    exact = ruin.talbot_sum
+def skewed_small_rule(monkeypatch):
+    """ruin.hyperbola_grid with the smaller rule's values moved by 1e-6 relative."""
+    exact = ruin.hyperbola_grid
 
-    def skewed(values, xs, M, shift=0.0):
-        vals = exact(values, xs, M, shift)
-        return vals * (1.0 + 1e-6) if M == ruin.TALBOT_TERMS[0] else vals
+    def skewed(F, xs, shift=0.0):
+        hi, lo = exact(F, xs, shift)
+        return np.array([hi, lo * (1.0 + 1e-6)])
 
-    monkeypatch.setattr(ruin, "talbot_sum", skewed)
+    monkeypatch.setattr(ruin, "hyperbola_grid", skewed)
 
 
 class TestBTilde:
@@ -216,7 +221,9 @@ class TestBFunction:
 
 
 class TestShiftedTalbotEngine:
-    """The double-precision grid engine against the independent mpmath oracle."""
+    """The double-precision grid engine (``hyperbola_grid`` on a contour
+    shifted right of B~'s singularities, which replaced a shifted fixed-Talbot
+    one) against the independent mpmath oracle."""
 
     @pytest.mark.parametrize("model, ts, M", [
         ("paper_ref", [1e-3, 0.5, 5.0, 20.0, 100.0, 200.0], 32),
@@ -245,7 +252,7 @@ class TestShiftedTalbotEngine:
         assert BFunction(paper_ref).grid(ts).tolist() == vals.tolist()
         assert [BFunction(paper_ref).value(t) for t in ts] == vals.tolist()
 
-    def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
+    def test_self_check_disagreement_raises(self, paper_ref, skewed_small_rule):
         with pytest.raises(InversionError, match="self-check"):
             BFunction(paper_ref).grid([1.0, 5.0])
 
@@ -256,17 +263,18 @@ class TestShiftedTalbotEngine:
             BFunction(m).value(300.0)
 
     # float.hex of B on the models of the b-regimes benchmark; each within
-    # 1.9e-13 relative of the 64-digit oracle (paper_ref B(200) the furthest)
+    # 1.7e-13 relative of the 64-digit oracle (critical_model B(1000) the
+    # furthest)
     @pytest.mark.parametrize("model, ts, pins", [
         ("paper_ref", [0.5, 3.0, 17.5, 200.0],
-         ["0x1.ec76ff48501ffp-2", "0x1.2cb4f7c390155p+1", "0x1.56fc294536953p+2",
-          "0x1.64f934b9ccac1p+2"]),
+         ["0x1.ec76ff4850111p-2", "0x1.2cb4f7c3900d2p+1", "0x1.56fc294536791p+2",
+          "0x1.64f934b9ccff7p+2"]),
         ("critical_model", [0.5, 7.0, 120.0, 1000.0],
-         ["0x1.0268e96befcccp-1", "0x1.e89ea54a3a924p+2", "0x1.cbb96f24f9556p+7",
-          "0x1.b28e0934f3923p+12"]),
+         ["0x1.0268e96befc5cp-1", "0x1.e89ea54a3a7f1p+2", "0x1.cbb96f24f94dfp+7",
+          "0x1.b28e0934f3de3p+12"]),
         ("ig_model", [0.5, 7.0, 120.0, 1000.0],
-         ["0x1.030fade44d169p-1", "0x1.044e9a577af09p+3", "0x1.bc3b8beac28d0p+9",
-          "0x1.06f9df744faccp+31"]),
+         ["0x1.030fade44d0aep-1", "0x1.044e9a577ae62p+3", "0x1.bc3b8beac2813p+9",
+          "0x1.06f9df744f9e3p+31"]),
     ])
     def test_grid_bits_pinned(self, model, ts, pins):
         got = BFunction(ClaimsModel.from_loading(*MODELS[model])).grid(ts)
@@ -274,8 +282,9 @@ class TestShiftedTalbotEngine:
 
     def test_one_phi_solve_for_both_term_counts(self, paper_ref, monkeypatch):
         # on the 40-point grid of the b-regimes benchmark's subcritical
-        # command, one masked Newton serves every node of both term counts,
-        # 40 x (18 + 24) = 1,680 at once, and psi_X is evaluated at most
+        # command, one masked Newton serves every node of both rules on the
+        # four windows it touches, t1 = 1, 25, 125 and 625 (no t lies in
+        # (1, 5]), 4 x 58 = 232 at once, and psi_X is evaluated at most
         # NEWTON_STEPS times in all
         sizes, steps = [], 0
         newton, power = model_module._phi_newton, ClaimsModel._psi_x_power
@@ -292,8 +301,57 @@ class TestShiftedTalbotEngine:
         monkeypatch.setattr(model_module, "_phi_newton", counted_newton)
         monkeypatch.setattr(ClaimsModel, "_psi_x_power", counted_power)
         BFunction(paper_ref).grid(np.linspace(0.5, 200.0, 40))
-        assert sizes == [40 * sum(ruin.TALBOT_TERMS)]
+        assert sizes == [4 * NODES_PER_WINDOW]
         assert steps <= NEWTON_STEPS
+
+
+class TestWindows:
+    """Every t of a window (t1/5, t1], t1 a power of 5, is inverted on that
+    window's nodes, whatever grid it is in."""
+
+    # the window ends 5^k, and the doubles on either side of each
+    EDGES = [5.0 ** k * f for k in range(-3, 6) for f in (1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52)]
+
+    def test_b_value_is_bitwise_its_grid_entry_at_window_ends(self, paper_ref, ig_model):
+        for m in (paper_ref, ig_model):
+            bf = BFunction(m)
+            grid = bf.grid(self.EDGES)
+            assert [bf.value(t) for t in self.EDGES] == grid.tolist()
+            assert bf.grid(self.EDGES[::-1]).tolist() == grid.tolist()[::-1]
+
+    def test_p_scalar_is_bitwise_its_grid_entry_at_window_ends(self, paper_ref):
+        us = [u for u in self.EDGES if u < 700.0]  # P(3125) underflows
+        grid = prob_eventual_ruin(paper_ref, us)
+        assert [prob_eventual_ruin(paper_ref, u) for u in us] == grid.tolist()
+
+    def test_continuous_across_window_ends(self, paper_ref):
+        # either side of a window end is a different contour: the values
+        # still agree to the engine's accuracy
+        vals = BFunction(paper_ref).grid(self.EDGES).reshape(-1, 3)
+        assert np.all(np.abs(vals[:, [0, 2]] / vals[:, [1]] - 1.0) <= 1e-12)
+
+
+class TestOracleReferences:
+    """B and P(ruin ever) on every grid variant of the benchmark against its
+    stored 64-digit references (``perfbench/refs/oracle.json``)."""
+
+    REFS = oracle_refs()
+
+    @pytest.mark.parametrize("variant", range(WORKLOADS.VARIANTS))
+    def test_b_regimes(self, variant):
+        for cmd in WORKLOADS.commands("b-regimes", variant):
+            m = ClaimsModel.from_loading(*WORKLOADS.MODELS[cmd.model])
+            want = np.array(self.REFS["b-regimes"][str(variant)][cmd.label]["B"])
+            got = BFunction(m).grid(cmd.axis("t"))
+            assert np.all(np.abs(got / want - 1.0) <= 1e-10), cmd.label
+
+    @pytest.mark.parametrize("variant", range(WORKLOADS.VARIANTS))
+    def test_eventual_ruin(self, variant):
+        (cmd,) = [c for c in WORKLOADS.commands("ruin-grid", variant) if c.label == "scale-fn"]
+        m = ClaimsModel.from_loading(*WORKLOADS.MODELS[cmd.model])
+        want = np.array(self.REFS["ruin-grid"][str(variant)][cmd.label]["P"])
+        got = prob_eventual_ruin(m, cmd.axis("u"))
+        assert np.all(np.abs(got / want - 1.0) <= 1e-10)
 
 
 class TestScaleFunction:
@@ -368,7 +426,7 @@ class TestEventualRuinGrid:
     """P(ruin ever) for a whole u-grid in one double-precision pass, W from it."""
 
     def test_reference_values(self, paper_ref):
-        # at u = 9.6 = 2M/(5 alpha) the M=24 contour's real node is b = 0
+        # P from 3e-8 down to 2e-49, each a small sum of far larger terms
         got = prob_eventual_ruin(paper_ref, list(EVENTUAL_RUIN_64))
         for (u, want), p in zip(EVENTUAL_RUIN_64.items(), got):
             assert_close(p, want, rel=1e-8, msg=f"P({u})")
@@ -391,7 +449,8 @@ class TestEventualRuinGrid:
             assert isinstance(one, float) and one == p
 
     def test_one_transform_call_for_both_term_counts(self, paper_ref, monkeypatch):
-        # both term counts' nodes go through Q's Horner loop in one call
+        # both rules' nodes on the four windows the grid touches, t1 = 1, 5,
+        # 25 and 125, go through Q in one call
         sizes, q = [], ClaimsModel.q
 
         def counted(self, b, *args):
@@ -400,7 +459,7 @@ class TestEventualRuinGrid:
 
         monkeypatch.setattr(ClaimsModel, "q", counted)
         prob_eventual_ruin(paper_ref, np.linspace(0.5, 40.0, 80))
-        assert sizes == [80 * sum(ruin.TALBOT_TERMS)]
+        assert sizes == [4 * NODES_PER_WINDOW]
 
     def test_strictly_decreasing(self, paper_ref):
         vals = prob_eventual_ruin(paper_ref, np.linspace(0.05, 100.0, 200))
@@ -412,8 +471,8 @@ class TestEventualRuinGrid:
             want = talbot_invert(lambda b: 1.0 / paper_ref.psi_x(-b), u, M=32)
             assert_close(w, want, rel=1e-10, msg=f"W({u})")
 
-    def test_self_check_disagreement_raises(self, paper_ref, skewed_m18):
-        with pytest.raises(InversionError, match=r"P\(2\.0\) failed its Talbot self-check"):
+    def test_self_check_disagreement_raises(self, paper_ref, skewed_small_rule):
+        with pytest.raises(InversionError, match=r"P\(2\.0\) failed its inversion self-check"):
             prob_eventual_ruin(paper_ref, [2.0, 5.0])
 
     def test_underflow_raises(self, paper_ref):
@@ -423,25 +482,26 @@ class TestEventualRuinGrid:
 
 
 # float.hex of each estimate on SURFACE_US x SURFACE_TS at the reference
-# model; the B factor of each is within 9.3e-14 relative of the 64-digit oracle
-# (the t = 20 column the furthest)
+# model; the B factor of each is within 1.1e-15 relative of the 64-digit
+# oracle (the t = 20 column the furthest), the P factor within 4.6e-13 (the
+# u = 1 row)
 SURFACE_US = [0.5, 1.0, 2.0]
 SURFACE_TS = [1.0, 5.0, 10.0, 20.0]
 SURFACE_PINS = {
-    "tulta": [["0x1.0f980a9cdf208p-9", "0x1.ebfa818f7ccb4p-8", "0x1.593d99c90f8f2p-7",
-               "0x1.9032d55f4a8bcp-7"],
-              ["0x1.5518773232721p-11", "0x1.34f049c41bbffp-9", "0x1.b196b458b50d7p-9",
-               "0x1.f69c4b46233e4p-9"],
-              ["0x1.c0bcf0bb0267fp-14", "0x1.966edd0a080e4p-12", "0x1.1d35c350cc3b4p-11",
-               "0x1.4a9ca15ea8afdp-11"]],
-    "rft": [["0x1.8a4150f36654ep-8", "0x1.65162875500dfp-6", "0x1.f529cbf3de745p-6",
-             "0x1.22789768dca71p-5"],
-            ["0x1.688ee38ef743dp-10", "0x1.4690fdbd3d35ep-8", "0x1.ca542f8af4e97p-8",
-             "0x1.09a4fe2072d17p-7"],
-            ["0x1.6eb51d8a9e7c5p-13", "0x1.4c22ce85e7bb2p-11", "0x1.d225497d0afe4p-11",
-             "0x1.0e2cd1808ba84p-10"]],
-    "infinite": [["0x1.9a46e976d01acp-7"] * 4, ["0x1.01a24f9c9ee82p-8"] * 4,
-                 ["0x1.52f0155e7c0fep-11"] * 4],
+    "tulta": [["0x1.0f980a9ce8b27p-9", "0x1.ebfa818f8e116p-8", "0x1.593d99c91bb1ep-7",
+               "0x1.9032d55f5883ep-7"],
+              ["0x1.55187732526b6p-11", "0x1.34f049c438abap-9", "0x1.b196b458dda8ep-9",
+               "0x1.f69c4b465230dp-9"],
+              ["0x1.c0bcf0b990cb7p-14", "0x1.966edd08b93d0p-12", "0x1.1d35c34fe149ep-11",
+               "0x1.4a9ca15d98434p-11"]],
+    "rft": [["0x1.8a4150f3664eap-8", "0x1.651628754ffcbp-6", "0x1.f529cbf3de615p-6",
+             "0x1.22789768dc89cp-5"],
+            ["0x1.688ee38ef73e2p-10", "0x1.4690fdbd3d262p-8", "0x1.ca542f8af4d81p-8",
+             "0x1.09a4fe2072b6ap-7"],
+            ["0x1.6eb51d8a9e768p-13", "0x1.4c22ce85e7ab2p-11", "0x1.d225497d0aecap-11",
+             "0x1.0e2cd1808b8d0p-10"]],
+    "infinite": [["0x1.9a46e976de965p-7"] * 4, ["0x1.01a24f9cb712cp-8"] * 4,
+                 ["0x1.52f0155d64e93p-11"] * 4],
 }
 ESTIMATORS = {"tulta": estimate_tulta, "rft": estimate_rft, "infinite": estimate_infinite_horizon}
 
