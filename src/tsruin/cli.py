@@ -87,10 +87,6 @@ _OPTIONS = {
 }
 
 
-class UsageError(ValueError):
-    """A command-line usage error: exit 2, as for any ``ValueError``."""
-
-
 # every float the CLI prints: 9 significant digits
 _FLOAT_FORMAT = "%.9g"
 
@@ -128,26 +124,26 @@ def _parse_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
         if key not in _OPTIONS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         type_, choices, _ = _OPTIONS[key]
         try:
             settings[key] = type_(value)
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: {key}: invalid {type_.__name__} value: "
+            raise ValueError(f"{path}:{lineno}: {key}: invalid {type_.__name__} value: "
                              f"{value!r}") from None
         if choices is not None and settings[key] not in choices:
-            raise UsageError(f"{path}:{lineno}: {key}: invalid choice: {value!r} "
+            raise ValueError(f"{path}:{lineno}: {key}: invalid choice: {value!r} "
                              f"(choose from {', '.join(map(repr, choices))})")
     return settings
 
@@ -170,10 +166,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _resolve_model(s: dict) -> ClaimsModel:
     for key in ("c", "alpha", "rho"):
         if key not in s:
-            raise UsageError(f"missing model parameter --{key} (or use --preset/--config)")
+            raise ValueError(f"missing model parameter --{key} (or use --preset/--config)")
     has_p, has_xi = "p" in s, "xi" in s
     if has_p == has_xi:
-        raise UsageError("exactly one of --p and --xi must be given")
+        raise ValueError("exactly one of --p and --xi must be given")
     if has_p:
         return ClaimsModel(c=s["c"], alpha=s["alpha"], rho=s["rho"], p=s["p"])
     return ClaimsModel.from_loading(c=s["c"], alpha=s["alpha"], rho=s["rho"], xi=s["xi"])
@@ -182,19 +178,19 @@ def _resolve_model(s: dict) -> ClaimsModel:
 def _grid(s: dict, axis: str) -> np.ndarray:
     lo, hi, steps = s.get(f"{axis}_min"), s.get(f"{axis}_max"), s.get(f"{axis}_steps")
     if lo is None:
-        raise UsageError(f"missing --{axis}-min")
+        raise ValueError(f"missing --{axis}-min")
     if steps is None:
         if hi is not None:
-            raise UsageError(f"missing --{axis}-steps")
+            raise ValueError(f"missing --{axis}-steps")
         steps = 1
     steps = _require_int(f"--{axis}-steps", steps, 1)
     if hi is None:
         if steps > 1:
-            raise UsageError(f"--{axis}-steps {steps} needs --{axis}-max")
+            raise ValueError(f"--{axis}-steps {steps} needs --{axis}-max")
         hi = lo
     _require_positive(**{f"--{axis}-min": lo, f"--{axis}-max": hi})  # left-open at 0
     if hi < lo:
-        raise UsageError(f"--{axis}-max must be >= --{axis}-min")
+        raise ValueError(f"--{axis}-max must be >= --{axis}-min")
     return np.linspace(lo, hi, steps)
 
 
@@ -209,7 +205,7 @@ def _write_tsv(path: str | None, *sections) -> None:
     None.  Each section is one format operation, whose column types are
     those of its first row: a float column is written as ``_fmt`` writes a
     float, any other as ``str``.  A path that cannot be written is a
-    ``UsageError``, and leaves no temp file."""
+    ``ValueError``, and leaves no temp file."""
     texts = []
     for head, rws in sections:
         text = "# " + "\t".join(head) + "\n"
@@ -237,7 +233,7 @@ def _write_tsv(path: str | None, *sections) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_b(s: dict) -> int:
@@ -260,7 +256,7 @@ def cmd_ruin_surface(s: dict) -> int:
     model = _resolve_model(s)
     method = s.get("method")
     if method is None:
-        raise UsageError("--method is required (rft, tulta, infinite, mc)")
+        raise ValueError("--method is required (rft, tulta, infinite, mc)")
     us, ts = _grid(s, "u"), _grid(s, "t")
     if method == "mc":
         res = simulate_ruin_mc(model, us, ts, _sim_plan(s))
@@ -281,7 +277,7 @@ def cmd_simulate(s: dict) -> int:
     model = _resolve_model(s)
     approach = s.get("approach")
     if approach is None:
-        raise UsageError("--approach is required (naive or mc)")
+        raise ValueError("--approach is required (naive or mc)")
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
     simulate = simulate_ruin_mc if approach == "mc" else simulate_ruin_naive
@@ -300,7 +296,7 @@ def cmd_benchmark(s: dict) -> int:
     us, ts = _grid(s, "u"), _grid(s, "t")
     # both asymptotic columns before the costly simulation
     p_ever = prob_eventual_ruin(model, us)
-    asym = estimate_tulta(model, us, ts, p_ruin=p_ever)
+    asym = estimate_tulta(model, us, ts)
     sims = _require_reportable("simulated estimate s", simulate_ruin_mc(model, us, ts, plan).mean,
                                u=us, t=ts)
     rows = [(u, t, a, sim, p, a / sim, p / sim, abs(a - sim) / sim, abs(p - sim) / sim)
@@ -336,7 +332,7 @@ def main(argv=None) -> int:
     try:
         settings = _merge_settings(args)
         return _COMMANDS[args.command](settings)
-    except (ValueError, ArithmeticError) as exc:  # RegimeError and UsageError are ValueErrors
+    except (ValueError, ArithmeticError) as exc:  # RegimeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_REGIME if isinstance(exc, RegimeError) else
                 EXIT_NUMERICAL if isinstance(exc, ArithmeticError) else EXIT_USAGE)

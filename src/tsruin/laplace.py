@@ -11,10 +11,11 @@ at complex arguments:
   ``HYPERBOLA_RULES`` (for B, from one Phi_X solve).  It returns both
   rules' values: ``ruin`` reports the larger rule's and takes the gap of
   the two as its error estimate.
-* ``talbot_invert``: fixed-Talbot contour deformation with trapezoidal
-  summation, one t at a time in configurable-precision arithmetic (F takes
-  and returns scalars), because the method loses roughly 0.6*M decimal
-  digits to cancellation.  A reference engine.
+* ``talbot_invert``: mpmath's fixed-Talbot rule (``mpmath.invertlaplace``),
+  the rule the oracles of the test suite and of perfbench share, one t at a
+  time in M-digit arithmetic (F takes and returns scalars), because the
+  method loses roughly 0.6*M decimal digits to cancellation.  A reference
+  engine.
 * ``levin_invert`` -- collocation in a Chebyshev basis for the oscillatory
   real-axis form ``f(t) = e^(eps t) (2/pi) int_0^inf Re F(eps+iu) cos(ut) du``,
   entirely in double precision, with F evaluated once per t on the 1-d
@@ -61,40 +62,28 @@ class InversionError(ArithmeticError):
 
 
 def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
-    """Invert F at time t on the fixed-Talbot contour with M terms.
-
-    The contour is delta(theta) = r*theta*(cot(theta) + i) with
-    r = 2M/(5t); the trapezoidal rule gives
-
-        f(t) ~ (r/M) * [ F(r) e^(rt) / 2
-                 + sum_{j=1}^{M-1} Re( e^(t delta_j) F(delta_j) (1 + i sigma_j) ) ]
-
-    with theta_j = j pi / M and sigma = theta + (theta cot theta - 1) cot theta.
-    All arithmetic carries M + 10 decimal digits (mpmath, imported here
-    only); accuracy on well-behaved transforms is roughly 0.6*M digits.
+    """Invert F at time t by mpmath's fixed-Talbot rule with M terms,
+    ``mpmath.invertlaplace(F, t, method="talbot", degree=M)``, the rule of
+    the test suite's and perfbench's oracles (Abate & Valko's contour
+    r theta (cot theta + i)/t, r = 2M/5, in M decimal digits; accuracy on
+    well-behaved transforms is roughly 0.6*M digits).  mpmath is imported
+    here only.
     """
     import mpmath
 
     _require_positive(t=t)
     M = _require_int("M", M, 8)
-    with mpmath.workdps(M + 10):
-        tt = mpmath.mpf(t)
-        r = mpmath.mpf(2) * M / (5 * tt)
+    # invertlaplace sets mp.dps = M and restores it only when F returns
+    with mpmath.workdps(mpmath.mp.dps):
         try:
-            acc = (mpmath.mpf("0.5") * F(mpmath.mpc(r)) * mpmath.exp(r * tt)).real
-            for j in range(1, M):
-                theta = mpmath.pi * j / M
-                cot = mpmath.cos(theta) / mpmath.sin(theta)
-                delta = r * theta * (cot + 1j)
-                sigma = theta + (theta * cot - 1) * cot
-                acc += (mpmath.exp(delta * tt) * F(delta) * (1 + 1j * sigma)).real
+            value = mpmath.invertlaplace(F, t, method="talbot", degree=M)
         except InversionError:
             raise
         except Exception as exc:  # transform evaluation failed: report, don't fabricate
             raise InversionError(f"transform evaluation failed on Talbot contour at t={t}: {exc}") from exc
-        if not mpmath.isfinite(acc):
-            raise InversionError(f"transform is not finite on the Talbot contour (t={t})")
-        return float(r / M * acc)
+    if not mpmath.isfinite(value):
+        raise InversionError(f"transform is not finite on the Talbot contour (t={t})")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -277,19 +277,17 @@ def estimate_rft(m: ClaimsModel, u, t):
     return _cells(u, t, _require_reportable("rft estimate", values, u=us, t=ts))
 
 
-def estimate_tulta(m: ClaimsModel, u, t, p_ruin=None):
+def estimate_tulta(m: ClaimsModel, u, t):
     """Normalized estimate P(ruin ever) * min(1, B(t)/B(inf)) at every cell of
     a scalar or vector ``u`` and ``t``, in shape shape(u) + shape(t) (a float
-    for one cell); subcritical only.
-
-    ``p_ruin`` is P(ruin ever) at ``u`` when the caller already has it; it
-    is computed otherwise.  A cell must be a positive normal double <= 1.
+    for one cell); subcritical only.  P is inverted before B, and a cell
+    must be a positive normal double <= 1.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     require_subcritical(m, "the normalized finite-time estimate")
-    p = prob_eventual_ruin(m, us) if p_ruin is None else _require_probability(p_ruin, u)
+    p = prob_eventual_ruin(m, us)
     ratio = np.minimum(1.0, BFunction(m).grid(ts) / b_infinity(m))
-    values = np.reshape(p, us.shape)[:, None] * ratio
+    values = p[:, None] * ratio
     return _cells(u, t, _require_reportable("tulta estimate", values, 1.0, u=us, t=ts))
 
 

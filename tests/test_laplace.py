@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -70,11 +71,17 @@ class TestTalbot:
         def broken(d):
             raise ArithmeticError("boom")
 
+        dps = mpmath.mp.dps
         with pytest.raises(InversionError, match="transform evaluation failed"):
             talbot_invert(broken, 1.0, M=16)
+        # mpmath.invertlaplace sets mp.dps = M and restores it only on a return
+        assert mpmath.mp.dps == dps
         # a NaN transform value is reported, not summed
         with pytest.raises(InversionError, match=r"^transform is not finite .*\(t=2\.0\)"):
             talbot_invert(lambda d: math.nan, 2.0, M=16)
+        assert mpmath.mp.dps == dps
+        talbot_invert(f_t, 1.0, M=16)
+        assert mpmath.mp.dps == dps
 
 
 class TestTalbotGrid:

@@ -22,7 +22,7 @@ from tsruin import (
 )
 from tsruin import model as model_module
 from tsruin.laplace import HYPERBOLA_RULES, hyperbola_nodes
-from tsruin.model import (_TAIL_SERIES_MAX_X, PhiConvergenceError, _complex_power, _gamma_small,
+from tsruin.model import (_TAIL_SERIES_MAX_X, PhiConvergenceError, _gamma_small, _power,
                           gamma_neg)
 
 from conftest import MODELS, Oracle, assert_close
@@ -514,15 +514,15 @@ class TestComplexPower:
         mods = np.geomspace(1e-8, 1e8, 17)
         angles = np.linspace(-np.pi, np.pi, 65)[1:-1]
         z = (mods[:, None] * np.exp(1j * angles)).ravel()
-        got = _complex_power(z, r)
+        got = _power(z, r)
         with mpmath.workdps(40):
             want = np.array([complex(mpmath.mpc(w) ** mpmath.mpf(r)) for w in z])
             above = np.array([complex(mpmath.mpc(-x) ** mpmath.mpf(r)) for x in mods])
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-        positive = _complex_power(mods + 0j, r)
+        positive = _power(mods + 0j, r)
         assert np.all(positive.imag == 0.0) and positive.real.tolist() == (mods ** r).tolist()
         for neg, expect in [(-mods + 0j, above), (np.conj(-mods + 0j), np.conj(above))]:
-            assert np.all(np.abs(_complex_power(neg, r) - expect) <= 1e-15 * np.abs(expect))
+            assert np.all(np.abs(_power(neg, r) - expect) <= 1e-15 * np.abs(expect))
 
 
 class TestLevyTail:

@@ -556,16 +556,6 @@ class TestEstimators:
         vals = estimate_tulta(paper_ref, 1.0, [2.0, 5.0, 10.0, 20.0])
         assert np.all(np.diff(vals) >= 0.0)
 
-    @pytest.mark.parametrize("p_ruin", [1.5, -0.1, 0.0, math.nan])
-    def test_tulta_rejects_probability_out_of_range(self, paper_ref, p_ruin):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            estimate_tulta(paper_ref, 1.0, 10.0, p_ruin=p_ruin)
-
-    def test_tulta_takes_p_ruin(self, paper_ref):
-        us = np.array(SURFACE_US)
-        got = estimate_tulta(paper_ref, us, SURFACE_TS, p_ruin=prob_eventual_ruin(paper_ref, us))
-        assert [[v.hex() for v in row] for row in got.tolist()] == SURFACE_PINS["tulta"]
-
     def test_tulta_needs_subcritical(self, ig_model):
         with pytest.raises(RegimeError, match="supercritical"):
             estimate_tulta(ig_model, 1.0, 5.0)
@@ -602,11 +592,10 @@ class TestEstimators:
     def test_domain_errors(self, paper_ref):
         for estimate in ESTIMATORS.values():
             for u, t in [(-1.0, 1.0), (1.0, 0.0), ([1.0, 0.0], 1.0), (1.0, [[1.0]]),
-                         (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+                         (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), ([], 1.0),
+                         (1.0, [])]:
                 with pytest.raises(ValueError):
                     estimate(paper_ref, u, t)
-        with pytest.raises(ValueError, match=r"^p_ruin must have the shape of u, \(2,\)"):
-            estimate_tulta(paper_ref, [1.0, 2.0], 5.0, p_ruin=0.5)
 
 
 class TestGrowthDiagnostic:

@@ -287,6 +287,10 @@ class TestSimulators:
         for simulate in (simulate_ruin_mc, simulate_ruin_naive):
             with pytest.raises(ValueError, match="t must be a positive finite"):
                 simulate(paper_ref, 1.0, math.inf, plan)
+            # an empty axis is rejected before any path is drawn
+            for u, t, name in (([], 1.0, "u"), (1.0, [], "t")):
+                with pytest.raises(ValueError, match=f"^{name} must be a positive finite"):
+                    simulate(paper_ref, u, t, plan)
 
 
 class TestGridEstimator:

@@ -73,3 +73,20 @@ def test_kernel_spans_carry_metadata_on_monte_carlo_commands(tmp_path):
         elems[name] = sum(meta["elems"] for meta in metas)
     # the naive sampler proposes every increment it scans at least once
     assert elems["kernels.stable_standard"] >= elems["kernels.first_passage_scan"] > 0
+
+
+def test_b_and_scale_fn_run_traced(tmp_path):
+    # perfbench's metadata on ruin.scale_function reads one float u per call
+    us = [0.5, 1.25, 2.0]
+    tracer = spans.Tracer()
+    tracer.install(tsruin)
+    try:
+        for argv in (["b", "--t-min", "1", "--t-max", "20", "--t-steps", "4"],
+                     ["scale-fn", "--u-min", "0.5", "--u-max", "2", "--u-steps", "3"]):
+            out = str(tmp_path / f"{argv[0]}.tsv")
+            assert tsruin.cli.main([*argv, "--preset", "paper-ref", "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    metas = [span[6] for span in tracer.spans if span[1] == "ruin.scale_function"]
+    assert metas == [{"u": u} for u in us]
+    assert all(type(meta["u"]) is float for meta in metas)
