@@ -104,17 +104,19 @@ HYPERBOLA_RULES = {32: (0.8964, 0.5429, 3.2357), 24: (0.9475, 1.1320, 2.5880)}
 
 
 @functools.cache
-def _hyperbola_path(N: int) -> tuple:
-    """The arrays of the rule with N + 1 nodes of ``HYPERBOLA_RULES``, built
-    once per N and read-only: the path m N (1 + sin(iu_k - a)) (the nodes
-    are shift + path / t1) and the trapezoid weights (h/pi) m N z'(u_k)/mu,
-    halved at k = 0."""
-    a, m, c = HYPERBOLA_RULES[N]
-    h = c / N
-    w = 1j * h * np.arange(N + 1) - a
-    weight = (h / np.pi) * m * N * 1j * np.cos(w)
-    weight[0] *= 0.5
-    arrays = m * N * (1.0 + np.sin(w)), weight
+def _hyperbola_path() -> tuple:
+    """The arrays of both rules of ``HYPERBOLA_RULES``, each rule's N + 1
+    entries in the order of the dict, built once and read-only: the path
+    m N (1 + sin(iu_k - a)) (the nodes are shift + path / t1) and the
+    trapezoid weights (h/pi) m N z'(u_k)/mu, halved at k = 0."""
+    paths, weights = [], []
+    for N, (a, m, c) in HYPERBOLA_RULES.items():
+        h = c / N
+        w = 1j * h * np.arange(N + 1) - a
+        weights.append((h / np.pi) * m * N * 1j * np.cos(w))
+        weights[-1][0] *= 0.5
+        paths.append(m * N * (1.0 + np.sin(w)))
+    arrays = np.concatenate(paths), np.concatenate(weights)
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
@@ -143,8 +145,7 @@ def hyperbola_nodes(ts, shift: float = 0.0) -> np.ndarray:
 
 def _nodes(ends: np.ndarray, shift: float) -> np.ndarray:
     """``hyperbola_nodes`` of the windows that end at ``ends``."""
-    path = np.concatenate([_hyperbola_path(N)[0] for N in HYPERBOLA_RULES])
-    return shift + path / ends[:, None]
+    return shift + _hyperbola_path()[0] / ends[:, None]
 
 
 def hyperbola_grid(F: Callable[[np.ndarray], np.ndarray], ts,
@@ -173,15 +174,11 @@ def hyperbola_grid(F: Callable[[np.ndarray], np.ndarray], ts,
     if bad.any():
         t = ts[bad[window]][0]
         raise InversionError(f"transform is not finite on the hyperbolic contour (t={t})")
-    ratio = (ts / ends[window])[:, None]
-    scale = np.exp(shift * ts) / ends[window]
-    sums, first = [], 0
-    for N in HYPERBOLA_RULES:
-        path, weight = _hyperbola_path(N)
-        terms = np.exp(path * ratio) * (values[:, first:first + N + 1] * weight)[window]
-        sums.append(scale * terms.sum(axis=1).imag)
-        first += N + 1
-    return np.array(sums)
+    path, weight = _hyperbola_path()
+    terms = np.exp(path * (ts / ends[window])[:, None]) * (values * weight)[window]
+    first = next(iter(HYPERBOLA_RULES)) + 1  # the larger rule's columns
+    sums = terms[:, :first].sum(axis=1).imag, terms[:, first:].sum(axis=1).imag
+    return np.exp(shift * ts) / ends[window] * np.array(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from .laplace import HYPERBOLA_RULES, InversionError, hyperbola_grid
 # unused here; perfbench spans both reference engines at this lookup site
 from .laplace import levin_invert, talbot_invert  # noqa: F401
-from .model import (P_SERIES, ClaimsModel, RegimeTag, _require_int, _require_positive,
+from .model import (ClaimsModel, RegimeTag, _require_int, _require_positive,
                     _require_reportable, levy_tail, phi, positive_axis)
 
 __all__ = [
@@ -60,12 +60,14 @@ __all__ = [
 
 # Every double-precision inversion runs on both rules of
 # ``HYPERBOLA_RULES``; the gap of the two is its error estimate.  B's gap
-# reaches 3.5e-11 (the critical fixture model at t = 3384) on t-grids over
-# [1e-3, 1e4] of eight models.
+# reaches 4.0e-11 (the critical fixture model at t = 3131) on t-grids over
+# [1e-3, 1e4] of ten models: the four fixtures, (1, 2, rho, xi) at
+# (0.05, 0.1), (0.3, 0.5) and (0.1, 1), and (0.01, 1, 0.99 or 0.5, 1e-6)
+# and (0.01, 1, 0.99, 1e-9).
 B_INVERSION_RTOL = 1e-8
-# P's gap reaches 2.0e-10 (at u = 126 of (5, 3, 0.95, 0.3)) on u-grids over
+# P's gap reaches 1.5e-9 (at u = 5 of the reference model) on u-grids over
 # [0.01, 300] of the same models, while at the reference model the N=32
-# value stays within 5e-12 of a 64-digit reference; the tolerance is the
+# value stays within 9e-12 of a 64-digit reference; the tolerance is the
 # one of the fixed-Talbot rules (M=18, M=24) before, whose gap reached
 # 2.4e-8 at u in [100, 150]
 P_INVERSION_RTOL = 1e-7
@@ -159,7 +161,7 @@ class BFunction:
         """B at every t of a positive scalar or vector ``ts``, as a float
         array: one pass of ``_inverted_checked`` on the contour shifted to
         max(0, psi_X(alpha)), with tolerance ``B_INVERSION_RTOL`` (the check
-        also catches a Newton solve that left the analytic branch).
+        also catches a Phi_X solve that left the analytic branch).
         """
         return self._invert(b_tilde, ts, "B")
 
@@ -186,8 +188,8 @@ class BFunction:
 
 
 def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
-    """Transform of P(ruin ever) on an array of nodes b, with Q = ``m.q`` at
-    ``P_SERIES``:
+    """Transform of P(ruin ever) on an array of nodes b, with Q = ``m.q``,
+    the Q of psi_X:
 
         Psi~(b) = 1/b + E[X_1]/psi_X(-b) = Q/(E[X_1] + b Q).
 
@@ -199,7 +201,7 @@ def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
     crossing point of a window's contour is 0) Q is the limit
     k a^(rho-2) C(rho, 2).
     """
-    q = m.q(b, P_SERIES)
+    q = m.q(b)
     return q / (m.drift_mean + b * q)
 
 

@@ -46,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .model import ClaimsModel, _require_finite, _require_int, _require_positive, positive_axis
+from .model import (ClaimsModel, _require_finite, _require_int, _require_positive,
+                    _require_reportable, positive_axis)
 
 __all__ = [
     "StableLawParams",
@@ -296,7 +297,9 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     Per path: accumulate stable h-increments, flag a hit at horizon t if
     the running sum exceeded u at a step boundary up to t, and add the
     weight exp(-alpha * Z_t) for hit paths.  The batch mean is multiplied
-    by exp(psi_X(alpha) * t).  ``u`` and ``t`` are scalars or vectors; the
+    by exp(psi_X(alpha) * t), which must be a positive normal double: one
+    that overflows or underflows raises ``FloatingPointError`` naming t
+    before any path is drawn.  ``u`` and ``t`` are scalars or vectors; the
     result's mean and stderr have shape ``shape(u) + shape(t)``.
     """
     params = stable_increment_params(m, plan.h)
@@ -307,7 +310,14 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
             return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
                                            params.nu, params.mu, us, m.alpha, ends)[0]
 
-    return _simulate_grid(u, t, plan, scan, lambda x: math.exp(m.psi_alpha * x))
+    def factor(x: float) -> float:
+        try:
+            value = math.exp(m.psi_alpha * x)
+        except OverflowError:
+            value = math.inf
+        return _require_reportable("measure-change factor exp(psi_X(alpha) t)", value, t=[x])
+
+    return _simulate_grid(u, t, plan, scan, factor)
 
 
 def _tilting_round(rng: np.random.Generator, count: int, nu: float, rho: float,

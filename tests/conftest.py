@@ -69,6 +69,15 @@ def critical_model() -> ClaimsModel:
 
 
 @pytest.fixture(scope="session")
+def near_critical_model() -> ClaimsModel:
+    """Loading 1e-9: E[X_1] = -1e-9 E[Y_1], so the root delta / E[X_1] of
+    the tangent of psi_X at 0 lies ~1e9 times too far left.  Not in
+    ``MODELS``: the oracle's premium differs from this model's by its
+    rounding, ~1e-7 relative in E[X_1]."""
+    return ClaimsModel.from_loading(0.01, 1.0, 0.99, 1e-9)
+
+
+@pytest.fixture(scope="session")
 def bf_ref(paper_ref) -> BFunction:
     """Shared B(t) evaluator (double-precision inversion) for the reference model."""
     return BFunction(paper_ref)

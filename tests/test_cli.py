@@ -281,6 +281,22 @@ class TestCmdSimulate:
                                                 ("0.4", "0.5"), ("0.4", "1")]
         assert len({r[4] for r in rows}) == 1  # elapsed: the grid run's time
 
+    @pytest.mark.parametrize("model, t, h, value", [
+        # psi_X(alpha) t = -755: the factor underflows to 0, where the mean printed 0
+        (["--preset", "paper-ref"], "4000", "10", "0.000000e+00"),
+        # psi_X(alpha) t = 879: math.exp overflowed, "math range error" naming nothing
+        (["--c", "1", "--alpha", "2", "--rho", "0.3", "--xi", "0.5"], "300", "1", "inf"),
+    ], ids=["underflow", "overflow"])
+    def test_mc_factor_out_of_range_exit_code(self, tmp_path, model, t, h, value):
+        out = tmp_path / "sim.tsv"
+        res = run_cli("simulate", *model, "--approach", "mc", "--u-min", "1", "--t-min", t,
+                      "--h", h, "--paths", "64", "--batches", "2", "--seed", "1",
+                      "--out", str(out))
+        assert res.returncode == 3
+        assert (f"measure-change factor exp(psi_X(alpha) t) at t={float(t)} is {value}"
+                in res.stderr)
+        assert not out.exists()
+
     def test_naive_rejects_rho_above_one(self):
         res = run_cli("simulate", "--c", "0.01", "--alpha", "1", "--rho", "1.5",
                       "--xi", "0.2", "--approach", "naive",

@@ -135,14 +135,14 @@ class TestTalbotGrid:
         assert np.array_equal(ends[window], powers[np.searchsorted(powers, ts)])
 
     def test_contour_arrays_shared_read_only(self):
-        # built once per rule and handed to every grid, so no caller may write them
-        arrays = {N: _hyperbola_path(N) for N in HYPERBOLA_RULES}
+        # built once and handed to every grid, so no caller may write them
+        pair = _hyperbola_path()
         hyperbola_grid(f_t, [1.0, 2.0])
-        for N, pair in arrays.items():
-            assert all(a is b for a, b in zip(_hyperbola_path(N), pair))
-            for a in pair:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0.0
+        assert all(a is b for a, b in zip(_hyperbola_path(), pair))
+        for a in pair:
+            assert a.shape == (sum(N + 1 for N in HYPERBOLA_RULES),)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
