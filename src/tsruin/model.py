@@ -426,14 +426,15 @@ def _phi_halley(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
     from the seeds ``beta`` (overwritten with the roots, which are
     returned), one power per step: psi_X' and psi_X'' =
     k rho (1 - rho) (a - beta)^rho / (a - beta)^2 come from the power of
-    psi_X.  An entry drops out once its residual meets the 1e-12 relative
-    gate (absolute for |delta| < 1, so at delta ~ 1e-12 it is met by a root
-    still off by percents) and the step computed there is below 1e-8 of
-    the new iterate.  That last step is still taken: roots only as close as
-    the gate cost the double-precision inversion of B up to ~2e-10
-    relative.  Raises if any entry is still unconverged after
-    ``_PHI_MAXIT`` iterations."""
-    active, gate = np.arange(delta.size), 1e-12 * np.maximum(1.0, np.abs(delta))
+    psi_X.  An entry drops out once its residual meets the gate 1e-12
+    max(1, |delta|, k a^rho), relative to the largest term psi_X sums (so
+    at delta ~ 1e-12 it is met by a root still off by percents), and the
+    step computed there is below 1e-8 of the new iterate.  That last step
+    is still taken: roots only as close as the gate cost the
+    double-precision inversion of B up to ~2e-10 relative.  Raises if any
+    entry is still unconverged after ``_PHI_MAXIT`` iterations."""
+    scale = max(1.0, m.tilt_coefficient * m.alpha ** m.rho)  # psi_X rounds at ~2^-52 of it
+    active, gate = np.arange(delta.size), 1e-12 * np.maximum(scale, np.abs(delta))
     for _ in range(_PHI_MAXIT):
         b = beta[active]
         psi, power, gap = m._psi_x_power(b)

@@ -28,7 +28,7 @@ exponential: n elements (a chunk, a rejection round) read n uniforms (the
 angles), then n exponentials, then a round's n accept uniforms.  None is
 held whole: a second PCG64, advanced by n, reads the exponentials beside
 the angles, a block of rows at a time, just before the kernels use them.
-The naive sampler runs one rejection round (``_tilting_round``) on a
+The naive sampler draws a rejection round by ``sample_stable`` on a
 chunk, then on its rejected elements until none is left.  Memory stays at
 a few blocks per worker, plus the naive sampler's one increment array per
 chunk, and every variate is the one a one-shot draw would give.
@@ -40,7 +40,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -107,9 +107,10 @@ def sample_stable(params: StableLawParams, rng: np.random.Generator, size=None):
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
     # Python ints: PCG64.advance overflows on a numpy integer's product
     shape = tuple(_require_int("size", k, 0) for k in np.ravel(1 if size is None else size))
-    with _chunk_draws(rng, shape) as (u_ang, w_exp, _):
-        std = _kernels.stable_standard(u_ang, w_exp, params.rho, theta0, scale0)
-    out = params.nu * std + params.mu
+    with _chunk_draws(rng, shape) as (u_ang, w_exp):
+        out = _kernels.stable_standard(u_ang, w_exp, params.rho, theta0, scale0)
+    out *= params.nu
+    out += params.mu
     return float(out[0]) if size is None else out
 
 
@@ -268,14 +269,13 @@ def _chunk_draws(rng: np.random.Generator, shape: tuple):
     ``Generator.random`` takes exactly one 64-bit draw per double, so a copy
     of the batch's PCG64 advanced by the chunk's size starts at its first
     exponential; ``rng`` must be a PCG64 generator.  Yields ``(u_ang,
-    w_exp, after)``: two ``_DrawRows`` and the generator that continues the
-    stream after the exponentials last read.  On exit, with every row of
-    both read, ``rng`` continues where ``after`` stopped.
+    w_exp)``, two ``_DrawRows``.  On exit, with every row of both read,
+    ``rng`` continues the stream after the last exponential.
     """
     bits = np.random.PCG64(0)  # a fixed seed, not OS entropy: the state is replaced
     bits.state = rng.bit_generator.state
     bits.advance(math.prod(shape))
-    after = np.random.Generator(bits)
+    exps = np.random.Generator(bits)
 
     def angles(blk):
         rng.random(out=blk)
@@ -283,8 +283,8 @@ def _chunk_draws(rng: np.random.Generator, shape: tuple):
         blk *= np.pi
 
     u_ang = _DrawRows(angles, shape)
-    w_exp = _DrawRows(lambda blk: after.standard_exponential(out=blk), shape)
-    yield u_ang, w_exp, after
+    w_exp = _DrawRows(lambda blk: exps.standard_exponential(out=blk), shape)
+    yield u_ang, w_exp
     if u_ang.rows_read != shape[0] or w_exp.rows_read != shape[0]:
         raise RuntimeError(f"a chunk of {shape[0]} rows was left unread at row "
                            f"{min(u_ang.rows_read, w_exp.rows_read)}")
@@ -306,7 +306,7 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
 
     def scan(rng, npaths, steps, us, ends):
-        with _chunk_draws(rng, (npaths, steps)) as (u_ang, w_exp, _):
+        with _chunk_draws(rng, (npaths, steps)) as (u_ang, w_exp):
             return _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
                                            params.nu, params.mu, us, m.alpha, ends)[0]
 
@@ -320,58 +320,53 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     return _simulate_grid(u, t, plan, scan, factor)
 
 
-def _tilting_round(rng: np.random.Generator, count: int, nu: float, rho: float,
-                   alpha: float, theta0: float, scale0: float):
-    """One tilting-rejection round: ``count`` proposals nu V, V standard
-    stable, drawn through ``_chunk_draws``, each accepted with probability
-    exp(-alpha nu V) by the uniforms that follow the exponentials, a block
-    at a time.  Returns the proposals and the indices of the rejected ones."""
-    prob = np.empty(min(_kernels._BLOCK_ELEMENTS, count))
+def _tilt_rejections(rng: np.random.Generator, proposal: np.ndarray, alpha: float):
+    """Indices of the ``proposal`` entries V rejected by exponential tilting:
+    each is accepted with probability exp(-alpha V) by the next uniform of
+    ``rng``, the uniforms read a block at a time."""
+    block = min(_kernels._BLOCK_ELEMENTS, proposal.size)
+    accept_u, prob = np.empty(block), np.empty(block)
     rejected = []
-    with _chunk_draws(rng, (count,)) as (u_ang, w_exp, after):
-        proposal = _kernels.stable_standard(u_ang, w_exp, rho, theta0, scale0)
-        accept_u = _DrawRows(lambda blk: after.random(out=blk), (count,))
-        for lo in range(0, count, len(prob)):
-            hi = min(lo + len(prob), count)
-            proposal[lo:hi] *= nu
-            p = prob[:hi - lo]
-            np.multiply(-alpha, proposal[lo:hi], out=p)
-            np.exp(p, out=p)
-            rejected.append(lo + np.flatnonzero(~(accept_u[lo:hi] <= p)))
-    return proposal, np.concatenate(rejected)
+    for lo in range(0, proposal.size, block):
+        hi = min(lo + block, proposal.size)
+        u, p = accept_u[:hi - lo], prob[:hi - lo]
+        rng.random(out=u)
+        np.multiply(-alpha, proposal[lo:hi], out=p)
+        np.exp(p, out=p)
+        rejected.append(lo + np.flatnonzero(~(u <= p)))
+    return np.concatenate(rejected)
 
 
-def _tilted_subordinator_increments(
-    rng: np.random.Generator, count: int, nu: float, rho: float, alpha: float,
-    theta0: float, scale0: float,
-) -> np.ndarray:
+def _tilted_subordinator_increments(rng: np.random.Generator, count: int,
+                                    params: StableLawParams, alpha: float) -> np.ndarray:
     """Exact tempered increments by exponential-tilting rejection.
 
-    Proposals V are stable subordinator increments (law of Z_h); accepting
-    with probability exp(-alpha V) leaves the density proportional to
-    exp(-alpha x) f_Z(x), which is exactly the tempered increment law.  One
-    round runs on every element, then on the rejected ones until none is left.
+    Proposals V are stable subordinator increments (``params``, with mu = 0:
+    the law of Z_h); accepting with probability exp(-alpha V) leaves the
+    density proportional to exp(-alpha x) f_Z(x), which is exactly the
+    tempered increment law.  One round runs on every element, then on the
+    rejected ones until none is left.
     """
-    out, pending = _tilting_round(rng, count, nu, rho, alpha, theta0, scale0)
+    out = sample_stable(params, rng, count)
+    pending = _tilt_rejections(rng, out, alpha)
     for _ in range(_MAX_REJECTION_ROUNDS - 1):
         if pending.size == 0:
             return out
-        proposal, rejected = _tilting_round(rng, pending.size, nu, rho, alpha, theta0, scale0)
+        proposal = sample_stable(params, rng, pending.size)
         out[pending] = proposal
-        pending = pending[rejected]
+        pending = pending[_tilt_rejections(rng, proposal, alpha)]
     raise ArithmeticError(f"tilting rejection exceeded {_MAX_REJECTION_ROUNDS} rounds")
 
 
 def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     """Direct estimator: exact tempered stable increments, hit fraction.
     Takes scalar or vector ``u`` and ``t`` as ``simulate_ruin_mc`` does."""
-    params = stable_increment_params(m, plan.h)  # mu is the drift, added below
-    theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
+    params = stable_increment_params(m, plan.h)
+    proposal_law = replace(params, mu=0.0)  # the drift is added below
 
     def scan(rng, npaths, steps, us, ends):
-        v = _tilted_subordinator_increments(
-            rng, npaths * steps, params.nu, params.rho, m.alpha, theta0, scale0
-        ).reshape(npaths, steps)
+        v = _tilted_subordinator_increments(rng, npaths * steps, proposal_law,
+                                            m.alpha).reshape(npaths, steps)
         v += params.mu
         counts = np.zeros((len(us), len(ends)), dtype=np.int64)
         _kernels.first_passage_scan(v, us, ends, counts)

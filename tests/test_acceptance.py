@@ -6,9 +6,10 @@ implementation provably cannot reproduce (see the failing assertions'
 messages for the measured numbers and the verified explanation):
 
 * criterion 3: the published finite-time Monte Carlo mean at
-  (u=0.1, t=2.0) is 19% above the true value of the stated model; the
-  same simulator reproduces the published benchmark-table simulation
-  column at (u=2, t=20) and (u=1, t=10) and passes the independent
+  (u=0.1, t=2.0) is 19% above the true value of the stated model.  The
+  stated plan reproduces the published mean and stderr at loading 0.15
+  in place of the stated 0.2 (test_measure_change_benchmark_at_loading_0_15),
+  and at 0.2 the same simulator passes the independent
   Esscher-consistency and transform-law checks (criteria 4 and 8).
 * criterion 7 (supercritical half): the log-slope limit psi_X(alpha) holds
   as t -> infinity, but the measured slope on the stated [20, 50] window is
@@ -26,6 +27,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +56,6 @@ from tsruin import (
 from tsruin.model import ScaleChange
 from tsruin.ruin import B_INVERSION_RTOL
 from tsruin.sim import _tilted_subordinator_increments
-from tsruin import _kernels
 
 from conftest import Oracle, assert_close
 
@@ -85,11 +86,21 @@ def bf(model) -> BFunction:
     return BFunction(model)
 
 
+# the published plan of the Monte Carlo point
+TABLE2_PLAN = SimPlan(h=0.01, n=16384, N=30, seed=20240817, threads=1)
+
+
+def _published_point_bands(res) -> tuple:
+    """Criterion 3's bands: (mean within +-3 x 3e-4 of the published mean,
+    stderr within a factor 2 of the published stderr)."""
+    return (abs(res.mean - MC_REFERENCE_MEAN) <= 3.0 * 3.0e-4,
+            MC_REFERENCE_STDERR / 2.0 <= res.stderr <= MC_REFERENCE_STDERR * 2.0)
+
+
 @pytest.fixture(scope="module")
 def table2_mc(model):
     """Full-scale measure-change run at the published configuration."""
-    plan = SimPlan(h=0.01, n=16384, N=30, seed=20240817, threads=1)
-    return simulate_ruin_mc(model, 0.1, 2.0, plan)
+    return simulate_ruin_mc(model, 0.1, 2.0, TABLE2_PLAN)
 
 
 def test_criterion_01_asymptotic_table(model):
@@ -117,18 +128,30 @@ def test_criterion_02_infinite_horizon_table(model):
 @pytest.mark.slow
 def test_criterion_03_measure_change_benchmark(table2_mc):
     res = table2_mc
-    mean_ok = abs(res.mean - MC_REFERENCE_MEAN) <= 3.0 * 3.0e-4
-    stderr_ok = MC_REFERENCE_STDERR / 2.0 <= res.stderr <= MC_REFERENCE_STDERR * 2.0
+    mean_ok, stderr_ok = _published_point_bands(res)
     detail = (
         f"mean {res.mean:.6f} vs published {MC_REFERENCE_MEAN} "
         f"(band +-{3 * 3.0e-4}), stderr {res.stderr:.2e} vs {MC_REFERENCE_STDERR:.1e}; "
-        f"the published mean is not reproducible from the stated model: this "
-        f"simulator matches the published benchmark-table simulation column at "
-        f"(2,20)/(1,10) and its own exact-law counterpart (criterion 4); a doubled "
-        f"horizon does not explain it either: this plan at t=4 gives 0.048908 +- 0.00020, "
-        f"4.46 combined stderr below the published mean"
+        f"the published mean is not reproducible from the stated model: this plan "
+        f"reproduces the published mean and stderr at loading 0.15 in place of the "
+        f"stated 0.2 (0.050381 +- 0.00030, test_measure_change_benchmark_at_loading_0_15), "
+        f"and at 0.2 this simulator matches its own exact-law counterpart (criterion 4); "
+        f"a doubled horizon does not reach the published mean: this plan at t=4 gives "
+        f"0.048908 +- 0.00020, 4.46 combined stderr below it"
     )
     _criterion(3, "measure-change benchmark point", mean_ok and stderr_ok, detail)
+
+
+@pytest.mark.slow
+def test_measure_change_benchmark_at_loading_0_15():
+    # companion to criterion 3: the published plan at loading 0.15 meets
+    # criterion 3's bands; batches are seeded one by one, so two threads
+    # give the bits of one
+    m = ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.15)
+    res = simulate_ruin_mc(m, 0.1, 2.0, replace(TABLE2_PLAN, threads=2))
+    print(f"\n  [companion] published plan at loading 0.15: "
+          f"mean {res.mean:.6f} +- {res.stderr:.5f}")
+    assert _published_point_bands(res) == (True, True)
 
 
 @pytest.mark.slow
@@ -259,9 +282,8 @@ def test_criterion_08_sampler_validation(model):
         z = (vals.mean() - want) / (vals.std(ddof=1) / math.sqrt(n))
         zmax = max(zmax, abs(z))
     # tempered h-increments via tilting: E e^(-lam V) = exp(h psi_Y(-lam))
-    theta0, scale0 = _kernels.cms_constants(params.rho, 1.0)
-    v = _tilted_subordinator_increments(np.random.default_rng(101), n, params.nu,
-                                        params.rho, model.alpha, theta0, scale0)
+    v = _tilted_subordinator_increments(np.random.default_rng(101), n,
+                                        replace(params, mu=0.0), model.alpha)
     for lam in (0.5, 1.0, 2.0):
         vals = np.exp(-lam * v)
         want = math.exp(h * float(model.psi_y(-lam)))

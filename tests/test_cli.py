@@ -463,6 +463,25 @@ class TestConfigAndIO:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["b", "--config", "{missing}", "--t-min", "1"], "cannot read config {missing}: "),
+        (["b", "--config", "{cfg}", "--t-min", "1"], "{cfg}:2: expected key=value, got 'c 0.01'"),
+        (["b", "--alpha", "1", "--rho", "0.99", "--xi", "0.2", "--t-min", "1"],
+         "missing model parameter --c (or use --preset/--config)"),
+        (["scale-fn", "--preset", "paper-ref", "--u-min", "2", "--u-max", "1", "--u-steps", "3"],
+         "--u-max must be >= --u-min"),
+        (["simulate", "--preset", "paper-ref", "--u-min", "0.1", "--t-min", "2"],
+         "--approach is required (naive or mc)"),
+    ], ids=["unreadable-config", "line-without-equals", "missing-c", "u-max-below-u-min",
+            "no-approach"])
+    def test_usage_errors(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# model\nc 0.01\n")
+        paths = {"cfg": cfg, "missing": tmp_path / "missing.cfg"}
+        assert cli.main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(**paths)}") and err.endswith("\n")
+
     def test_config_preset_beneath_file_keys_and_flag(self, tmp_path, monkeypatch):
         critical = dict(zip(("c", "alpha", "rho", "xi"), MODELS["critical_model"]))
         monkeypatch.setitem(cli.PRESETS, "alt", critical)

@@ -306,6 +306,19 @@ class TestPhi:
         slope = m.tilt_coefficient * m.rho * (m.alpha - roots) ** (m.rho - 1.0) - m.p
         assert np.all(slope < 0.0)
 
+    def test_gate_scaled_by_the_cumulant_terms(self):
+        # k alpha^rho = 2.3e5: psi_X's direct form rounds at ~5e-11, above an
+        # absolute 1e-12 gate, which 44 of these deltas never met
+        params = (92.38, 72.97, 0.9733, 3.56e-7)
+        m = ClaimsModel.from_loading(*params)
+        deltas = np.geomspace(1e-3, 1e3, 2001)
+        roots = phi(m, deltas)
+        with mpmath.workdps(40):
+            oracle = _oracle_with_drift_of(m, params)
+            want = [float(oracle._phi_real(mpmath.mpf(d))) for d in deltas[::100]]
+        for delta, got, w in zip(deltas[::100], roots[::100], want):
+            assert_close(got, w, rel=1e-10, msg=f"phi({delta})")
+
     @pytest.mark.parametrize("params", [(1.0, 2.0, 0.05, 1e-6), (0.01, 1.0, 0.5, 1e-6)],
                              ids=["rho_0.05", "rho_0.5"])
     def test_near_critical_below_the_gate(self, params):

@@ -391,6 +391,15 @@ class TestScaleFunction:
                 with pytest.raises(ValueError, match="u must be a positive finite"):
                     f(paper_ref, bad)
 
+    def test_vector_p_ruin(self, paper_ref):
+        us = np.array([0.5, 2.0, 8.0])
+        p = prob_eventual_ruin(paper_ref, us)
+        assert scale_function(paper_ref, us, p_ruin=p).tobytes() == \
+            scale_function(paper_ref, us).tobytes()
+        for bad in (0.0, math.nan, 1.5):
+            with pytest.raises(ValueError, match=r"^p_ruin .*outside \[0, 1\]"):
+                scale_function(paper_ref, us, p_ruin=np.array([p[0], bad, p[2]]))
+
 
 class TestEventualRuin:
     def test_reference_values(self, paper_ref):

@@ -2,6 +2,7 @@
 estimator consistency, batch determinism, stream order and memory."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ class TestSampleStable:
         x = sample_stable(p, rng_factory(1))
         assert isinstance(x, float) and x > 0.0
 
+    def test_bits_pinned(self):
+        # nu and a nonzero mu are applied in place to the transform's output
+        rng = np.random.default_rng(2024)
+        x = sample_stable(StableLawParams(rho=0.7, beta=1.0, mu=0.0, nu=1.3), rng)
+        assert x.hex() == "0x1.46903008be32bp+3"
+        assert rng.random().hex() == "0x1.3ce0fe4145458p-2"  # the stream after the draw
+        rng = np.random.default_rng(2025)
+        xs = sample_stable(StableLawParams(rho=0.6, beta=1.0, mu=-0.25, nu=0.4), rng,
+                           size=(7, 33))
+        assert xs.shape == (7, 33) and xs.sum().hex() == "0x1.ecb65fc06af00p+13"
+        assert [v.hex() for v in xs[[0, 3, 6], [0, 17, 32]]] == [
+            "0x1.b47e292649d04p+10", "-0x1.42ea2ab7dc018p-5", "0x1.495df155d306ep-2"]
+        assert rng.random().hex() == "0x1.281573e1a6c07p-1"
+
     @pytest.mark.parametrize("rho,lam", [(0.5, 1.0), (0.7, 2.0), (0.99, 1.0)])
     def test_laplace_transform_subordinator(self, rng_factory, rho, lam):
         # E e^(-lam (S - mu)) = exp(-nu^rho sec(pi rho/2) lam^rho) for beta=1, rho<1
@@ -122,11 +137,8 @@ class TestTiltedIncrements:
     def test_matches_tempered_cumulant(self, paper_ref, rng_factory):
         # E e^(-lam V) = exp(h psi_Y(-lam)) for the tilted increment V
         h, n = 0.01, 300_000
-        params = stable_increment_params(paper_ref, h)
-        theta0, scale0 = _kernels.cms_constants(params.rho, 1.0)
-        v = _tilted_subordinator_increments(
-            rng_factory(55), n, params.nu, params.rho, paper_ref.alpha, theta0, scale0
-        )
+        params = replace(stable_increment_params(paper_ref, h), mu=0.0)
+        v = _tilted_subordinator_increments(rng_factory(55), n, params, paper_ref.alpha)
         assert v.min() > 0.0
         for lam in (0.5, 1.0, 2.0):
             want = math.exp(h * float(paper_ref.psi_y(-lam)))
@@ -137,14 +149,14 @@ class TestTiltedIncrements:
         # nu = 0.2, rho = 0.7, alpha = 1 rejects about half of each round's
         # proposals, so two blocks and a partial one take over a dozen
         # rounds; recorded before the first round was drawn block by block
-        rho, nu, alpha, count = 0.7, 0.2, 1.0, 2 * BLOCK + 123
-        theta0, scale0 = _kernels.cms_constants(rho, 1.0)
+        params = StableLawParams(rho=0.7, beta=1.0, mu=0.0, nu=0.2)
+        alpha, count = 1.0, 2 * BLOCK + 123
         sizes = []
         transform = _kernels.stable_standard
         monkeypatch.setattr(_kernels, "stable_standard",
                             lambda *a: sizes.append(np.size(a[0])) or transform(*a))
         rng = np.random.default_rng(606)
-        v = _tilted_subordinator_increments(rng, count, nu, rho, alpha, theta0, scale0)
+        v = _tilted_subordinator_increments(rng, count, params, alpha)
         assert len(sizes) - math.ceil(count / BLOCK) >= 2  # rounds after the first
         assert v.sum().hex() == "0x1.fe4da4946f5a6p+13"
         assert [x.hex() for x in v[[0, BLOCK, -1]]] == [
@@ -161,24 +173,23 @@ class TestChunkDraws:
     def test_equal_one_shot_draws(self, shape, rows):
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         u_parts, w_parts = [], []
-        with _chunk_draws(rng, shape) as (u_ang, w_exp, after):
+        with _chunk_draws(rng, shape) as (u_ang, w_exp):
             assert u_ang.shape == w_exp.shape == shape and u_ang.size == math.prod(shape)
             for lo in range(0, shape[0], rows):
                 u_parts.append(u_ang[lo:lo + rows].copy())
                 w_parts.append(w_exp[lo:lo + rows].copy())
-            tail = after.random(3)
         assert np.concatenate(u_parts).tobytes() == (np.pi * (ref.random(shape) - 0.5)).tobytes()
         assert np.concatenate(w_parts).tobytes() == ref.standard_exponential(shape).tobytes()
-        assert tail.tobytes() == ref.random(3).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()  # rng continues the stream
 
     def test_rows_read_in_order_and_all(self):
         rng = np.random.default_rng(5)
         with pytest.raises(IndexError, match="in order"):
-            with _chunk_draws(rng, (10, 3)) as (u_ang, _, _):
+            with _chunk_draws(rng, (10, 3)) as (u_ang, _):
                 u_ang[2:4]
         with pytest.raises(RuntimeError, match="unread"):
-            with _chunk_draws(rng, (10, 3)) as (u_ang, w_exp, _):
+            with _chunk_draws(rng, (10, 3)) as (u_ang, w_exp):
                 u_ang[0:10]
 
 
