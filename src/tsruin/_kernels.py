@@ -131,9 +131,10 @@ def _build_paths(shape, fill, barrier, ends):
 def mc_weight_scan(u_ang, w_exp, rho, theta0, scale0, nu, mu, barrier, alpha, ends=None):
     """Sum of exp(-alpha * Z_t) over paths that crossed the barrier by t.
 
-    Returns (sums, crossing), where sums has shape (len(barrier), len(ends))
-    (a float for a scalar barrier and ``ends=None``) and crossing is the
-    number of paths above the lowest barrier by the last end.
+    Returns (sums, crossing, hits), where sums and hits, the number of paths
+    summed, have shape (len(barrier), len(ends)) (a float and an int for a
+    scalar barrier and ``ends=None``) and crossing is the number of paths
+    above the lowest barrier by the last end.
     """
     npaths, steps = u_ang.shape
     tmp = np.empty((min(_block_rows(steps), npaths), steps))
@@ -146,9 +147,14 @@ def mc_weight_scan(u_ang, w_exp, rho, theta0, scale0, nu, mu, barrier, alpha, en
 
     levels, runmax, z_end, crossing = _build_paths(u_ang.shape, fill, barrier, ends)
     weights = np.exp(-alpha * z_end)
-    sums = np.array([[weights[runmax[:, j] > b, j].sum() for j in range(runmax.shape[1])]
-                     for b in levels])
-    return (float(sums[0, 0]) if np.ndim(barrier) == 0 and sums.shape[1] == 1 else sums), crossing
+    sums = np.empty((len(levels), runmax.shape[1]))
+    hits = np.empty(sums.shape, dtype=np.int64)
+    for i, j in np.ndindex(sums.shape):
+        hit = runmax[:, j] > levels[i]
+        sums[i, j], hits[i, j] = weights[hit, j].sum(), np.count_nonzero(hit)
+    if np.ndim(barrier) == 0 and sums.shape[1] == 1:
+        return float(sums[0, 0]), crossing, int(hits[0, 0])
+    return sums, crossing, hits
 
 
 def first_passage_scan(incr, barrier, ends=None, counts=None):

@@ -271,7 +271,7 @@ class ClaimsModel:
     @cached_property
     def psi_alpha(self) -> float:
         """psi_X(alpha); its sign decides the growth regime of B."""
-        return self.tilt_coefficient * self.alpha ** self.rho - self.p * self.alpha
+        return self.psi_x(self.alpha)
 
     @cached_property
     def regime(self) -> "RegimeTag":
@@ -295,28 +295,33 @@ class ClaimsModel:
     #    scalars or arrays --
 
     def psi_y(self, theta):
-        """k (a^rho - (a - theta)^rho), with k = -c Gamma(-rho); inside the
-        window of ``PSI_SERIES``, theta (E[Y_1] - theta Q(-theta))."""
-        return self._near_zero(theta, self._psi_y_direct(_power(self.alpha - theta, self.rho)),
-                               self.mean_claims)
+        """psi_Y(theta) = k (a^rho - (a - theta)^rho), k = -c Gamma(-rho)."""
+        return self._psi(theta, 0.0)[0]
 
-    def _psi_y_direct(self, power):
-        """k (a^rho - power), with power = (a - theta)^rho."""
-        return self.tilt_coefficient * (self.alpha ** self.rho - power)
+    def psi_x(self, theta):
+        """psi_X(theta) = psi_Y(theta) - p theta."""
+        return self._psi(theta, self.p)[0]
 
-    def _near_zero(self, theta, psi, mean):
-        """``psi`` with its entries inside the window of ``PSI_SERIES``
-        replaced by theta (mean - theta Q(-theta)), in which nothing cancels."""
+    def _psi(self, theta, p: float):
+        """psi_Y(theta) - p theta, (a - theta)^rho and a - theta, from one
+        difference and one power (``_power``): the Halley step of ``phi``
+        gets psi_X' = k rho (a - theta)^rho / (a - theta) - p and psi_X''
+        from the same two.  Inside the window of ``PSI_SERIES`` the first is
+        summed as theta (E[Y_1] - p - theta Q(-theta)), in which nothing
+        cancels."""
+        gap = self.alpha - theta
+        power = _power(gap, self.rho)
+        psi = self.tilt_coefficient * (self.alpha ** self.rho - power) - p * theta
         th = np.atleast_1d(theta)  # also an object array of mpmath numbers
         near = abs(th) < PSI_SERIES[0] * self.alpha
-        if not near.any():
-            return psi
-        th = th[near]
-        series = th * (mean - th * self.q(-th))
-        if np.ndim(psi) == 0:
-            return series[0]
-        psi[near] = series
-        return psi
+        if near.any():
+            th = th[near]
+            series = th * ((self.mean_claims - p) - th * self.q(-th))
+            if np.ndim(psi) == 0:
+                psi = series[0]
+            else:
+                psi[near] = series
+        return psi, power, gap
 
     @cached_property
     def _series_coef(self) -> np.ndarray:
@@ -340,20 +345,6 @@ class ClaimsModel:
         xf = x[~near]
         s[~near] = (_power(1.0 + xf, self.rho) - 1.0 - self.rho * xf) / xf ** 2
         return self._q_scale * s
-
-    def psi_x(self, theta):
-        """psi_Y(theta) - p theta; inside the window of ``PSI_SERIES``,
-        theta (E[X_1] - theta Q(-theta)), in which nothing cancels."""
-        return self._psi_x_power(theta)[0]
-
-    def _psi_x_power(self, theta):
-        """psi_X(theta), (a - theta)^rho and a - theta, from one difference
-        and one power (``_power``): the Halley step of ``phi`` gets psi_X' =
-        k rho (a - theta)^rho / (a - theta) - p and psi_X'' from the same two."""
-        gap = self.alpha - theta
-        power = _power(gap, self.rho)
-        return self._near_zero(theta, self._psi_y_direct(power) - self.p * theta,
-                               self.drift_mean), power, gap
 
 
 class RegimeTag(str, Enum):
@@ -437,7 +428,7 @@ def _phi_halley(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
     active, gate = np.arange(delta.size), 1e-12 * np.maximum(scale, np.abs(delta))
     for _ in range(_PHI_MAXIT):
         b = beta[active]
-        psi, power, gap = m._psi_x_power(b)
+        psi, power, gap = m._psi(b, m.p)
         slope = m.tilt_coefficient * m.rho * power / gap  # psi_Y'
         d1 = slope - m.p  # psi_X'; psi_X'' = (1 - rho) slope / gap
         resid = psi - delta[active]

@@ -297,6 +297,16 @@ class TestCmdSimulate:
                 in res.stderr)
         assert not out.exists()
 
+    def test_mc_cell_without_positive_weight_exit_code(self, capsys):
+        # psi_X(alpha) t = 100.9: every hit path's weight exp(-alpha Z_t) is
+        # 0.0, where the cell printed mean 0 and stderr 0 (exact: 0.246031)
+        argv = ["simulate", "--c", "1", "--alpha", "2", "--rho", "0.05", "--xi", "0.1",
+                "--approach", "mc", "--u-min", "1", "--t-min", "5", "--h", "0.01",
+                "--paths", "1024", "--batches", "4"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == ("error: every weight of the 1024 hit paths at u=1.0, "
+                                           "t=5.0 is 0 in double precision\n")
+
     def test_naive_rejects_rho_above_one(self):
         res = run_cli("simulate", "--c", "0.01", "--alpha", "1", "--rho", "1.5",
                       "--xi", "0.2", "--approach", "naive",
@@ -422,6 +432,17 @@ class TestConfigAndIO:
         assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
         assert not list(tmp_path.rglob(".tsruin-*"))
 
+    def test_failed_rename_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "b.tsv"
+        argv = ["b", "--preset", "paper-ref", "--t-min", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {out}: Permission denied\n"
+        assert not list(tmp_path.iterdir())
+
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.tsv"
         res = run_cli("ruin-surface", "--c", "0.01", "--alpha", "1", "--rho", "0.5",
@@ -472,8 +493,18 @@ class TestConfigAndIO:
          "--u-max must be >= --u-min"),
         (["simulate", "--preset", "paper-ref", "--u-min", "0.1", "--t-min", "2"],
          "--approach is required (naive or mc)"),
+        (["ruin-surface", "--preset", "paper-ref", "--u-min", "1", "--t-min", "5"],
+         "--method is required (rft, tulta, infinite, mc)"),
+        (["scale-fn", "--preset", "paper-ref", "--u-max", "2", "--u-steps", "3"],
+         "missing --u-min"),
+        # large_t_model: refused before any draw, where it spun for a minute
+        (["simulate", "--c", "5", "--alpha", "3", "--rho", "0.95", "--xi", "0.3",
+          "--approach", "naive", "--u-min", "0.1", "--t-min", "0.5", "--h", "0.05"],
+         "naive step h=0.05 accepts a tilting proposal with mean probability "
+         "exp(-h k alpha^rho) = 4.8e-07, k = -c Gamma(-rho); the largest step that passes "
+         "is h=0.031651641242279385"),
     ], ids=["unreadable-config", "line-without-equals", "missing-c", "u-max-below-u-min",
-            "no-approach"])
+            "no-approach", "no-method", "no-u-min", "naive-hopeless-step"])
     def test_usage_errors(self, tmp_path, capsys, argv, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# model\nc 0.01\n")

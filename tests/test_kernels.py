@@ -84,13 +84,14 @@ class TestGridScans:
         u_ang, w_exp = _draws(shape=shape)
         theta0, scale0 = cms_constants(0.99, 1.0)
         law = (0.99, theta0, scale0, 1.44e-4, -0.0119)
-        sums, crossing = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, ends)
+        sums, crossing, hits = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, ends)
         path = np.cumsum(law[3] * cms_formula(u_ang, w_exp, *law[:3]) + law[4], axis=1)
         for i, b in enumerate(self.barriers):
             for j, e in enumerate(ends):
                 hit = (path[:, :e] > b).any(axis=1)
                 want = np.exp(-path[hit, e - 1]).sum()
                 assert sums[i, j] == want
+                assert hits[i, j] == hit.sum()
                 assert sums[i, j] == mc_weight_scan(u_ang[:, :e], w_exp[:, :e], *law, float(b),
                                                     1.0)[0]
         assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
@@ -110,8 +111,10 @@ class TestGridScans:
     def test_scalar_call_returns_scalars(self):
         u_ang, w_exp = _draws()
         theta0, scale0 = cms_constants(0.99, 1.0)
-        ws, hits = mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119, 0.05, 1.0)
-        assert isinstance(ws, float) and isinstance(hits, int)
+        ws, crossing, hits = mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119,
+                                            0.05, 1.0)
+        assert isinstance(ws, float) and isinstance(crossing, int) and isinstance(hits, int)
+        assert hits == crossing
         assert isinstance(first_passage_scan(u_ang * 0.01, 0.05), int)
 
 

@@ -32,6 +32,53 @@ from conftest import MODELS, Oracle, assert_close
 GAMMA_NEG_099 = -100.43695466580859
 
 
+# float.hex of psi_Y and psi_X at PSI_THETAS (real, or (real, imag) for a
+# complex value; a theta given as a fraction of alpha is a float), and of
+# psi_X(alpha), recorded before psi_Y, psi_X and psi_X(alpha) shared one
+# evaluator
+PSI_THETAS = (-100.0, -1.0, -1e-3, 1e-6, "0.5 alpha", -(1 + 2j), 1e-4j)
+PSI_PINS = {
+    "paper_ref": {
+        "psi_y": ["-0x1.7f726289c22b4p+6", "-0x1.fb220d58fff67p-1", "-0x1.04a7beaaa2607p-10",
+                  "0x1.0ae98d734d181p-20", "0x1.fea9105180295p-2",
+                  ("-0x1.ff8fdb34932f1p-1", "-0x1.f8e7d47907386p+0"),
+                  ("-0x1.b54f235cb58c0p-35", "0x1.a10cece10e36ap-14")],
+        "psi_x": ["0x1.775180b23a498p+4", "0x1.9f1f8693601a4p-3", "0x1.a10f97f1f72dcp-13",
+                  "-0x1.ab0f47e1891bap-23", "-0x1.91037ab15f4ecp-4",
+                  ("0x1.8d684f251337cp-3", "0x1.a8086a1343128p-2"),
+                  ("-0x1.b54f235cb58c0p-35", "-0x1.4da3f0b49c19cp-16")],
+        "psi_alpha": "-0x1.82b4d5576a8d0p-3",
+    },
+    "ig_model": {
+        "psi_y": ["-0x1.4882591207feep-2", "-0x1.e126076504e6ap-7", "-0x1.294b4a89c3c21p-16",
+                  "0x1.30815d3ec4ca1p-26", "0x1.543930eb53435p-7",
+                  ("-0x1.41a17180f089bp-6", "-0x1.75cc4cd889bcbp-6"),
+                  ("-0x1.85c447ed96872p-35", "0x1.dbca19dc7dd00p-20")],
+        "psi_x": ["0x1.ce5edb0f765b8p+0", "0x1.af9e09172a4f8p-8", "0x1.dc624718b30fdp-19",
+                  "-0x1.e735321905d8dp-29", "-0x1.082aa19f387c0p-12",
+                  ("0x1.ad914775c7d80p-10", "0x1.4328bf181051bp-6"),
+                  ("-0x1.85c447ed96872p-35", "-0x1.7ca1ae79e3405p-22")],
+        "psi_alpha": "0x1.d0a35d4b115eep-7",
+    },
+    "large_t_model": {
+        "psi_y": ["-0x1.f90a19625e924p+12", "-0x1.6dd3022d7f2c7p+6", "-0x1.796e75c5dd250p-4",
+                  "0x1.827e396e3f5b1p-14", "0x1.18baa9bc79261p+7",
+                  ("-0x1.76897a974fdeap+6", "-0x1.6a95dba70c5fep+7"),
+                  ("-0x1.07d88ed2e397dp-27", "0x1.2df29cb3ddc20p-7")],
+        "psi_x": ["0x1.e74fd8e65b32cp+11", "0x1.c55cfbfc0dfb8p+4", "0x1.c4ef2379fecd9p-6",
+                  "-0x1.cfcaaa381c911p-16", "-0x1.3a941c93a369cp+5",
+                  ("0x1.a2831a54cb32cp+4", "0x1.d2519615d92dcp+5"),
+                  ("-0x1.07d88ed2e397dp-27", "-0x1.6a5655a4e545fp-9")],
+        "psi_alpha": "-0x1.11880e67243ecp+6",
+    },
+}
+
+
+def _hex(z):
+    z = complex(z)
+    return (z.real.hex(), z.imag.hex()) if z.imag else z.real.hex()
+
+
 class TestCumulants:
     def test_zero_is_zero(self, paper_ref, ig_model):
         assert cumulant_y(paper_ref, 0.0) == 0.0
@@ -117,6 +164,15 @@ class TestCumulants:
                     want = float(k * (a ** r - (a - mpmath.mpf(theta)) ** r))
                     got = cumulant_y(m, theta)
                     assert abs(got - want) <= 1e-13 * abs(want), f"psi_Y({theta})"
+
+    @pytest.mark.parametrize("name", list(PSI_PINS))
+    def test_psi_bits_pinned(self, name):
+        m = ClaimsModel.from_loading(*MODELS[name])
+        thetas = [0.5 * m.alpha if th == "0.5 alpha" else th for th in PSI_THETAS]
+        pins = PSI_PINS[name]
+        assert [_hex(m.psi_y(th)) for th in thetas] == pins["psi_y"]
+        assert [_hex(m.psi_x(th)) for th in thetas] == pins["psi_x"]
+        assert type(m.psi_alpha) is float and m.psi_alpha.hex() == pins["psi_alpha"]
 
 
 class TestMeans:
@@ -480,13 +536,13 @@ class TestPhiContour:
         m = ClaimsModel.from_loading(0.01, 1.0, 0.99, xi)
         shift = max(0.0, m.psi_alpha)
         deltas = hyperbola_nodes(np.linspace(0.5, 200.0, 40), shift)
-        calls, power = [], ClaimsModel._psi_x_power
+        calls, psi = [], ClaimsModel._psi
 
-        def counted(self, theta):
+        def counted(self, theta, p):
             calls.append(np.size(theta))
-            return power(self, theta)
+            return psi(self, theta, p)
 
-        monkeypatch.setattr(ClaimsModel, "_psi_x_power", counted)
+        monkeypatch.setattr(ClaimsModel, "_psi", counted)
         roots = phi(m, deltas)
         monkeypatch.undo()
         assert len(calls) <= 4 and calls[0] == deltas.size
@@ -618,6 +674,12 @@ class TestLevyTail:
         with pytest.raises(FloatingPointError,
                            match=r"^asymptotic Levy tail at u=745\.0 is 0\.000000e\+00, not a"):
             levy_tail_asymptotic(paper_ref, 745.0)
+
+    def test_unconverged_fraction_raises(self, paper_ref, monkeypatch):
+        # alpha u = 2 is past the series, where the fraction takes ~40 terms
+        monkeypatch.setattr(model_module, "_TAIL_CF_TERMS", 2)
+        with pytest.raises(ArithmeticError, match="continued fraction unconverged after 2 terms"):
+            levy_tail(paper_ref, 2.0)
 
 
 class TestRescale:

@@ -27,6 +27,7 @@ from tsruin import (
 )
 from tsruin import model as model_module
 from tsruin import ruin
+from tsruin.laplace import hyperbola_nodes
 
 from conftest import MODELS, Oracle, assert_close, load_perfbench, oracle_refs
 
@@ -288,19 +289,20 @@ class TestShiftedTalbotEngine:
         # t lies in (1, 5]), 4 x 58 = 232 at once, and psi_X is evaluated at
         # most NEWTON_STEPS times in all
         sizes, steps = [], 0
-        halley, power = model_module._phi_halley, ClaimsModel._psi_x_power
+        halley, psi = model_module._phi_halley, ClaimsModel._psi
 
         def counted_halley(m, delta, beta):
             sizes.append(delta.size)
             return halley(m, delta, beta)
 
-        def counted_power(self, theta):
+        def counted_psi(self, theta, p):
             nonlocal steps
             steps += 1
-            return power(self, theta)
+            return psi(self, theta, p)
 
+        paper_ref.regime  # psi_Y(alpha) and psi_X(alpha), cached before counting
         monkeypatch.setattr(model_module, "_phi_halley", counted_halley)
-        monkeypatch.setattr(ClaimsModel, "_psi_x_power", counted_power)
+        monkeypatch.setattr(ClaimsModel, "_psi", counted_psi)
         BFunction(paper_ref).grid(np.linspace(0.5, 200.0, 40))
         assert sizes == [4 * NODES_PER_WINDOW]
         assert steps <= NEWTON_STEPS
@@ -651,3 +653,53 @@ class TestGrowthDiagnostic:
                 growth_diagnostic(paper_ref, 1.0, bad)
             with pytest.raises(ValueError, match=f"t_lo must be finite, got {bad}"):
                 growth_diagnostic(paper_ref, bad, 10.0)
+
+
+class TestModelSweep:
+    """phi, B and P across the model space: every value passes its checks,
+    or the call raises an ArithmeticError subclass with a message; and
+    ``phi`` raises on no model."""
+
+    @staticmethod
+    def _checks(m: ClaimsModel):
+        gate = 1e-12 * max(1.0, m.tilt_coefficient * m.alpha ** m.rho)
+        t_max = 1000.0 if m.psi_alpha <= 0.0 else min(1000.0, 500.0 / m.psi_alpha)
+        ts = np.geomspace(1e-3 * t_max, t_max, 40)
+
+        def real_roots():
+            # negative, decreasing in delta, within the residual gate
+            deltas = np.geomspace(1e-3, 1e3, 301)
+            roots = model_module.phi(m, deltas)
+            assert np.all(roots < 0.0) and np.all(np.diff(roots) < 0.0)
+            assert np.all(np.abs(m.psi_x(roots) - deltas) <= np.maximum(gate, 1e-12 * deltas))
+
+        def node_roots():
+            nodes = hyperbola_nodes(ts, max(0.0, m.psi_alpha))
+            roots = model_module.phi(m, nodes)
+            assert np.all(np.abs(m.psi_x(roots) - nodes) <= np.maximum(gate, 1e-12 * np.abs(nodes)))
+
+        def b_grid():
+            # B(t)/B(inf) is a distribution function: B is non-decreasing
+            b = BFunction(m).grid(ts)
+            assert np.all(np.diff(b) >= -ruin.B_INVERSION_RTOL * b[1:])
+
+        def p_grid():
+            p = prob_eventual_ruin(m, np.geomspace(0.01, 50.0, 40) / m.alpha)
+            assert np.all(np.diff(p) <= ruin.P_INVERSION_RTOL * p[:-1])
+
+        return real_roots, node_roots, b_grid, p_grid
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(20261020)
+        raised = []
+        for _ in range(400):
+            rho = rng.uniform(0.01, 0.99)
+            c, alpha = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            xi = 10.0 ** rng.uniform(-12.0, math.log10(30.0))
+            for check in self._checks(ClaimsModel.from_loading(c, alpha, rho, xi)):
+                try:
+                    check()
+                except ArithmeticError as exc:
+                    raised.append(exc)
+        assert all(type(exc) is not ArithmeticError and str(exc) for exc in raised), raised
+        assert not any(isinstance(exc, model_module.PhiConvergenceError) for exc in raised)

@@ -1,6 +1,7 @@
 """Simulation tests: stable sampler law, increment parametrization,
 estimator consistency, batch determinism, stream order and memory."""
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -19,10 +20,10 @@ from tsruin import (
     stable_increment_params,
 )
 from tsruin.sim import _chunk_draws, _fold_batches, _tilted_subordinator_increments
-from tsruin import _kernels
+from tsruin import _kernels, sim
 from tsruin._kernels import _BLOCK_ELEMENTS as BLOCK
 
-from conftest import assert_close
+from conftest import MODELS, assert_close
 
 
 def laplace_z(samples: np.ndarray, lam: float, theoretical: float):
@@ -247,6 +248,28 @@ class TestSimulators:
         plan = SimPlan(h=0.1, n=256, N=3, seed=1, threads=1)
         res = simulate_ruin_mc(paper_ref, 50.0, 1.0, plan)
         assert res.mean == 0.0
+
+    def test_naive_hopeless_step_refused(self, monkeypatch):
+        # k alpha^rho = 291: at h = 0.05 a proposal is accepted with mean
+        # probability 4.8e-7, and 40 increments spun through the round cap
+        # for a minute.  The step is refused before any draw, naming the
+        # largest step that passes; that step reaches the sampler.
+        m = ClaimsModel.from_loading(*MODELS["large_t_model"])
+
+        def drawn(*args):
+            raise LookupError("drawn")
+
+        monkeypatch.setattr(sim, "_tilted_subordinator_increments", drawn)
+        with pytest.raises(ValueError, match=r"^naive step h=0\.05 accepts a tilting proposal "
+                           r"with mean probability exp\(-h k alpha\^rho\) = 4\.8e-07, .* "
+                           r"the largest step that passes is h=0\.03165164"):
+            simulate_ruin_naive(m, 0.1, 0.5, SimPlan(h=0.05, n=4, N=1, seed=1))
+        h_max = sim._MAX_TILT_EXPONENT / (m.tilt_coefficient * m.alpha ** m.rho)
+        above = math.nextafter(h_max, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"passes is h={h_max!r}")):
+            simulate_ruin_naive(m, 0.1, above, SimPlan(h=above, n=4, N=1, seed=1))
+        with pytest.raises(LookupError, match="drawn"):
+            simulate_ruin_naive(m, 0.1, h_max, SimPlan(h=h_max, n=4, N=1, seed=1))
 
     def test_monotone_in_t_and_u(self, paper_ref):
         # up to 3 combined stderr on a small grid
