@@ -8,17 +8,18 @@ the random stream consumption is fixed by the caller.
 
 The scans read a whole (u, t) grid off one path set: ``barrier`` may be an
 array of levels and ``ends`` an increasing array of step counts (one per
-horizon).  With a scalar barrier and ``ends=None`` they reduce to the
-one-cell scan over the full path.
+horizon); a scalar barrier and ``ends=None`` give one cell, the full path.
 
 Blocks.  Every kernel works a block of rows at a time, as many as fill
 ``_BLOCK_ELEMENTS`` and at least one.  ``stable_standard`` and
 ``mc_weight_scan`` read their draws only as ``u_ang[lo:hi]`` and
 ``w_exp[lo:hi]``, each row block once and in order, so they take draws that
 exist one block at a time (``sim._DrawRows``) as well as arrays.  Both
-scans build their paths in one loop (``_build_paths``), as partial sums in
-one reused buffer, and keep only each path's running maximum and value at
-the ends, of shape (npaths, len(ends)); no temporary grows with the input.
+scans run one loop (``_build_paths``): it keeps only each path's running
+maximum and value at the ends, of shape (len(ends), npaths), from partial
+sums in one reused buffer; then one levels x paths mask per end is the hit
+rule, and every count, weight sum and largest weight is read off it.  No
+temporary grows with the input or the number of horizons.
 
 Bit identity.  Each element goes through the ufuncs of the one-expression
 transform ``scale0 * sin(rho (u + theta0)) / cos(u)^(1/rho) * (cos(u - rho
@@ -104,37 +105,46 @@ def _running_max(path, ends):
     return np.maximum.accumulate(np.maximum.reduceat(path, starts, axis=1), axis=1)
 
 
-def _build_paths(shape, fill, barrier, ends):
-    """Paths of ``shape`` (npaths, steps), a row block at a time: ``fill(lo,
-    hi, blk)`` writes the partial sums of rows lo..hi-1 into ``blk``.
+def _build_paths(shape, fill, barrier, ends, alpha=None):
+    """Scan the paths of ``shape`` (npaths, steps), built a row block at a
+    time by ``fill(lo, hi, blk)``, which writes the partial sums of rows
+    lo..hi-1 into ``blk``.  The hit rule is one mask per end j: ``above[i]``
+    flags the paths whose running maximum by step ``ends[j]`` exceeds level i.
 
-    Returns ``barrier`` as a 1-d array of levels, each path's running
-    maximum and value at the ends, of shape (npaths, len(ends)), and the
-    number of paths above the lowest level by the last end.
+    Returns ``mc_weight_scan``'s tuple; without ``alpha``, sums and wmax are 0.
     """
     npaths, steps = shape
     ends = np.array([steps] if ends is None else ends, dtype=np.intp)
     levels = np.atleast_1d(barrier)
     rows = _block_rows(steps)
     path = np.empty((min(rows, npaths), steps))
-    runmax = np.empty((npaths, len(ends)))
-    z_end = np.empty((npaths, len(ends)))
+    runmax = np.empty((len(ends), npaths))
+    z_end = np.empty((len(ends), npaths))
     for lo in range(0, npaths, rows):
         hi = min(lo + rows, npaths)
         blk = path[:hi - lo]
         fill(lo, hi, blk)
-        runmax[lo:hi] = _running_max(blk, ends)
-        z_end[lo:hi] = blk[:, ends - 1]
-    return levels, runmax, z_end, int((runmax[:, -1] > levels.min()).sum())
+        runmax[:, lo:hi] = _running_max(blk, ends).T
+        z_end[:, lo:hi] = blk[:, ends - 1].T
+    hits = np.empty((len(levels), len(ends)), dtype=np.int64)
+    sums, wmax = np.zeros(hits.shape), np.zeros(hits.shape)
+    weights = None if alpha is None else np.exp(-alpha * z_end)
+    for j in range(len(ends)):
+        above = runmax[j] > levels[:, None]
+        hits[:, j] = np.count_nonzero(above, axis=1)
+        if weights is not None:
+            for i, hit in enumerate(above):
+                w = weights[j, hit]
+                sums[i, j], wmax[i, j] = w.sum(), w.max(initial=0.0)
+    return sums, int(hits[levels.argmin(), -1]), hits, wmax
 
 
 def mc_weight_scan(u_ang, w_exp, rho, theta0, scale0, nu, mu, barrier, alpha, ends=None):
     """Sum of exp(-alpha * Z_t) over paths that crossed the barrier by t.
 
-    Returns (sums, crossing, hits), where sums and hits, the number of paths
-    summed, have shape (len(barrier), len(ends)) (a float and an int for a
-    scalar barrier and ``ends=None``) and crossing is the number of paths
-    above the lowest barrier by the last end.
+    Returns (sums, crossing, hits, wmax): per (barrier, end) cell the sum,
+    the number of paths summed and their largest weight (0 without hits),
+    and the number of paths above the lowest barrier by the last end.
     """
     npaths, steps = u_ang.shape
     tmp = np.empty((min(_block_rows(steps), npaths), steps))
@@ -145,16 +155,7 @@ def mc_weight_scan(u_ang, w_exp, rho, theta0, scale0, nu, mu, barrier, alpha, en
         blk += mu
         np.cumsum(blk, axis=1, out=blk)
 
-    levels, runmax, z_end, crossing = _build_paths(u_ang.shape, fill, barrier, ends)
-    weights = np.exp(-alpha * z_end)
-    sums = np.empty((len(levels), runmax.shape[1]))
-    hits = np.empty(sums.shape, dtype=np.int64)
-    for i, j in np.ndindex(sums.shape):
-        hit = runmax[:, j] > levels[i]
-        sums[i, j], hits[i, j] = weights[hit, j].sum(), np.count_nonzero(hit)
-    if np.ndim(barrier) == 0 and sums.shape[1] == 1:
-        return float(sums[0, 0]), crossing, int(hits[0, 0])
-    return sums, crossing, hits
+    return _build_paths(u_ang.shape, fill, barrier, ends, alpha)
 
 
 def first_passage_scan(incr, barrier, ends=None, counts=None):
@@ -165,8 +166,8 @@ def first_passage_scan(incr, barrier, ends=None, counts=None):
     per cell, the number of paths above barrier i by end j.  ``incr`` is
     left unchanged.
     """
-    levels, runmax, _, crossing = _build_paths(
+    _, crossing, hits, _ = _build_paths(
         incr.shape, lambda lo, hi, blk: np.cumsum(incr[lo:hi], axis=1, out=blk), barrier, ends)
     if counts is not None:
-        counts += (runmax[None, :, :] > levels[:, None, None]).sum(axis=1)
+        counts += hits
     return crossing

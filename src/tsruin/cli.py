@@ -23,6 +23,11 @@ temporary name and atomically renamed, so a failed run leaves no partial
 output.  Identical inputs yield byte-identical outputs, except for the
 ``elapsed`` column of ``simulate``, which is wall time.
 
+Monte Carlo commands run their batches on ``--threads`` worker threads, by
+default one per usable core and at most one per batch, with the same result
+at any count.  A measure-change cell whose weight is 0 or rests on under 1%
+of its hit paths in a batch fails with exit code 3.
+
 Exit codes: 0 success, 2 usage error (a ``ValueError``), 3 numerical failure
 (an ``ArithmeticError``), 4 regime precondition violation (``RegimeError``).
 """
@@ -80,7 +85,7 @@ _OPTIONS = {
     "paths": (int, None, "paths per batch"),
     "batches": (int, None, "number of batches N"),
     "seed": (int, None, None),
-    "threads": (int, None, None),
+    "threads": (int, None, "worker threads (default: usable cores, at most --batches)"),
     "method": (str, ("rft", "tulta", "infinite", "mc"), None),
     "approach": (str, ("naive", "mc"), None),
     "out": (str, None, "output TSV path (stdout when omitted)"),
@@ -149,7 +154,7 @@ def _parse_config(path: str) -> dict:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged: dict = {"h": 0.01, "paths": 4096, "batches": 30, "seed": 12345, "threads": 1}
+    merged: dict = {"h": 0.01, "paths": 4096, "batches": 30, "seed": 12345}
     config = _parse_config(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None}
     # layers preset < file < flags, where a --preset flag replaces the file's
@@ -194,8 +199,18 @@ def _grid(s: dict, axis: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sim_plan(s: dict) -> SimPlan:
-    return SimPlan(h=s["h"], n=s["paths"], N=s["batches"], seed=s["seed"], threads=s["threads"])
+    """The plan of a Monte Carlo command: without ``threads``, one worker per
+    usable core, at most one per batch (the bits are the same at any count)."""
+    threads = s.get("threads", min(_usable_cores(), s["batches"]))
+    return SimPlan(h=s["h"], n=s["paths"], N=s["batches"], seed=s["seed"], threads=threads)
 
 
 def _write_tsv(path: str | None, *sections) -> None:

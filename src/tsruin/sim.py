@@ -77,6 +77,12 @@ _MAX_REJECTION_ROUNDS = 1_000_000
 # rounds: 1.6e5 for a chunk of _CHUNK_ELEMENTS, below the cap
 _MAX_TILT_EXPONENT = math.log(1e4)
 
+# smallest share of a measure-change cell's hit paths that its weight may
+# rest on, per batch: (sum w / max w) / hits lies in (0, 1]; on the benchmark
+# grids and the tested plans it is at least 0.04, where weights spread over
+# the hits, and 0.0012 where one path carries the estimate
+_MIN_WEIGHT_SHARE = 0.01
+
 
 @dataclass(frozen=True)
 class StableLawParams:
@@ -219,10 +225,12 @@ def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
     Every horizon is checked before any path is drawn.  Paths run to the
     largest horizon in chunks of about ``_CHUNK_ELEMENTS`` elements;
     ``scan(rng, npaths, steps, us, ends)`` draws a chunk and returns its
-    per-(u, end) sums and numbers of hit paths.  A cell's batch mean is its
-    sum over the batch's paths divided by n, times ``factor(t)``; a cell
-    with hits whose sum is exactly 0 (every hit weight lost below the
-    doubles) raises ``FloatingPointError`` naming u and t.
+    per-(u, end) weight sums, numbers of hit paths and largest weights.  A
+    cell's batch mean is its sum over the batch's paths divided by n, times
+    ``factor(t)``.  A cell with hits raises ``FloatingPointError`` naming u
+    and t where its sum is exactly 0 (every hit weight lost below the
+    doubles), or where sum w / max w, the number of hit paths its weight
+    rests on, is below ``_MIN_WEIGHT_SHARE`` of its hits.
     """
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     ends, col = np.unique([_steps_for(float(x), plan.h) for x in ts], return_inverse=True)
@@ -231,19 +239,27 @@ def _simulate_grid(u, t, plan: SimPlan, scan, factor) -> BatchResult:
     factors = np.array([factor(float(x)) for x in ts])
 
     def batch_job(rng: np.random.Generator) -> np.ndarray:
-        total = hits = 0
+        total = hits = top = 0
         done = 0
         while done < plan.n:
             npaths = min(chunk, plan.n - done)
-            sums, chunk_hits = scan(rng, npaths, steps, us, ends)
-            total, hits = total + sums, hits + chunk_hits
+            sums, chunk_hits, chunk_top = scan(rng, npaths, steps, us, ends)
+            total, hits, top = total + sums, hits + chunk_hits, np.maximum(top, chunk_top)
             done += npaths
-        total, hits = total[:, col], hits[:, col]
+        total, hits, top = total[:, col], hits[:, col], top[:, col]
         lost = np.argwhere((total == 0.0) & (hits > 0))
         if lost.size:
             i, k = lost[0]
             raise FloatingPointError(f"every weight of the {hits[i, k]} hit paths at "
                                      f"u={us[i]}, t={ts[k]} is 0 in double precision")
+        thin = np.argwhere(total < _MIN_WEIGHT_SHARE * hits * top)
+        if thin.size:
+            i, k = thin[0]
+            spread = total[i, k] / top[i, k]
+            raise FloatingPointError(f"the weight of the {hits[i, k]} hit paths at u={us[i]}, "
+                                     f"t={ts[k]} rests on sum w / max w = {spread:.3g} of them, "
+                                     f"{spread / hits[i, k]:.3g} of the hits (below "
+                                     f"{_MIN_WEIGHT_SHARE})")
         return total / plan.n * factors
 
     return _fold_batches(batch_job, plan, np.shape(u) + np.shape(t))
@@ -315,18 +331,20 @@ def simulate_ruin_mc(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     weight exp(-alpha * Z_t) for hit paths.  The batch mean is multiplied
     by exp(psi_X(alpha) * t), which must be a positive normal double: one
     that overflows or underflows raises ``FloatingPointError`` naming t
-    before any path is drawn, and so does a batch's cell whose hit paths
-    all weigh 0.0.  ``u`` and ``t`` are scalars or vectors; the result's
-    mean and stderr have shape ``shape(u) + shape(t)``.
+    before any path is drawn.  So does a batch's cell whose hit paths all
+    weigh 0.0, or whose weight rests on a few of them (``_simulate_grid``).
+    ``u`` and ``t`` are scalars or vectors; the result's mean and stderr
+    have shape ``shape(u) + shape(t)``.
     """
     params = stable_increment_params(m, plan.h)
     theta0, scale0 = _kernels.cms_constants(params.rho, params.beta)
 
     def scan(rng, npaths, steps, us, ends):
         with _chunk_draws(rng, (npaths, steps)) as (u_ang, w_exp):
-            sums, _, hits = _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0, scale0,
-                                                    params.nu, params.mu, us, m.alpha, ends)
-            return sums, hits
+            sums, _, hits, top = _kernels.mc_weight_scan(u_ang, w_exp, params.rho, theta0,
+                                                         scale0, params.nu, params.mu, us,
+                                                         m.alpha, ends)
+            return sums, hits, top
 
     def factor(x: float) -> float:
         try:
@@ -396,6 +414,6 @@ def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
         v += params.mu
         counts = np.zeros((len(us), len(ends)), dtype=np.int64)
         _kernels.first_passage_scan(v, us, ends, counts)
-        return counts, counts
+        return counts, counts, np.minimum(counts, 1)  # unit weights
 
     return _simulate_grid(u, t, plan, scan, lambda x: 1.0)

@@ -307,6 +307,50 @@ class TestCmdSimulate:
         assert capsys.readouterr().err == ("error: every weight of the 1024 hit paths at u=1.0, "
                                            "t=5.0 is 0 in double precision\n")
 
+    def test_mc_weight_on_few_hit_paths_exit_code(self, capsys):
+        # psi_X(alpha) t = -136.8: one hit path in a batch carries nearly all
+        # of the weight; the cell printed 1.62153204e-15 +- 1.62128739e-15
+        # (exact: 6.606e-4)
+        argv = ["simulate", "--c", "5", "--alpha", "3", "--rho", "0.95", "--xi", "0.3",
+                "--approach", "mc", "--u-min", "1", "--t-min", "2", "--h", "0.01",
+                "--paths", "1024", "--batches", "4"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the weight of the ") and "hit paths at u=1.0, t=2.0 " in err
+        assert err.endswith(" of the hits (below 0.01)\n")
+
+    @pytest.mark.parametrize("cores, argv, config, want", [
+        (2, [], None, 2),
+        (8, ["--batches", "3"], None, 3),
+        (1, [], None, 1),
+        (2, ["--threads", "1"], None, 1),
+        (2, ["--threads", "5"], None, 5),
+        (2, [], "threads=1\n", 1),
+    ], ids=["cores", "batches", "one-core", "flag", "flag-above-cores", "config"])
+    def test_threads_default_to_usable_cores(self, tmp_path, monkeypatch, cores, argv, config,
+                                             want):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        if config is not None:
+            (tmp_path / "cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "cfg")]
+        args = cli.build_parser().parse_args(["simulate", *argv])
+        assert cli._sim_plan(cli._merge_settings(args)).threads == want
+
+    @pytest.mark.parametrize("approach", ["mc", "naive"])
+    def test_default_threads_same_bytes(self, tmp_path, approach):
+        args = ["simulate", "--preset", "paper-ref", "--approach", approach,
+                "--u-min", "0.2", "--u-max", "0.4", "--u-steps", "2", "--t-min", "0.5",
+                "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "256",
+                "--batches", "4", "--seed", "7"]
+
+        def masked(extra):  # every byte but the elapsed column (wall time)
+            out = tmp_path / "sim.tsv"
+            assert cli.main([*args, *extra, "--out", str(out)]) == 0
+            return [[c for i, c in enumerate(ln.split(b"\t")) if i != 4]
+                    for ln in out.read_bytes().splitlines(keepends=True)]
+
+        assert masked([]) == masked(["--threads", "1"])
+
     def test_naive_rejects_rho_above_one(self):
         res = run_cli("simulate", "--c", "0.01", "--alpha", "1", "--rho", "1.5",
                       "--xi", "0.2", "--approach", "naive",

@@ -84,16 +84,18 @@ class TestGridScans:
         u_ang, w_exp = _draws(shape=shape)
         theta0, scale0 = cms_constants(0.99, 1.0)
         law = (0.99, theta0, scale0, 1.44e-4, -0.0119)
-        sums, crossing, hits = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, ends)
+        sums, crossing, hits, wmax = mc_weight_scan(u_ang, w_exp, *law, self.barriers, 1.0, ends)
         path = np.cumsum(law[3] * cms_formula(u_ang, w_exp, *law[:3]) + law[4], axis=1)
         for i, b in enumerate(self.barriers):
             for j, e in enumerate(ends):
                 hit = (path[:, :e] > b).any(axis=1)
-                want = np.exp(-path[hit, e - 1]).sum()
-                assert sums[i, j] == want
+                weights = np.exp(-path[hit, e - 1])
+                assert sums[i, j] == weights.sum()
                 assert hits[i, j] == hit.sum()
-                assert sums[i, j] == mc_weight_scan(u_ang[:, :e], w_exp[:, :e], *law, float(b),
-                                                    1.0)[0]
+                assert wmax[i, j] == weights.max(initial=0.0)
+                cell = mc_weight_scan(u_ang[:, :e], w_exp[:, :e], *law, float(b), 1.0)
+                assert (cell[0][0, 0], cell[2][0, 0], cell[3][0, 0]) == (sums[i, j], hits[i, j],
+                                                                       wmax[i, j])
         assert crossing == int((path > self.barriers.min()).any(axis=1).sum())
 
     def test_mc_scan_temporaries_stay_small(self):
@@ -108,13 +110,31 @@ class TestGridScans:
             tracemalloc.stop()
         assert peak < u_ang.nbytes / 8
 
-    def test_scalar_call_returns_scalars(self):
+    def test_first_passage_temporaries_stay_small(self):
+        # the hit rule's mask covers one horizon at a time: a levels x paths
+        # x horizons array would be 40 MB on top of the 6.6 MB input here
+        incr = np.random.default_rng(5).normal(-0.001, 0.02, size=(4096, 200))
+        ends = np.arange(2, 201, 2)
+
+        def peak(levels):
+            counts = np.zeros((len(levels), len(ends)), dtype=np.int64)
+            tracemalloc.start()
+            try:
+                first_passage_scan(incr, levels, ends, counts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(np.linspace(0.01, 1.0, 100)) <= 1.25 * peak(np.array([0.5]))
+
+    def test_scalar_call_returns_one_cell(self):
         u_ang, w_exp = _draws()
         theta0, scale0 = cms_constants(0.99, 1.0)
-        ws, crossing, hits = mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4, -0.0119,
-                                            0.05, 1.0)
-        assert isinstance(ws, float) and isinstance(crossing, int) and isinstance(hits, int)
-        assert hits == crossing
+        ws, crossing, hits, wmax = mc_weight_scan(u_ang, w_exp, 0.99, theta0, scale0, 1.44e-4,
+                                                  -0.0119, 0.05, 1.0)
+        assert ws.shape == hits.shape == wmax.shape == (1, 1)
+        assert isinstance(crossing, int) and hits[0, 0] == crossing > 0
+        assert 0.0 < wmax[0, 0] <= ws[0, 0] <= crossing * wmax[0, 0]
         assert isinstance(first_passage_scan(u_ang * 0.01, 0.05), int)
 
 
