@@ -3,7 +3,7 @@
 Subcommands
 -----------
 b             ruin-time profile B(t) on a t-grid (plus its limit when finite)
-ruin-surface  finite/infinite-horizon estimates on a (u, t)-grid
+ruin-surface  rft, tulta or infinite-horizon estimates on a (u, t)-grid
 simulate      Monte Carlo estimates on a (u, t)-grid
 benchmark     asymptotic vs simulated vs infinite-horizon comparison table
 scale-fn      scale function and eventual-ruin probability on a u-grid
@@ -86,7 +86,7 @@ _OPTIONS = {
     "batches": (int, None, "number of batches N"),
     "seed": (int, None, None),
     "threads": (int, None, "worker threads (default: usable cores, at most --batches)"),
-    "method": (str, ("rft", "tulta", "infinite", "mc"), None),
+    "method": (str, ("rft", "tulta", "infinite"), None),
     "approach": (str, ("naive", "mc"), None),
     "out": (str, None, "output TSV path (stdout when omitted)"),
 }
@@ -267,24 +267,25 @@ def cmd_b(s: dict) -> int:
     return EXIT_OK
 
 
+def _cell_rows(us: np.ndarray, ts: np.ndarray, *surfaces) -> list:
+    """One row (u, t, then each surface's value) per cell of the (u, t)-grid,
+    u-major, as Python floats; each surface broadcasts to (len(us), len(ts))."""
+    shape = (us.size, ts.size)
+    return np.column_stack((np.repeat(us, ts.size), np.tile(ts, us.size),
+                            *(np.broadcast_to(v, shape).ravel() for v in surfaces))).tolist()
+
+
 def cmd_ruin_surface(s: dict) -> int:
     model = _resolve_model(s)
     method = s.get("method")
     if method is None:
-        raise ValueError("--method is required (rft, tulta, infinite, mc)")
+        raise ValueError("--method is required (rft, tulta, infinite)")
     us, ts = _grid(s, "u"), _grid(s, "t")
-    if method == "mc":
-        res = simulate_ruin_mc(model, us, ts, _sim_plan(s))
-        header, surfaces = ["u", "t", "value", "stderr"], [res.mean, res.stderr]
-    else:
-        # the estimators return the whole (u, t) surface; they are looked up
-        # at call time, where perfbench spans them
-        estimate = {"rft": estimate_rft, "tulta": estimate_tulta,
-                    "infinite": estimate_infinite_horizon}[method]
-        header, surfaces = ["u", "t", "value"], [estimate(model, us, ts)]
-    rows = np.column_stack((np.repeat(us, ts.size), np.tile(ts, us.size),
-                            *(v.ravel() for v in surfaces))).tolist()
-    _write_tsv(s.get("out"), (header, rows))
+    # the estimators return the whole (u, t) surface; they are looked up at
+    # call time, where perfbench spans them
+    estimate = {"rft": estimate_rft, "tulta": estimate_tulta,
+                "infinite": estimate_infinite_horizon}[method]
+    _write_tsv(s.get("out"), (["u", "t", "value"], _cell_rows(us, ts, estimate(model, us, ts))))
     return EXIT_OK
 
 
@@ -297,9 +298,8 @@ def cmd_simulate(s: dict) -> int:
     us, ts = _grid(s, "u"), _grid(s, "t")
     simulate = simulate_ruin_mc if approach == "mc" else simulate_ruin_naive
     res = simulate(model, us, ts, plan)
-    rows = [(u, t, float(res.mean[i, j]), float(res.stderr[i, j]), res.elapsed_seconds,
-             plan.n, plan.N, plan.h, plan.seed)
-            for i, u in enumerate(map(float, us)) for j, t in enumerate(map(float, ts))]
+    run = [res.elapsed_seconds, plan.n, plan.N, plan.h, plan.seed]
+    rows = [row + run for row in _cell_rows(us, ts, res.mean, res.stderr)]
     _write_tsv(s.get("out"), (["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"], rows))
     return EXIT_OK
 
@@ -310,14 +310,12 @@ def cmd_benchmark(s: dict) -> int:
     plan = _sim_plan(s)
     us, ts = _grid(s, "u"), _grid(s, "t")
     # both asymptotic columns before the costly simulation
-    p_ever = prob_eventual_ruin(model, us)
-    asym = estimate_tulta(model, us, ts)
-    sims = _require_reportable("simulated estimate s", simulate_ruin_mc(model, us, ts, plan).mean,
-                               u=us, t=ts)
-    rows = [(u, t, a, sim, p, a / sim, p / sim, abs(a - sim) / sim, abs(p - sim) / sim)
-            for u, p, a_row, sim_row in zip(us.tolist(), p_ever.tolist(), asym.tolist(),
-                                            sims.tolist())
-            for t, a, sim in zip(ts.tolist(), a_row, sim_row)]
+    i = prob_eventual_ruin(model, us)[:, None]
+    a = estimate_tulta(model, us, ts)
+    sim = _require_reportable("simulated estimate s", simulate_ruin_mc(model, us, ts, plan).mean,
+                              u=us, t=ts)
+    rows = _cell_rows(us, ts, a, sim, i, a / sim, i / sim, np.abs(a - sim) / sim,
+                      np.abs(i - sim) / sim)
     _write_tsv(s.get("out"), (["u", "t", "a", "s", "i", "a/s", "i/s", "|a-s|/s", "|i-s|/s"], rows))
     return EXIT_OK
 

@@ -39,8 +39,6 @@ __all__ = [
     "RegimeTag",
     "ScaleChange",
     "PhiConvergenceError",
-    "cumulant_y",
-    "cumulant_x",
     "premium_from_loading",
     "min_loading_for_subcritical",
     "phi",
@@ -290,17 +288,31 @@ class ClaimsModel:
             return RegimeTag.SUPERCRITICAL
         return RegimeTag.CRITICAL
 
-    # -- cumulants, valid for real arguments <= alpha and for complex
-    #    arguments via the principal branch of (alpha - theta)**rho;
-    #    scalars or arrays --
+    # -- cumulants of a scalar or an array theta: a real theta must be finite
+    #    and <= alpha (else ValueError); a complex or mpmath one is taken on
+    #    the principal branch of (alpha - theta)**rho, unchecked --
 
     def psi_y(self, theta):
         """psi_Y(theta) = k (a^rho - (a - theta)^rho), k = -c Gamma(-rho)."""
+        self._require_theta(theta)
         return self._psi(theta, 0.0)[0]
 
     def psi_x(self, theta):
         """psi_X(theta) = psi_Y(theta) - p theta."""
+        self._require_theta(theta)
         return self._psi(theta, self.p)[0]
+
+    def _require_theta(self, theta) -> None:
+        """Raise ``ValueError`` on the first entry of a real (bool, integer or
+        float) ``theta`` that is not finite or exceeds alpha, where the
+        cumulants are not finite; a complex or object ``theta`` passes."""
+        th = np.asarray(theta)
+        if th.dtype.kind in "biuf":
+            bad = np.flatnonzero(~(np.isfinite(th) & (th <= self.alpha)))
+            if bad.size:
+                value = th.ravel()[bad[0]]
+                _require_finite(theta=value)
+                raise ValueError(f"theta={value} exceeds the tempering rate alpha={self.alpha}")
 
     def _psi(self, theta, p: float):
         """psi_Y(theta) - p theta, (a - theta)^rho and a - theta, from one
@@ -364,24 +376,6 @@ class ScaleChange:
         _require_positive(a=self.a, b=self.b)
 
 
-def _cumulant_argument(m: ClaimsModel, theta: float) -> float:
-    """``theta``, checked to be finite and <= alpha, where the cumulants are."""
-    _require_finite(theta=theta)
-    if theta > m.alpha:
-        raise ValueError(f"theta={theta} exceeds the tempering rate alpha={m.alpha}")
-    return theta
-
-
-def cumulant_y(m: ClaimsModel, theta: float) -> float:
-    """psi_Y(theta) = log E exp(theta * Y_1), finite only for theta <= alpha."""
-    return float(m.psi_y(_cumulant_argument(m, theta)))
-
-
-def cumulant_x(m: ClaimsModel, theta: float) -> float:
-    """psi_X(theta) = psi_Y(theta) - p*theta for theta <= alpha."""
-    return float(m.psi_x(_cumulant_argument(m, theta)))
-
-
 def positive_axis(x, name: str) -> np.ndarray:
     """A positive finite scalar or nonempty vector ``x`` as a 1-d float
     array; the check on the u and t axes of every (u, t) grid function."""
@@ -439,7 +433,7 @@ def _phi_halley(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
         active = active[~done]
         if not active.size:
             return beta
-    worst = int(active[np.argmax(np.abs(m.psi_x(beta[active]) - delta[active]))])
+    worst = int(active[np.argmax(np.abs(m._psi(beta[active], m.p)[0] - delta[active]))])
     raise PhiConvergenceError(
         f"Halley iteration stalled for phi({delta[worst]}) after {_PHI_MAXIT} iterations "
         f"({active.size} of {delta.size} nodes unconverged)"

@@ -213,7 +213,7 @@ def _eventual_ruin_shift(m: ClaimsModel) -> float:
         return -m.alpha
     lo, hi = 0.0, m.alpha  # psi_X(lo) < 0 <= psi_X(hi)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if m.psi_x(mid) < 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if m._psi(mid, m.p)[0] < 0.0 else (lo, mid)
     return -lo
 
 

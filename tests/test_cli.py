@@ -203,16 +203,14 @@ class TestCmdRuinSurface:
             assert "not a positive normal double" in res.stderr
             assert not out.exists()
 
-    def test_mc_emits_stderr_column(self, tmp_path):
-        out = tmp_path / "s.tsv"
-        run_cli("ruin-surface", "--preset", "paper-ref", "--method", "mc",
-                "--u-min", "0.2", "--u-steps", "1",
-                "--t-min", "1", "--t-steps", "1",
-                "--h", "0.1", "--paths", "256", "--batches", "3", "--seed", "5",
-                "--out", str(out), check=True)
-        [(header, rows)] = read_tsv(out)
-        assert header == ["u", "t", "value", "stderr"]
-        assert float(rows[0][3]) >= 0.0
+    def test_mc_is_not_a_method(self, capsys):
+        # Monte Carlo surfaces come from simulate --approach mc alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ruin-surface", "--preset", "paper-ref", "--method", "mc",
+                      "--u-min", "1", "--t-min", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mc' (choose from 'rft', 'tulta', 'infinite')" in \
+            capsys.readouterr().err
 
     def test_tulta_supercritical_exit_code(self):
         res = run_cli("ruin-surface", "--c", "0.01", "--alpha", "1", "--rho", "0.5",
@@ -515,7 +513,7 @@ class TestConfigAndIO:
         ("simulate", "approach=MC",
          "approach: invalid choice: 'MC' (choose from 'naive', 'mc')"),
         ("ruin-surface", "method=MC",
-         "method: invalid choice: 'MC' (choose from 'rft', 'tulta', 'infinite', 'mc')"),
+         "method: invalid choice: 'MC' (choose from 'rft', 'tulta', 'infinite')"),
         ("b", "preset=nope", "preset: invalid choice: 'nope' (choose from 'paper-ref')"),
         ("b", "c=abc", "c: invalid float value: 'abc'"),
         ("simulate", "paths=1.5", "paths: invalid int value: '1.5'"),
@@ -538,7 +536,7 @@ class TestConfigAndIO:
         (["simulate", "--preset", "paper-ref", "--u-min", "0.1", "--t-min", "2"],
          "--approach is required (naive or mc)"),
         (["ruin-surface", "--preset", "paper-ref", "--u-min", "1", "--t-min", "5"],
-         "--method is required (rft, tulta, infinite, mc)"),
+         "--method is required (rft, tulta, infinite)"),
         (["scale-fn", "--preset", "paper-ref", "--u-max", "2", "--u-steps", "3"],
          "missing --u-min"),
         # large_t_model: refused before any draw, where it spun for a minute

@@ -1,5 +1,6 @@
 """Inversion-engine tests: known transform pairs, cross-engine agreement,
 self-convergence, linearity."""
+import ast
 import importlib
 import math
 import re
@@ -306,6 +307,27 @@ def test_every_exported_name_resolves(module):
     # a name deleted from a module must not linger in its export list
     mod = importlib.import_module(f"tsruin.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_no_unused_module_import():
+    # a name imported at module level is used in the module or exported by
+    # its __all__; a line marked "# noqa: F401" imports for lookup elsewhere
+    unused = []
+    for path in sorted(Path(tsruin.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        exempt = {k for k, line in enumerate(source.splitlines(), 1) if "# noqa: F401" in line}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant))
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.Import, ast.ImportFrom)) and stmt.lineno not in exempt
+                    and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")):
+                unused += [f"{path.name}:{stmt.lineno} {alias.name}" for alias in stmt.names
+                           if alias.name != "*"
+                           and (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 def test_package_exports_every_module_export():

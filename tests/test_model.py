@@ -11,8 +11,6 @@ from tsruin import (
     ClaimsModel,
     RegimeTag,
     ScaleChange,
-    cumulant_x,
-    cumulant_y,
     levy_tail,
     levy_tail_asymptotic,
     min_loading_for_subcritical,
@@ -74,6 +72,24 @@ PSI_PINS = {
 }
 
 
+# float.hex of psi_Y and psi_X at paper_ref for complex and mpmath arguments,
+# which are taken on the principal branch unchecked, the real part beyond
+# alpha included; recorded before psi_Y and psi_X checked a real argument
+COMPLEX_THETAS = (2 + 0j, 1 + 1j, -3 - 0.5j, 1e-3j)
+COMPLEX_PINS = {
+    "psi_y": [("0x1.010e1f783e4c2p+1", "-0x1.0270f8d2a98f2p-5"),
+              ("0x1.fa28f0935526ep-1", "0x1.01163e054ae4ap+0"),
+              ("-0x1.7aa32adc28342p+1", "-0x1.f612a52bdce21p-2"),
+              ("-0x1.55a5cfe06eb6ap-28", "0x1.04a814055f37ep-10")],
+    "psi_x": [("-0x1.8336c0356d930p-2", "-0x1.0270f8d2a98f2p-5"),
+              ("-0x1.a303f9aa0b588p-3", "-0x1.82f5cbcd08cf0p-3"),
+              ("0x1.3e312188e7268p-1", "0x1.b35d2747ec6bcp-4"),
+              ("-0x1.55a5cfe06eb6ap-28", "-0x1.a10ced1c10727p-13")],
+}
+MPC_PINS = {"psi_y": (1.9814055769727794, 1.0241977174482901),
+            "psi_x": (-0.40497646588683267, -0.16899330398151591)}
+
+
 def _hex(z):
     z = complex(z)
     return (z.real.hex(), z.imag.hex()) if z.imag else z.real.hex()
@@ -81,13 +97,13 @@ def _hex(z):
 
 class TestCumulants:
     def test_zero_is_zero(self, paper_ref, ig_model):
-        assert cumulant_y(paper_ref, 0.0) == 0.0
-        assert cumulant_x(paper_ref, 0.0) == 0.0
-        assert cumulant_y(ig_model, 0.0) == 0.0
+        assert paper_ref.psi_y(0.0) == 0.0
+        assert paper_ref.psi_x(0.0) == 0.0
+        assert ig_model.psi_y(0.0) == 0.0
 
     def test_reference_value_at_alpha(self, paper_ref):
         # -c*Gamma(-rho)*alpha^rho with the oracle constant above
-        assert_close(cumulant_y(paper_ref, 1.0), -0.01 * GAMMA_NEG_099, rel=1e-13,
+        assert_close(paper_ref.psi_y(1.0), -0.01 * GAMMA_NEG_099, rel=1e-13,
                      msg="psi_Y(alpha)")
 
     def test_inverse_gaussian_closed_form(self, ig_model):
@@ -95,23 +111,32 @@ class TestCumulants:
         c, a = ig_model.c, ig_model.alpha
         for theta in [-5.0, -1.0, 0.0, 0.3, 0.9, 1.0]:
             closed = 2 * c * math.sqrt(math.pi) * (math.sqrt(a) - math.sqrt(a - theta))
-            assert_close(cumulant_y(ig_model, theta), closed, rel=1e-12, abs_=1e-15,
+            assert_close(ig_model.psi_y(theta), closed, rel=1e-12, abs_=1e-15,
                          msg=f"psi_Y({theta})")
 
     def test_domain_error_beyond_alpha(self, paper_ref):
-        with pytest.raises(ValueError):
-            cumulant_y(paper_ref, 1.0 + 1e-9)
-        with pytest.raises(ValueError):
-            cumulant_x(paper_ref, 2.0)
-        for cumulant in (cumulant_y, cumulant_x):
-            with pytest.raises(ValueError, match="theta must be finite"):
-                cumulant(paper_ref, math.nan)
+        # a real theta beyond alpha once gave a complex psi (a NaN for a numpy one)
+        for psi in (paper_ref.psi_y, paper_ref.psi_x):
+            for theta in (2.0, np.float64(2.0), np.array([0.5, 2.0]), 1.0 + 1e-9):
+                with pytest.raises(ValueError, match=r"theta=2\.0 |theta=1\.000000001 "):
+                    psi(theta)
+            for theta in (math.nan, math.inf, -math.inf, np.array([[0.1], [math.nan]])):
+                with pytest.raises(ValueError, match="theta must be finite"):
+                    psi(theta)
+            assert psi(paper_ref.alpha) == psi(np.array([paper_ref.alpha]))[0]
+
+    def test_complex_and_mpmath_arguments_unchecked(self, paper_ref):
+        for name in ("psi_y", "psi_x"):
+            psi = getattr(paper_ref, name)
+            assert [_hex(z) for z in psi(np.array(COMPLEX_THETAS))] == COMPLEX_PINS[name]
+            got = psi(mpmath.mpc(2, 1))
+            assert isinstance(got, mpmath.mpc) and complex(got) == complex(*MPC_PINS[name])
 
     def test_cumulant_x_reference(self, paper_ref):
         # psi_X(1) = psi_Y(1) - p, oracle chain through Gamma(-0.99)
         want = -0.01 * GAMMA_NEG_099 - paper_ref.p
-        assert_close(cumulant_x(paper_ref, 1.0), want, rel=1e-13, msg="psi_X(1)")
-        assert_close(cumulant_x(paper_ref, 1.0), -0.18882147477172007, rel=1e-12)
+        assert_close(paper_ref.psi_x(1.0), want, rel=1e-13, msg="psi_X(1)")
+        assert_close(paper_ref.psi_x(1.0), -0.18882147477172007, rel=1e-12)
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.85, 0.99])
     @pytest.mark.parametrize("xi", [0.05, 0.2, 1.0, 3.0])
@@ -147,7 +172,6 @@ class TestCumulants:
                 want = k * (alpha ** rho - (alpha - th) ** rho) - mpmath.mpf(m.p) * th
                 for got in (s, a):
                     assert abs(got - complex(want)) <= 1e-13 * abs(want), f"psi_X({th})"
-        assert cumulant_x(m, 1e-8) == m.psi_x(1e-8).real
 
     @pytest.mark.parametrize("name", ["paper_ref", "ig_model"])
     def test_cumulant_y_near_zero(self, name, request):
@@ -162,7 +186,7 @@ class TestCumulants:
             for th in (1e-8, 1e-6, 1e-3, 1 / 65):
                 for theta in (th, -th):
                     want = float(k * (a ** r - (a - mpmath.mpf(theta)) ** r))
-                    got = cumulant_y(m, theta)
+                    got = m.psi_y(theta)
                     assert abs(got - want) <= 1e-13 * abs(want), f"psi_Y({theta})"
 
     @pytest.mark.parametrize("name", list(PSI_PINS))
