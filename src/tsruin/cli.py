@@ -20,8 +20,7 @@ named by its cell.  There is no engine to choose and no inversion setting.
 All outputs are TSV: UTF-8, LF line endings, tab separators, a '#'-prefixed
 header line, numbers at 9 significant digits.  Files are written to a
 temporary name and atomically renamed, so a failed run leaves no partial
-output.  Identical inputs yield byte-identical outputs, except for the
-``elapsed`` column of ``simulate``, which is wall time.
+output.  Identical inputs yield byte-identical outputs.
 
 Monte Carlo commands run their batches on ``--threads`` worker threads, by
 default one per usable core and at most one per batch, with the same result
@@ -94,10 +93,6 @@ _OPTIONS = {
 
 # every float the CLI prints: 9 significant digits
 _FLOAT_FORMAT = "%.9g"
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FORMAT % x
 
 
 @functools.cache  # one parser per process: main may run many commands
@@ -218,8 +213,8 @@ def _write_tsv(path: str | None, *sections) -> None:
     two, atomically (temp file + rename) to a new or regular file, in place
     to an existing FIFO or device (never replaced); stdout when path is
     None.  Each section is one format operation, whose column types are
-    those of its first row: a float column is written as ``_fmt`` writes a
-    float, any other as ``str``.  A path that cannot be written is a
+    those of its first row: a float column is written by ``_FLOAT_FORMAT``,
+    any other as ``str``.  A path that cannot be written is a
     ``ValueError``, and leaves no temp file."""
     texts = []
     for head, rws in sections:
@@ -251,16 +246,19 @@ def _write_tsv(path: str | None, *sections) -> None:
         raise ValueError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
+def _info(s: dict, line: str) -> None:
+    """Print an info ``line``: to stdout beside ``--out``, else to stderr, clear of the TSV."""
+    print(line, file=sys.stdout if s.get("out") else sys.stderr)
+
+
 def cmd_b(s: dict) -> int:
     model = _resolve_model(s)
     ts = _grid(s, "t")
     rows = np.column_stack((ts, BFunction(model).grid(ts))).tolist()
     _write_tsv(s.get("out"), (["t", "B"], rows))
-    # keep stdout clean for the TSV when no output path was given
-    info = sys.stdout if s.get("out") else sys.stderr
     if model.regime is RegimeTag.SUBCRITICAL:
-        print(f"regime: {model.regime.value}", file=info)
-        print(f"B(inf) = {_fmt(b_infinity(model))}", file=info)
+        _info(s, f"regime: {model.regime.value}")
+        _info(s, f"B(inf) = {_FLOAT_FORMAT % b_infinity(model)}")
     else:
         print(f"warning: regime is {model.regime.value}; B(inf) is undefined (B grows without bound)",
               file=sys.stderr)
@@ -298,9 +296,10 @@ def cmd_simulate(s: dict) -> int:
     us, ts = _grid(s, "u"), _grid(s, "t")
     simulate = simulate_ruin_mc if approach == "mc" else simulate_ruin_naive
     res = simulate(model, us, ts, plan)
-    run = [res.elapsed_seconds, plan.n, plan.N, plan.h, plan.seed]
+    run = [plan.n, plan.N, plan.h, plan.seed]
     rows = [row + run for row in _cell_rows(us, ts, res.mean, res.stderr)]
-    _write_tsv(s.get("out"), (["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"], rows))
+    _write_tsv(s.get("out"), (["u", "t", "mean", "stderr", "n", "N", "h", "seed"], rows))
+    _info(s, f"elapsed = {_FLOAT_FORMAT % res.elapsed_seconds} s")
     return EXIT_OK
 
 

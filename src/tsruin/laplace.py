@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = ["InversionError", "hyperbola_grid", "hyperbola_nodes", "talbot_invert
            "levin_invert"]
 
 logger = logging.getLogger(__name__)
-
-TransformFn = Callable[[complex], complex]
 
 
 class InversionError(ArithmeticError):
@@ -61,7 +59,7 @@ class InversionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def talbot_invert(F: TransformFn, t: float, M: int = 32) -> float:
+def talbot_invert(F: Callable[[complex], complex], t: float, M: int = 32) -> float:
     """Invert F at time t by mpmath's fixed-Talbot rule with M terms,
     ``mpmath.invertlaplace(F, t, method="talbot", degree=M)``, the rule of
     the test suite's and perfbench's oracles (Abate & Valko's contour
@@ -255,8 +253,8 @@ def levin_invert(
     F: Callable[[np.ndarray], np.ndarray],
     t: float,
     n: int = 24,
-    U: Optional[float] = None,
-    eps: Optional[float] = None,
+    U: float | None = None,
+    eps: float | None = None,
 ) -> float:
     """Invert F at time t from the oscillatory real-axis representation.
 

@@ -14,7 +14,7 @@ theta = 0 both differences cancel; there both are summed as
 
 and psi_X likewise with E[X_1] = E[Y_1] - p in place of E[Y_1],
 with k = -c Gamma(-rho), a = alpha and S(x) = R2(x)/x^2 the binomial
-remainder of (1+x)^rho (``ClaimsModel.q``).
+remainder of (1+x)^rho (``ClaimsModel._q``).
 
 The inverse cumulant Phi_X(delta), the root of psi_X(beta) = delta on the
 decreasing branch, is solved by Halley's iteration alone on a node array of
@@ -267,6 +267,11 @@ class ClaimsModel:
         return self.p / self.mean_claims - 1.0
 
     @cached_property
+    def psi_y_alpha(self) -> float:
+        """psi_Y(alpha) = k a^rho, the largest term psi_X sums."""
+        return self.tilt_coefficient * self.alpha ** self.rho
+
+    @cached_property
     def psi_alpha(self) -> float:
         """psi_X(alpha); its sign decides the growth regime of B."""
         return self.psi_x(self.alpha)
@@ -281,7 +286,7 @@ class ClaimsModel:
         The loading above which a model is subcritical is
         ``min_loading_for_subcritical(rho)``.
         """
-        tol = _REGIME_TOL * abs(float(self.psi_y(self.alpha)))
+        tol = _REGIME_TOL * abs(self.psi_y_alpha)
         if self.psi_alpha < -tol:
             return RegimeTag.SUBCRITICAL
         if self.psi_alpha > tol:
@@ -328,7 +333,7 @@ class ClaimsModel:
         near = abs(th) < PSI_SERIES[0] * self.alpha
         if near.any():
             th = th[near]
-            series = th * ((self.mean_claims - p) - th * self.q(-th))
+            series = th * ((self.mean_claims - p) - th * self._q(-th))
             if np.ndim(psi) == 0:
                 psi = series[0]
             else:
@@ -345,7 +350,7 @@ class ClaimsModel:
     def _q_scale(self) -> float:
         return self.tilt_coefficient * self.alpha ** (self.rho - 2.0)
 
-    def q(self, b):
+    def _q(self, b):
         """Q(b) = k a^(rho-2) S(b/a) on an array ``b``, with
         S(x) = R2(x)/x^2 and R2(x) = (1+x)^rho - 1 - rho x: S is its binomial
         series inside the window of ``PSI_SERIES`` (C(rho, 2) at x = 0) and
@@ -418,7 +423,7 @@ def _phi_halley(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
     is still taken: roots only as close as the gate cost the
     double-precision inversion of B up to ~2e-10 relative.  Raises if any
     entry is still unconverged after ``_PHI_MAXIT`` iterations."""
-    scale = max(1.0, m.tilt_coefficient * m.alpha ** m.rho)  # psi_X rounds at ~2^-52 of it
+    scale = max(1.0, m.psi_y_alpha)  # psi_X rounds at ~2^-52 of it
     active, gate = np.arange(delta.size), 1e-12 * np.maximum(scale, np.abs(delta))
     for _ in range(_PHI_MAXIT):
         b = beta[active]

@@ -188,7 +188,7 @@ class BFunction:
 
 
 def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
-    """Transform of P(ruin ever) on an array of nodes b, with Q = ``m.q``,
+    """Transform of P(ruin ever) on an array of nodes b, with Q = ``m._q``,
     the Q of psi_X:
 
         Psi~(b) = 1/b + E[X_1]/psi_X(-b) = Q/(E[X_1] + b Q).
@@ -201,7 +201,7 @@ def _eventual_ruin_transform(m: ClaimsModel, b: np.ndarray) -> np.ndarray:
     crossing point of a window's contour is 0) Q is the limit
     k a^(rho-2) C(rho, 2).
     """
-    q = m.q(b)
+    q = m._q(b)
     return q / (m.drift_mean + b * q)
 
 

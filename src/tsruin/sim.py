@@ -163,10 +163,9 @@ class BatchResult:
     elapsed_seconds: float
 
     def __post_init__(self):
-        if np.min(self.mean) < 0.0:
-            raise ValueError(f"mean must be nonnegative, got {self.mean}")
-        if np.min(self.stderr) < 0.0:
-            raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
+        for name, value in (("mean", self.mean), ("stderr", self.stderr)):
+            if np.min(value) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _steps_for(t: float, h: float) -> int:
@@ -401,11 +400,10 @@ def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     exp(-``_MAX_TILT_EXPONENT``) raises ``ValueError`` before any draw."""
     params = stable_increment_params(m, plan.h)
     proposal_law = replace(params, mu=0.0)  # the drift is added below
-    k_alpha_rho = m.tilt_coefficient * m.alpha ** m.rho
-    h_max = _MAX_TILT_EXPONENT / k_alpha_rho
+    h_max = _MAX_TILT_EXPONENT / m.psi_y_alpha  # psi_Y(alpha) = k alpha^rho
     if plan.h > h_max:
-        raise ValueError(f"naive step h={plan.h} accepts a tilting proposal with mean "
-                         f"probability exp(-h k alpha^rho) = {math.exp(-plan.h * k_alpha_rho):.3g}"
+        raise ValueError(f"naive step h={plan.h} accepts a tilting proposal with mean probability "
+                         f"exp(-h k alpha^rho) = {math.exp(-plan.h * m.psi_y_alpha):.3g}"
                          f", k = -c Gamma(-rho); the largest step that passes is h={h_max!r}")
 
     def scan(rng, npaths, steps, us, ends):

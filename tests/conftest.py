@@ -26,6 +26,16 @@ def load_perfbench(name: str):
     return module
 
 
+def pytest_report_header(config):
+    """numpy's version and whether its AVX-512 (``X86_V4``) loops are on.  With
+    them, numpy's float64 ``**``, ``exp``, ``log`` and ``arctan2`` differ
+    from glibc's in the last bit on some inputs, and the ``float.hex`` pins
+    of B, P and the Monte Carlo estimates were taken with them on."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return (f"numpy {np.__version__}, X86_V4 dispatch "
+            f"{'on' if __cpu_features__.get('X86_V4') else 'off'}")
+
+
 # B, W and P(ruin ever) in mpmath, written independently of the package
 Oracle = load_perfbench("oracle").Oracle
 

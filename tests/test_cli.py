@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -233,14 +234,7 @@ class TestCmdSimulate:
         out1, out2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         run_cli(*args, "--out", str(out1), check=True)
         run_cli(*args, "--out", str(out2), check=True)
-        b1, b2 = out1.read_bytes(), out2.read_bytes()
-        # the elapsed column is wall-clock; everything else must be identical
-        r1 = [ln.split(b"\t") for ln in b1.splitlines()]
-        r2 = [ln.split(b"\t") for ln in b2.splitlines()]
-        for a, b in zip(r1, r2):
-            for i, (x, y) in enumerate(zip(a, b)):
-                if i != 4:  # elapsed
-                    assert x == y
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_header_and_columns(self, tmp_path):
         out = tmp_path / "sim.tsv"
@@ -249,8 +243,21 @@ class TestCmdSimulate:
                 "--h", "0.1", "--paths", "128", "--batches", "3", "--seed", "42",
                 "--out", str(out), check=True)
         [(header, rows)] = read_tsv(out)
-        assert header == ["u", "t", "mean", "stderr", "elapsed", "n", "N", "h", "seed"]
-        assert rows[0][5] == "128" and rows[0][6] == "3" and rows[0][8] == "42"
+        assert header == ["u", "t", "mean", "stderr", "n", "N", "h", "seed"]
+        assert rows[0][4] == "128" and rows[0][5] == "3" and rows[0][7] == "42"
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_elapsed_info_line(self, tmp_path, capsys, to_file):
+        # the grid run's wall time is one info line, on the stream b uses
+        # for its regime lines: stdout beside --out, stderr beside the TSV
+        out = ["--out", str(tmp_path / "sim.tsv")] if to_file else []
+        assert cli.main(["simulate", "--preset", "paper-ref", "--approach", "mc",
+                         "--u-min", "0.2", "--u-steps", "1", "--t-min", "1", "--t-steps", "1",
+                         "--h", "0.1", "--paths", "64", "--batches", "2", *out]) == 0
+        std = capsys.readouterr()
+        info, tsv = (std.out, std.err) if to_file else (std.err, std.out)
+        assert re.fullmatch(r"elapsed = \S+ s\n", info) and float(info.split()[2]) >= 0.0
+        assert (tsv == "") if to_file else tsv.startswith("# u\tt\tmean\tstderr\tn\tN\th\tseed\n")
 
     def test_h_not_dividing_t(self, tmp_path):
         res = run_cli("simulate", "--preset", "paper-ref", "--approach", "mc",
@@ -270,14 +277,14 @@ class TestCmdSimulate:
 
     def test_grid_rows_share_one_run(self, tmp_path):
         out = tmp_path / "sim.tsv"
-        run_cli("simulate", "--preset", "paper-ref", "--approach", "naive",
-                "--u-min", "0.2", "--u-max", "0.4", "--u-steps", "2", "--t-min", "0.5",
-                "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "128",
-                "--batches", "3", "--seed", "42", "--out", str(out), check=True)
+        res = run_cli("simulate", "--preset", "paper-ref", "--approach", "naive",
+                      "--u-min", "0.2", "--u-max", "0.4", "--u-steps", "2", "--t-min", "0.5",
+                      "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "128",
+                      "--batches", "3", "--seed", "42", "--out", str(out), check=True)
         [(_, rows)] = read_tsv(out)
         assert [(r[0], r[1]) for r in rows] == [("0.2", "0.5"), ("0.2", "1"),
                                                 ("0.4", "0.5"), ("0.4", "1")]
-        assert len({r[4] for r in rows}) == 1  # elapsed: the grid run's time
+        assert res.stdout.count("elapsed = ") == 1  # the grid run's time, once
 
     @pytest.mark.parametrize("model, t, h, value", [
         # psi_X(alpha) t = -755: the factor underflows to 0, where the mean printed 0
@@ -341,13 +348,12 @@ class TestCmdSimulate:
                 "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "256",
                 "--batches", "4", "--seed", "7"]
 
-        def masked(extra):  # every byte but the elapsed column (wall time)
+        def tsv(extra):
             out = tmp_path / "sim.tsv"
             assert cli.main([*args, *extra, "--out", str(out)]) == 0
-            return [[c for i, c in enumerate(ln.split(b"\t")) if i != 4]
-                    for ln in out.read_bytes().splitlines(keepends=True)]
+            return out.read_bytes()
 
-        assert masked([]) == masked(["--threads", "1"])
+        assert tsv([]) == tsv(["--threads", "1"])
 
     def test_naive_rejects_rho_above_one(self):
         res = run_cli("simulate", "--c", "0.01", "--alpha", "1", "--rho", "1.5",
@@ -592,6 +598,22 @@ class TestConfigAndIO:
                       "--t-min", "1", "--t-steps", "1")
         assert res.returncode == 2
         assert "unknown key" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["ruin-surface", "--method", "tulta", "--u-min", "0.5", "--u-max", "2", "--u-steps", "3",
+         "--t-min", "1", "--t-max", "20", "--t-steps", "4"],
+        ["benchmark", "--u-min", "1", "--u-max", "2", "--u-steps", "2", "--t-min", "1",
+         "--t-max", "2", "--t-steps", "2", "--h", "0.1", "--paths", "256", "--batches", "4"],
+        ["simulate", "--approach", "naive", "--u-min", "0.2", "--u-max", "0.4", "--u-steps", "2",
+         "--t-min", "0.5", "--t-max", "1", "--t-steps", "2", "--h", "0.1", "--paths", "256",
+         "--batches", "4"],
+    ], ids=["tulta", "benchmark", "naive"])
+    def test_rerun_same_bytes(self, tmp_path, argv):
+        # two runs of one command write the same bytes, every column included
+        outs = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        for out in outs:
+            run_cli(*argv, "--preset", "paper-ref", "--seed", "5", "--out", str(out), check=True)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_stdout_when_no_out(self):
         res = run_cli("b", "--preset", "paper-ref", "--t-min", "1", "--t-steps", "1")

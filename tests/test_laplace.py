@@ -85,9 +85,8 @@ class TestTalbot:
         assert mpmath.mp.dps == dps
 
 
-class TestTalbotGrid:
-    """The double-precision grid engine, ``hyperbola_grid``, which replaced a
-    fixed-Talbot one; the class keeps its name, and its tests their ids."""
+class TestHyperbolaGrid:
+    """The double-precision grid engine, ``hyperbola_grid``."""
 
     def test_known_pairs(self):
         ts = np.array(TS)

@@ -216,7 +216,7 @@ class TestMeans:
         # Var[X_1] = psi_X''(0) is -2 Q(0) to the bit, and mpmath's second
         # derivative of the oracle's psi_X at 0 (p drops out of it)
         m = ClaimsModel.from_loading(*MODELS[name])
-        assert m.variance == -2.0 * m.q(np.zeros(1))[0]
+        assert m.variance == -2.0 * m._q(np.zeros(1))[0]
         oracle = Oracle(*MODELS[name])
         with mpmath.workdps(30):
             oracle._setup()

@@ -463,13 +463,13 @@ class TestEventualRuinGrid:
     def test_one_transform_call_for_both_term_counts(self, paper_ref, monkeypatch):
         # both rules' nodes on the four windows the grid touches, t1 = 1, 5,
         # 25 and 125, go through Q in one call
-        sizes, q = [], ClaimsModel.q
+        sizes, q = [], ClaimsModel._q
 
         def counted(self, b, *args):
             sizes.append(b.size)
             return q(self, b, *args)
 
-        monkeypatch.setattr(ClaimsModel, "q", counted)
+        monkeypatch.setattr(ClaimsModel, "_q", counted)
         prob_eventual_ruin(paper_ref, np.linspace(0.5, 40.0, 80))
         assert sizes == [4 * NODES_PER_WINDOW]
 
