@@ -1,19 +1,12 @@
-"""Command-line interface.
-
-Subcommands
------------
-b             ruin-time profile B(t) on a t-grid (plus its limit when finite)
-ruin-surface  rft, tulta or infinite-horizon estimates on a (u, t)-grid
-simulate      Monte Carlo estimates on a (u, t)-grid
-benchmark     asymptotic vs simulated vs infinite-horizon comparison table
-scale-fn      scale function and eventual-ruin probability on a u-grid
+"""Command-line interface: the subcommands listed below.
 
 B(t) and P(ruin ever) are inverted in double precision on shifted
 hyperbolic contours at two node counts, N=24 and N=32; a value whose two
 counts disagree fails the command with exit code 3.  So does any value
 that is not a positive normal double (B, P, the rft and tulta estimates,
 and the simulated column s of ``benchmark``, whose ratios divide by it),
-named by its cell.  There is no engine to choose and no inversion setting.
+or a P, rft or tulta value above 1, named by its cell.  There is no engine
+to choose and no inversion setting.
 ``ruin-surface`` and ``benchmark`` compute each estimate on the whole
 (u, t)-grid in one call, with B and P(ruin ever) inverted once per grid.
 
@@ -100,13 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsruin", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("b", "ruin-time profile B(t) over a t-grid"),
-        ("ruin-surface", "estimate surface over a (u, t)-grid"),
-        ("simulate", "Monte Carlo estimates over a (u, t)-grid"),
-        ("benchmark", "compare asymptotic, simulated and infinite-horizon estimates"),
-        ("scale-fn", "scale function and eventual-ruin probability over a u-grid"),
-    ]:
+    for name, (_, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key=value settings file; flags override")
         for key, (type_, choices, help_) in _OPTIONS.items():
@@ -329,12 +316,13 @@ def cmd_scale_fn(s: dict) -> int:
     return EXIT_OK
 
 
+# subcommand -> (handler, help): the one list of commands, for the parser and main
 _COMMANDS = {
-    "b": cmd_b,
-    "ruin-surface": cmd_ruin_surface,
-    "simulate": cmd_simulate,
-    "benchmark": cmd_benchmark,
-    "scale-fn": cmd_scale_fn,
+    "b": (cmd_b, "ruin-time profile B(t) on a t-grid (plus its limit when finite)"),
+    "ruin-surface": (cmd_ruin_surface, "rft, tulta or infinite-horizon estimates on a (u, t)-grid"),
+    "simulate": (cmd_simulate, "Monte Carlo estimates on a (u, t)-grid"),
+    "benchmark": (cmd_benchmark, "asymptotic vs simulated vs infinite-horizon comparison table"),
+    "scale-fn": (cmd_scale_fn, "scale function and eventual-ruin probability on a u-grid"),
 }
 
 
@@ -343,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _merge_settings(args)
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][0](settings)
     except (ValueError, ArithmeticError) as exc:  # RegimeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_REGIME if isinstance(exc, RegimeError) else

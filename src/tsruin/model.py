@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "ClaimsModel",
     "RegimeTag",
-    "ScaleChange",
     "PhiConvergenceError",
     "premium_from_loading",
     "min_loading_for_subcritical",
@@ -370,17 +369,6 @@ class RegimeTag(str, Enum):
     SUPERCRITICAL = "supercritical"
 
 
-@dataclass(frozen=True)
-class ScaleChange:
-    """Units change: time rescaled by a, currency by b (both > 0)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _require_positive(a=self.a, b=self.b)
-
-
 def positive_axis(x, name: str) -> np.ndarray:
     """A positive finite scalar or nonempty vector ``x`` as a 1-d float
     array; the check on the u and t axes of every (u, t) grid function."""
@@ -547,10 +535,12 @@ def levy_tail_asymptotic(m: ClaimsModel, u: float) -> float:
     return _require_reportable("asymptotic Levy tail", tail, u=[u])
 
 
-def rescale(m: ClaimsModel, s: ScaleChange) -> ClaimsModel:
-    """Model for the units-changed process b * Y_(a t).
+def rescale(m: ClaimsModel, a: float, b: float) -> ClaimsModel:
+    """Model for the units-changed process b * Y_(a t): time rescaled by
+    a > 0, currency by b > 0.
 
     New parameters: c' = a b**rho c, alpha' = alpha / b, rho unchanged;
     the premium keeps the same safety loading, p' = (1 + xi) E[Y'_1].
     """
-    return ClaimsModel.from_loading(s.a * s.b ** m.rho * m.c, m.alpha / s.b, m.rho, m.loading)
+    _require_positive(a=a, b=b)
+    return ClaimsModel.from_loading(a * b ** m.rho * m.c, m.alpha / b, m.rho, m.loading)

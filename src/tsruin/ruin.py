@@ -29,7 +29,7 @@ tail(u) * B(t), ``estimate_tulta`` is P(u) * min(1, B(t)/B(inf)), and
 most once per call, on the whole grid.  ``require_subcritical`` is the one
 check of the regime precondition of B(inf) and of what needs it.  Every B,
 P and estimate passes ``model._require_reportable``, so one that is not a
-finite, positive normal double (P and tulta: <= 1) raises, naming its cell.
+finite, positive normal double (P, rft and tulta: <= 1) raises, naming its cell.
 """
 from __future__ import annotations
 
@@ -67,9 +67,8 @@ __all__ = [
 B_INVERSION_RTOL = 1e-8
 # P's gap reaches 1.5e-9 (at u = 5 of the reference model) on u-grids over
 # [0.01, 300] of the same models, while at the reference model the N=32
-# value stays within 9e-12 of a 64-digit reference; the tolerance is the
-# one of the fixed-Talbot rules (M=18, M=24) before, whose gap reached
-# 2.4e-8 at u in [100, 150]
+# value stays within 9e-12 of a 64-digit reference; the tolerance, 1e-7,
+# is 67 times that worst gap of 1.5e-9
 P_INVERSION_RTOL = 1e-7
 
 
@@ -268,7 +267,9 @@ def _cells(u, t, values: np.ndarray):
 def estimate_rft(m: ClaimsModel, u, t):
     """Raw asymptotic estimate tail(u) * B(t) at every cell of a scalar or
     vector ``u`` and ``t``, in shape shape(u) + shape(t) (a float for one
-    cell); may exceed 1 for small u.
+    cell).  The product is not a probability at small u, where it can
+    exceed 1 (5.1 at u = 0.01, t = 200 of the paper's reference model); a
+    cell above 1 raises, as one does below the normal range.
 
     One Levy tail per u and one ``BFunction.grid`` pass over t.  The tail
     leaves the normal range once alpha u exceeds ~690, where it raises.
@@ -276,7 +277,7 @@ def estimate_rft(m: ClaimsModel, u, t):
     us, ts = positive_axis(u, "u"), positive_axis(t, "t")
     b = BFunction(m).grid(ts)
     values = np.array([levy_tail(m, x) for x in us.tolist()])[:, None] * b
-    return _cells(u, t, _require_reportable("rft estimate", values, u=us, t=ts))
+    return _cells(u, t, _require_reportable("rft estimate", values, 1.0, u=us, t=ts))
 
 
 def estimate_tulta(m: ClaimsModel, u, t):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from tsruin import BFunction, ClaimsModel
 
@@ -26,14 +27,23 @@ def load_perfbench(name: str):
     return module
 
 
+# whether numpy runs its AVX-512 (``X86_V4``) loops, as on the host the pins
+# were first taken on; ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+# X86_V4"`` turns them off.  With them, numpy's float64 ``**``, ``exp``, ``log``
+# and ``arctan2`` differ from glibc's in the last bit on some inputs
+X86_V4 = bool(__cpu_features__.get("X86_V4"))
+
+
+def dispatch_pins(x86_v4, baseline):
+    """The ``float.hex`` pins of the running numpy dispatch: ``x86_v4`` where
+    its AVX-512 loops are on, ``baseline`` where they are off.  A pin that
+    both dispatches give alike is written once, outside this choice."""
+    return x86_v4 if X86_V4 else baseline
+
+
 def pytest_report_header(config):
-    """numpy's version and whether its AVX-512 (``X86_V4``) loops are on.  With
-    them, numpy's float64 ``**``, ``exp``, ``log`` and ``arctan2`` differ
-    from glibc's in the last bit on some inputs, and the ``float.hex`` pins
-    of B, P and the Monte Carlo estimates were taken with them on."""
-    from numpy._core._multiarray_umath import __cpu_features__
-    return (f"numpy {np.__version__}, X86_V4 dispatch "
-            f"{'on' if __cpu_features__.get('X86_V4') else 'off'}")
+    """numpy's version and whether its AVX-512 (``X86_V4``) loops are on."""
+    return f"numpy {np.__version__}, X86_V4 dispatch {'on' if X86_V4 else 'off'}"
 
 
 # B, W and P(ruin ever) in mpmath, written independently of the package
@@ -61,6 +71,23 @@ MODELS = {
     # of 0, where psi_X cancels unless summed as a series
     "large_t_model": (5.0, 3.0, 0.95, 0.3),
 }
+
+
+def _lundberg_bound(m: ClaimsModel, u, t) -> np.ndarray:
+    """The finite-horizon Lundberg bound on P(tau_u <= t) at every cell of
+    ``u`` and ``t`` (scalars or vectors), as a (len(u), len(t)) array: the
+    minimum over theta in [0, alpha] of exp(-theta u + t max(0, psi_X(theta))).
+    exp(theta X_t - psi_X(theta) t) is a mean-one martingale, and optional
+    stopping at tau_u ^ t bounds P(tau_u <= t) by each theta's term (Gerber
+    1973; Asmussen & Albrecher 2010, ch. V).  The minimum is taken over 4001
+    equispaced theta, so it is itself a bound; t = inf bounds P(ruin ever)."""
+    theta = np.linspace(0.0, m.alpha, 4001)
+    growth = np.maximum(0.0, m.psi_x(theta))
+    us, ts = np.atleast_1d(u), np.atleast_1d(t)
+    # t * 0 is 0 at t = inf: theta where psi_X <= 0 adds no growth
+    exponent = np.multiply(ts[:, None], growth, out=np.zeros((ts.size, theta.size)),
+                           where=growth > 0.0)
+    return np.exp(np.array([np.min(exponent - theta * x, axis=1) for x in us]))
 
 
 @pytest.fixture(scope="session")

@@ -183,13 +183,16 @@ class TestCmdRuinSurface:
         assert abs(float(rows[2][2]) / 0.000646473 - 1.0) < 5e-3
 
     def test_rft_exceeds_one_small_u(self, tmp_path):
+        # tail(u) * B(t) is no probability at small u: a cell above 1 fails
+        # the command, named, and nothing is written
         out = tmp_path / "s.tsv"
-        run_cli("ruin-surface", "--preset", "paper-ref", "--method", "rft",
-                "--u-min", "0.01", "--u-max", "0.05", "--u-steps", "2",
-                "--t-min", "10", "--t-max", "10", "--t-steps", "1",
-                "--out", str(out), check=True)
-        [(_, rows)] = read_tsv(out)
-        assert any(float(r[2]) > 1.0 for r in rows)
+        res = run_cli("ruin-surface", "--preset", "paper-ref", "--method", "rft",
+                      "--u-min", "0.01", "--u-max", "0.05", "--u-steps", "2",
+                      "--t-min", "10", "--t-max", "10", "--t-steps", "1", "--out", str(out))
+        assert res.returncode == 3
+        assert "rft estimate at u=0.01, t=10.0 is " in res.stderr
+        assert "not a positive normal double <= 1" in res.stderr
+        assert not out.exists()
 
     def test_rft_underflow_exit_code(self, tmp_path):
         # no 0 or subnormal printed: the Levy tail underflows past alpha u ~ 700,
@@ -691,3 +694,21 @@ class TestInProcess:
         assert "threads" in capsys.readouterr().err
         assert run(scale, "s1.tsv") == first_scale
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestCommandTable:
+    def test_help_lists_each_command_once(self):
+        # `tsruin --help` lists each subcommand of cli._COMMANDS once, in
+        # order, beside its help text (argparse wraps it at COLUMNS; its
+        # lines rejoin)
+        res = subprocess.run(CLI + ["--help"], capture_output=True, text=True, check=True,
+                             env=dict(os.environ, COLUMNS="80"))
+        listed = []
+        for line in res.stdout.split("positional arguments:")[1].splitlines()[2:]:
+            if entry := re.match(r"^    (\S+)\s\s+(\S.*)$", line):
+                listed.append(list(entry.groups()))
+            elif listed and (more := re.match(r"^\s{8,}(\S.*)$", line)):
+                listed[-1][1] += " " + more.group(1)
+            else:
+                break
+        assert listed == [[name, help_] for name, (_, help_) in cli._COMMANDS.items()]

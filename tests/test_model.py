@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tsruin import (
     ClaimsModel,
     RegimeTag,
-    ScaleChange,
     levy_tail,
     levy_tail_asymptotic,
     min_loading_for_subcritical,
@@ -293,10 +292,11 @@ class TestPremium:
             premium_from_loading(bad, 0.2)
         with pytest.raises(ValueError, match="^xi must be finite"):
             premium_from_loading(1.0, bad)
+        m = ClaimsModel(c=1.0, alpha=1.0, rho=0.5, p=10.0)
         with pytest.raises(ValueError, match="^a must be finite"):
-            ScaleChange(bad, 1.0)
+            rescale(m, bad, 1.0)
         with pytest.raises(ValueError, match="^b must be finite"):
-            ScaleChange(1.0, bad)
+            rescale(m, 1.0, bad)
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
@@ -708,13 +708,13 @@ class TestLevyTail:
 
 class TestRescale:
     def test_identity(self, paper_ref):
-        same = rescale(paper_ref, ScaleChange(1.0, 1.0))
+        same = rescale(paper_ref, 1.0, 1.0)
         assert_close(same.c, paper_ref.c, rel=1e-14)
         assert_close(same.alpha, paper_ref.alpha, rel=1e-14)
         assert_close(same.p, paper_ref.p, rel=1e-14)
 
     def test_units_change(self, paper_ref):
-        scaled = rescale(paper_ref, ScaleChange(a=2.0, b=0.5))
+        scaled = rescale(paper_ref, a=2.0, b=0.5)
         assert_close(scaled.c, 0.01 * 2.0 * 0.5**0.99, rel=1e-13)
         assert_close(scaled.alpha, 2.0, rel=1e-14)
         assert_close(scaled.loading, paper_ref.loading, rel=1e-10)
@@ -723,19 +723,21 @@ class TestRescale:
     @settings(max_examples=40, deadline=None)
     def test_mean_transforms(self, a, b):
         m = ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)
-        scaled = rescale(m, ScaleChange(a, b))
+        scaled = rescale(m, a, b)
         assert_close(scaled.mean_claims, a * b * m.mean_claims, rel=1e-11)
 
     @given(a=st.floats(0.25, 4.0), b=st.floats(0.25, 4.0), u=st.floats(0.2, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_tail_consistency(self, a, b, u):
         m = ClaimsModel.from_loading(0.01, 1.0, 0.99, 0.2)
-        scaled = rescale(m, ScaleChange(a, b))
+        scaled = rescale(m, a, b)
         assert_close(levy_tail(scaled, u), a * levy_tail(m, u / b), rel=1e-9,
                      msg=f"tail rescale a={a} b={b} u={u}")
 
-    def test_scale_change_domain(self):
-        with pytest.raises(ValueError):
-            ScaleChange(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ScaleChange(1.0, -2.0)
+    def test_scale_change_domain(self, paper_ref):
+        for a, b, message in [(0.0, 1.0, "a must be positive, got 0.0"),
+                              (-1.0, 1.0, "a must be positive, got -1.0"),
+                              (1.0, 0.0, "b must be positive, got 0.0"),
+                              (1.0, -2.0, "b must be positive, got -2.0")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rescale(paper_ref, a, b)

@@ -11,7 +11,7 @@ from tsruin import (
     ClaimsModel,
     InversionError,
     RegimeError,
-    ScaleChange,
+    RegimeTag,
     b_infinity,
     b_tilde,
     estimate_infinite_horizon,
@@ -22,14 +22,18 @@ from tsruin import (
     limit_law_mean,
     prob_eventual_ruin,
     rescale,
+    SimPlan,
     scale_function,
+    simulate_ruin_mc,
+    simulate_ruin_naive,
     talbot_invert,
 )
 from tsruin import model as model_module
 from tsruin import ruin
 from tsruin.laplace import hyperbola_nodes
 
-from conftest import MODELS, Oracle, assert_close, load_perfbench, oracle_refs
+from conftest import (MODELS, Oracle, _lundberg_bound, assert_close, dispatch_pins, load_perfbench,
+                      oracle_refs)
 
 # published benchmark values for the reference model (asymptotic and
 # infinite-horizon columns), reproduced by this package to ~1e-6 relative
@@ -266,11 +270,13 @@ class TestShiftedTalbotEngine:
 
     # float.hex of B on the models of the b-regimes benchmark; each within
     # 1.7e-13 relative of the 64-digit oracle (critical_model B(1000) the
-    # furthest)
+    # furthest), on either numpy dispatch
     @pytest.mark.parametrize("model, ts, pins", [
-        ("paper_ref", [0.5, 3.0, 17.5, 200.0],
-         ["0x1.ec76ff4850111p-2", "0x1.2cb4f7c3900d2p+1", "0x1.56fc29453678fp+2",
-          "0x1.64f934b9ccfcfp+2"]),
+        ("paper_ref", [0.5, 3.0, 17.5, 200.0], dispatch_pins(
+            ["0x1.ec76ff4850111p-2", "0x1.2cb4f7c3900d2p+1", "0x1.56fc29453678fp+2",
+             "0x1.64f934b9ccfcfp+2"],
+            ["0x1.ec76ff4850111p-2", "0x1.2cb4f7c3900d2p+1", "0x1.56fc294536792p+2",
+             "0x1.64f934b9ccfb2p+2"])),
         ("critical_model", [0.5, 7.0, 120.0, 1000.0],
          ["0x1.0268e96befc5dp-1", "0x1.e89ea54a3a7f2p+2", "0x1.cbb96f24f94e3p+7",
           "0x1.b28e0934f3de5p+12"]),
@@ -506,10 +512,10 @@ class TestEventualRuinGrid:
 # float.hex of each estimate on SURFACE_US x SURFACE_TS at the reference
 # model; the B factor of each is within 8.9e-16 relative of the 64-digit
 # oracle (the t = 20 column the furthest), the P factor within 4.6e-13 (the
-# u = 1 row)
+# u = 1 row); without the X86_V4 loops within 1.3e-15 and 4.6e-13
 SURFACE_US = [0.5, 1.0, 2.0]
 SURFACE_TS = [1.0, 5.0, 10.0, 20.0]
-SURFACE_PINS = {
+SURFACE_PINS = dispatch_pins({
     "tulta": [["0x1.0f980a9ce8b27p-9", "0x1.ebfa818f8e116p-8", "0x1.593d99c91bb1dp-7",
                "0x1.9032d55f5883dp-7"],
               ["0x1.55187732526b6p-11", "0x1.34f049c438abap-9", "0x1.b196b458dda8dp-9",
@@ -524,7 +530,22 @@ SURFACE_PINS = {
              "0x1.0e2cd1808b8cfp-10"]],
     "infinite": [["0x1.9a46e976de965p-7"] * 4, ["0x1.01a24f9cb712cp-8"] * 4,
                  ["0x1.52f0155d64a80p-11"] * 4],
-}
+}, {
+    "tulta": [["0x1.0f980a9ce8b27p-9", "0x1.ebfa818f8e116p-8", "0x1.593d99c91bb1dp-7",
+               "0x1.9032d55f5883ep-7"],
+              ["0x1.55187732526b6p-11", "0x1.34f049c438abap-9", "0x1.b196b458dda8dp-9",
+               "0x1.f69c4b465230dp-9"],
+              ["0x1.c0bcf0b990702p-14", "0x1.966edd08b8ea6p-12", "0x1.1d35c34fe10fdp-11",
+               "0x1.4a9ca15d98000p-11"]],
+    "rft": [["0x1.8a4150f3664eap-8", "0x1.651628754ffcbp-6", "0x1.f529cbf3de614p-6",
+             "0x1.22789768dc89cp-5"],
+            ["0x1.688ee38ef73e2p-10", "0x1.4690fdbd3d262p-8", "0x1.ca542f8af4d7fp-8",
+             "0x1.09a4fe2072b6ap-7"],
+            ["0x1.6eb51d8a9e768p-13", "0x1.4c22ce85e7ab2p-11", "0x1.d225497d0aec8p-11",
+             "0x1.0e2cd1808b8d0p-10"]],
+    "infinite": [["0x1.9a46e976de965p-7"] * 4, ["0x1.01a24f9cb712cp-8"] * 4,
+                 ["0x1.52f0155d64a44p-11"] * 4],
+})
 ESTIMATORS = {"tulta": estimate_tulta, "rft": estimate_rft, "infinite": estimate_infinite_horizon}
 
 
@@ -548,7 +569,10 @@ class TestEstimators:
         assert_close(est, levy_tail(paper_ref, 0.5) * bf_ref.value(4.0), rel=1e-12)
 
     def test_rft_exceeds_one_at_small_u(self, paper_ref):
-        assert estimate_rft(paper_ref, 0.01, 10.0) > 1.0
+        # tail(0.01) * B(10) exceeds 1, so it is refused, as tulta's would be
+        with pytest.raises(FloatingPointError, match=r"^rft estimate at u=0\.01, t=10\.0 is "
+                           r".*not a positive normal double <= 1$"):
+            estimate_rft(paper_ref, 0.01, 10.0)
 
     def test_rft_underflow_names_first_cell(self, paper_ref):
         # the tail leaves the normal range near alpha u = 691 and raises there,
@@ -607,7 +631,7 @@ class TestEstimators:
         # estimate(rescaled, b*u, t/a) == estimate(original, u, t)
         base = estimate_tulta(paper_ref, 1.0, 10.0)
         for a, b in [(2.0, 0.5), (0.25, 3.0), (1.5, 1.5)]:
-            scaled_model = rescale(paper_ref, ScaleChange(a, b))
+            scaled_model = rescale(paper_ref, a, b)
             got = estimate_tulta(scaled_model, b * 1.0, 10.0 / a)
             assert_close(got, base, rel=1e-6, msg=f"rescale invariance a={a} b={b}")
 
@@ -618,6 +642,30 @@ class TestEstimators:
                          (1.0, [])]:
                 with pytest.raises(ValueError):
                     estimate(paper_ref, u, t)
+
+
+class TestLundbergBound:
+    """Every ruin probability the package reports lies at or below the
+    finite-horizon Lundberg bound (``conftest._lundberg_bound``)."""
+
+    us, ts = np.geomspace(0.01, 20.0, 40), np.geomspace(0.1, 200.0, 40)
+    mc_us, mc_ts = [0.05, 0.2, 1.0], [0.5, 1.0, 2.0]
+    plan = SimPlan(h=0.01, n=1024, N=6, seed=7, threads=1)
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_estimates_below_bound(self, name):
+        m = ClaimsModel.from_loading(*MODELS[name])
+        assert (prob_eventual_ruin(m, self.us) <= _lundberg_bound(m, self.us, math.inf)[:, 0]).all()
+        if m.regime is RegimeTag.SUBCRITICAL:
+            assert (estimate_tulta(m, self.us, self.ts) <= _lundberg_bound(m, self.us, self.ts)).all()
+        # the measure change refuses large_t_model's cells: their weight
+        # rests on under 1% of the hit paths
+        simulators = ((simulate_ruin_naive,) if name == "large_t_model"
+                      else (simulate_ruin_mc, simulate_ruin_naive))
+        bound = _lundberg_bound(m, self.mc_us, self.mc_ts)
+        for simulate in simulators:
+            res = simulate(m, self.mc_us, self.mc_ts, self.plan)
+            assert (res.mean - 3.0 * res.stderr <= bound).all(), simulate.__name__
 
 
 class TestGrowthDiagnostic:
