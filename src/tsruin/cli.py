@@ -75,7 +75,7 @@ _OPTIONS = {
     "t_steps": (int, None, None),
     "h": (float, None, "simulation time step"),
     "paths": (int, None, "paths per batch"),
-    "batches": (int, None, "number of batches N"),
+    "batches": (int, None, "number of batches N (at least 2)"),
     "seed": (int, None, None),
     "threads": (int, None, "worker threads (default: usable cores, at most --batches)"),
     "method": (str, ("rft", "tulta", "infinite"), None),

@@ -124,7 +124,10 @@ def _inverted_checked(F, xs, shift: float, rtol: float, name: str, axis: str,
     ``rtol`` relative of the smaller rule's (else ``InversionError``)."""
     big, small = HYPERBOLA_RULES
     with np.errstate(all="ignore"):  # a non-finite value or sum raises below
-        hi, lo = hyperbola_grid(F, xs, shift)
+        try:
+            hi, lo = hyperbola_grid(F, xs, shift)
+        except InversionError as exc:  # the engine's t is a point of xs: name its axis
+            raise InversionError(str(exc).replace("(t=", f"({axis}=")) from None
         gap = np.abs(_require_reportable(name, hi, upper, **{axis: xs}) - lo) / hi
     bad = np.flatnonzero(~(gap <= rtol))
     if bad.size:

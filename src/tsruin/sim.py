@@ -35,7 +35,6 @@ chunk, and every variate is the one a one-shot draw would give.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,8 +58,6 @@ __all__ = [
     "simulate_ruin_naive",
     "run_batches",
 ]
-
-logger = logging.getLogger(__name__)
 
 # elements per chunk of paths: it fixes where a chunk's exponentials start in
 # the stream, so every result depends on it (and on nothing else of memory
@@ -137,9 +134,9 @@ def stable_increment_params(m: ClaimsModel, h: float) -> StableLawParams:
 
 @dataclass(frozen=True)
 class SimPlan:
-    """One simulation run: step h, n paths per batch, N batches, RNG seed,
-    and the worker-thread count (which never affects the result).  The
-    counts and the seed may be numpy integers; they are stored as ints."""
+    """One simulation run: step h, n paths per batch, N >= 2 batches (one
+    has no spread to give a stderr), RNG seed and worker-thread count (which
+    never affects the result).  Counts and seed may be numpy integers."""
 
     h: float
     n: int
@@ -149,7 +146,7 @@ class SimPlan:
 
     def __post_init__(self):
         _require_positive(h=self.h)
-        for name, least in (("n", 1), ("N", 1), ("seed", None), ("threads", 1)):
+        for name, least in (("n", 1), ("N", 2), ("seed", None), ("threads", 1)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
 
@@ -179,7 +176,8 @@ def _steps_for(t: float, h: float) -> int:
 
 def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
                   shape: tuple = ()) -> BatchResult:
-    """Run ``job`` N times and fold its per-cell batch means, cell by cell.
+    """Run ``job`` N >= 2 times and fold each cell's batch means into their
+    mean and the stderr std(ddof=1) / sqrt(N).
 
     ``job`` returns one float or an array of cell means; the result holds
     floats for ``shape == ()`` and arrays of ``shape`` otherwise.  Each
@@ -198,11 +196,7 @@ def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
     elapsed = time.perf_counter() - start
     cells = np.ascontiguousarray(np.asarray(means, dtype=np.float64).reshape(plan.N, -1).T)
     mean = cells.mean(axis=1).reshape(shape)
-    if plan.N == 1:
-        logger.warning("N=1 batch: stderr is degenerate, reporting 0")
-        stderr = np.zeros(shape)
-    else:
-        stderr = (cells.std(axis=1, ddof=1) / math.sqrt(plan.N)).reshape(shape)
+    stderr = (cells.std(axis=1, ddof=1) / math.sqrt(plan.N)).reshape(shape)
     if shape == ():
         mean, stderr = float(mean), float(stderr)
     return BatchResult(mean=mean, stderr=stderr, elapsed_seconds=elapsed)

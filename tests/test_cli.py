@@ -517,6 +517,18 @@ class TestConfigAndIO:
                          "--out", str(tmp_path / "y.tsv")]) == 3
         assert capsys.readouterr().err == "error: tilting rejection exceeded 1 rounds\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["ruin-surface", "--method", "tulta", "--t-min", "1"],
+        ["ruin-surface", "--method", "infinite", "--t-min", "1"],
+        ["scale-fn"],
+    ], ids=["tulta", "infinite", "scale-fn"])
+    def test_non_finite_transform_names_u(self, capsys, argv):
+        # P's contour at u = 1e-300 is out of range: the refusal names the
+        # u the user gave, not the engine's own axis t
+        assert cli.main(argv + ["--preset", "paper-ref", "--u-min", "1e-300"]) == 3
+        assert capsys.readouterr().err == ("error: transform is not finite on the hyperbolic "
+                                           "contour (u=1e-300)\n")
+
     @pytest.mark.parametrize("command, line, message", [
         # an unchecked approach=MC falls through to the naive simulator
         ("simulate", "approach=MC",
@@ -554,8 +566,14 @@ class TestConfigAndIO:
          "naive step h=0.05 accepts a tilting proposal with mean probability "
          "exp(-h k alpha^rho) = 4.8e-07, k = -c Gamma(-rho); the largest step that passes "
          "is h=0.031651641242279385"),
+        # one batch has no spread to give a stderr
+        (["simulate", "--preset", "paper-ref", "--approach", "mc", "--u-min", "0.1",
+          "--t-min", "2", "--batches", "1"], "N must be >= 2, got 1"),
+        (["benchmark", "--preset", "paper-ref", "--u-min", "1", "--t-min", "1",
+          "--batches", "1"], "N must be >= 2, got 1"),
     ], ids=["unreadable-config", "line-without-equals", "missing-c", "u-max-below-u-min",
-            "no-approach", "no-method", "no-u-min", "naive-hopeless-step"])
+            "no-approach", "no-method", "no-u-min", "naive-hopeless-step", "one-batch",
+            "benchmark-one-batch"])
     def test_usage_errors(self, tmp_path, capsys, argv, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# model\nc 0.01\n")

@@ -329,6 +329,22 @@ def test_no_unused_module_import():
     assert unused == []
 
 
+def test_no_module_imports_logging():
+    # a doubtful result raises; nothing is reported beside the result on a log
+    imports = []
+    for path in sorted(Path(tsruin.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "logging"]
+    assert imports == []
+
+
 def test_package_exports_every_module_export():
     # the package re-exports its public modules' names, and nothing else
     union = [name for module in ("laplace", "model", "ruin", "sim")

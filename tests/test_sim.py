@@ -214,14 +214,14 @@ class TestMemory:
     def test_mc_batch_holds_no_chunk_draws(self, paper_ref):
         # one batch of 16384 paths x 200 steps is one chunk, whose angles and
         # exponentials take 2 x 26 MB when drawn whole
-        plan = SimPlan(h=0.01, n=16384, N=1, seed=3)
+        plan = SimPlan(h=0.01, n=16384, N=2, seed=3)
         peak = _peak_bytes(lambda: simulate_ruin_mc(paper_ref, 0.1, 2.0, plan))
         assert peak < 2 * 16384 * 200 * 8 / 8
 
     def test_naive_chunk_holds_one_increment_array(self, paper_ref):
         # one chunk of 4096 x 200 increments (6.5 MB): draws, proposals,
         # drift and partial sums stay beside it a block at a time
-        plan = SimPlan(h=0.01, n=4096, N=1, seed=3)
+        plan = SimPlan(h=0.01, n=4096, N=2, seed=3)
         peak = _peak_bytes(lambda: simulate_ruin_naive(paper_ref, 0.1, 2.0, plan))
         assert peak < 1.5 * 4096 * 200 * 8
 
@@ -267,13 +267,13 @@ class TestSimulators:
         with pytest.raises(ValueError, match=r"^naive step h=0\.05 accepts a tilting proposal "
                            r"with mean probability exp\(-h k alpha\^rho\) = 4\.8e-07, .* "
                            r"the largest step that passes is h=0\.03165164"):
-            simulate_ruin_naive(m, 0.1, 0.5, SimPlan(h=0.05, n=4, N=1, seed=1))
+            simulate_ruin_naive(m, 0.1, 0.5, SimPlan(h=0.05, n=4, N=2, seed=1))
         h_max = sim._MAX_TILT_EXPONENT / (m.tilt_coefficient * m.alpha ** m.rho)
         above = math.nextafter(h_max, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"passes is h={h_max!r}")):
-            simulate_ruin_naive(m, 0.1, above, SimPlan(h=above, n=4, N=1, seed=1))
+            simulate_ruin_naive(m, 0.1, above, SimPlan(h=above, n=4, N=2, seed=1))
         with pytest.raises(LookupError, match="drawn"):
-            simulate_ruin_naive(m, 0.1, h_max, SimPlan(h=h_max, n=4, N=1, seed=1))
+            simulate_ruin_naive(m, 0.1, h_max, SimPlan(h=h_max, n=4, N=2, seed=1))
 
     def test_monotone_in_t_and_u(self, paper_ref):
         # up to 3 combined stderr on a small grid
@@ -452,9 +452,10 @@ def test_pins_hold_without_x86_v4():
 
 class TestRunBatches:
     def test_single_batch_degenerate(self):
-        plan = SimPlan(h=0.1, n=4, N=1, seed=5, threads=1)
-        res = run_batches(lambda rng: float(rng.random()), plan)
-        assert res.stderr == 0.0
+        # one batch has no spread: a plan of one is refused, not run with
+        # its stderr printed as 0
+        with pytest.raises(ValueError, match="^N must be >= 2, got 1$"):
+            SimPlan(h=0.1, n=4, N=1, seed=5, threads=1)
 
     def test_batches_get_distinct_streams(self):
         plan = SimPlan(h=0.1, n=1, N=6, seed=5, threads=1)
@@ -494,18 +495,18 @@ class TestRunBatches:
 class TestPlanRecords:
     def test_plan_validation(self, paper_ref):
         with pytest.raises(ValueError):
-            SimPlan(h=0.0, n=1, N=1, seed=0)
+            SimPlan(h=0.0, n=1, N=2, seed=0)
         with pytest.raises(ValueError):
-            SimPlan(h=0.1, n=0, N=1, seed=0)
+            SimPlan(h=0.1, n=0, N=2, seed=0)
         with pytest.raises(ValueError):
             SimPlan(h=0.1, n=1, N=0, seed=0)
         with pytest.raises(ValueError):
-            SimPlan(h=0.1, n=1, N=1, seed=0, threads=0)
+            SimPlan(h=0.1, n=1, N=2, seed=0, threads=0)
         for h in (math.nan, math.inf):
             with pytest.raises(ValueError, match="h must be finite"):
-                SimPlan(h=h, n=1, N=1, seed=0)
+                SimPlan(h=h, n=1, N=2, seed=0)
         for name in ("n", "N", "seed", "threads"):
-            kwargs = {"h": 0.1, "n": 1, "N": 1, "seed": 0, name: 1.5}
+            kwargs = {"h": 0.1, "n": 1, "N": 2, "seed": 0, name: 1.5}
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5"):
                 SimPlan(**kwargs)
         # numpy integers are stored as ints, which PCG64.advance needs
