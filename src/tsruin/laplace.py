@@ -42,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _require_finite, _require_int, _require_positive, positive_axis
+from .model import (PhiConvergenceError, _require_finite, _require_int, _require_positive,
+                    positive_axis)
 
 __all__ = ["InversionError", "hyperbola_grid", "hyperbola_nodes", "talbot_invert",
            "levin_invert"]
@@ -162,10 +163,17 @@ def hyperbola_grid(F: Callable[[np.ndarray], np.ndarray], ts,
     ``F`` is called once, on ``hyperbola_nodes(ts, shift)``, and returns
     the transform at every node.  Each t's values depend on t alone, not on
     the other points of ``ts``.  A value that is not finite raises
-    ``InversionError`` naming the first t whose window it is on.
+    ``InversionError`` naming the first t whose window it is on, and so does
+    a ``PhiConvergenceError`` that F raises from ``phi`` of the nodes: its
+    stalled node's index gives the window.
     """
     ts, ends, window = _windows(ts, shift)
-    values = F(_nodes(ends, shift))
+    nodes = _nodes(ends, shift)
+    try:
+        values = F(nodes)
+    except PhiConvergenceError as exc:
+        row = exc.index // nodes.shape[1]
+        raise PhiConvergenceError(f"{exc} (t={ts[window == row][0]})", exc.index) from None
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         t = ts[bad[window]][0]

@@ -48,7 +48,12 @@ __all__ = [
 
 
 class PhiConvergenceError(ArithmeticError):
-    """Root finding for the inverse cumulant failed; carries the residual."""
+    """Root finding for the inverse cumulant failed; ``index`` is the flat
+    index of the stalled node reported, in the delta array ``phi`` got."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 # (window, terms): S(x) is summed as its first ``terms`` binomial terms for
@@ -429,8 +434,7 @@ def _phi_halley(m: ClaimsModel, delta: np.ndarray, beta: np.ndarray) -> np.ndarr
     worst = int(active[np.argmax(np.abs(m._psi(beta[active], m.p)[0] - delta[active]))])
     raise PhiConvergenceError(
         f"Halley iteration stalled for phi({delta[worst]}) after {_PHI_MAXIT} iterations "
-        f"({active.size} of {delta.size} nodes unconverged)"
-    )
+        f"({active.size} of {delta.size} nodes unconverged)", worst)
 
 
 def phi(m: ClaimsModel, delta):

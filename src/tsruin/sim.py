@@ -20,7 +20,10 @@ bit for bit.
 
 Batches are deterministic: batch k draws from a generator seeded by
 ``SeedSequence((seed, k))``, so results are bit-identical for a fixed plan
-regardless of thread count or scheduling.
+regardless of thread count or scheduling.  A one-thread plan runs its
+batches in the caller's thread; the first plan with ``threads > 1``
+imports the thread pool (``concurrent.futures``, which loads ``logging``),
+so ``import tsruin`` does not.
 
 Stream layout.  A batch simulates its paths in chunks of about
 ``_CHUNK_ELEMENTS`` elements.  ``_chunk_draws`` reads every angle and
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -69,9 +71,14 @@ _MAX_REJECTION_ROUNDS = 1_000_000
 
 # largest h k alpha^rho, k = -c Gamma(-rho), a naive step may have.  A
 # proposal is accepted with mean probability exp(-h k alpha^rho), so this
-# allows 1e4 proposals per increment in expectation (3 ms per increment of
-# 2,000 on a 2-core VM), and n increments take about ln(n) exp(h k alpha^rho)
-# rounds: 1.6e5 for a chunk of _CHUNK_ELEMENTS, below the cap
+# allows 1e4 proposals per increment in expectation, and n increments take
+# about ln(n) exp(h k alpha^rho) rounds: 1.6e5 for a chunk of
+# _CHUNK_ELEMENTS, below the cap.  It bounds the rate, not the time: a plan
+# makes about n N (t/h) exp(h k alpha^rho) proposals, t the largest
+# horizon, at ~0.1 us each on a 2-core VM.  On (c, alpha, rho, xi) =
+# (5, 3, 0.95, 0.3) a 3 x 3 grid to t = 2 at n = 1024, N = 6 passes at
+# h = 0.025 (exp(h k alpha^rho) = 1,440) and makes 7e8 proposals in 55-64 s;
+# at h = 0.01 it takes 1.6 s
 _MAX_TILT_EXPONENT = math.log(1e4)
 
 # smallest share of a measure-change cell's hit paths that its weight may
@@ -184,13 +191,22 @@ def _fold_batches(job: Callable[[np.random.Generator], object], plan: SimPlan,
     cell's N means are folded as one contiguous row of a (cells, N) array,
     so a cell's result does not depend on the grid around it (reducing the
     (N, cells) array along axis 0 would sum in another order).
+
+    A one-thread plan runs its batches in the caller's thread; the first
+    plan with ``threads > 1`` imports the thread pool.  A batch that raises
+    stops the plan: its error comes back unchanged, and the pool cancels
+    the batches not yet started.
     """
     seed = plan.seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, k))) for k in range(plan.N)]
     start = time.perf_counter()
     if plan.threads == 1:
+        # not a one-worker pool: its thread gets a malloc arena of its own,
+        # 0.3-0.6 MB more peak RSS over mc-table's commands
         means = [job(rng) for rng in rngs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             means = list(pool.map(job, rngs))
     elapsed = time.perf_counter() - start
@@ -391,7 +407,10 @@ def simulate_ruin_naive(m: ClaimsModel, u, t, plan: SimPlan) -> BatchResult:
     """Direct estimator: exact tempered stable increments, hit fraction.
     Takes scalar or vector ``u`` and ``t`` as ``simulate_ruin_mc`` does.
     A step whose tilting acceptance rate exp(-h k alpha^rho) is below
-    exp(-``_MAX_TILT_EXPONENT``) raises ``ValueError`` before any draw."""
+    exp(-``_MAX_TILT_EXPONENT``) raises ``ValueError`` before any draw.  A
+    step that passes makes about n N (t/h) exp(h k alpha^rho) proposals, t
+    the largest horizon, which can still take a minute (see
+    ``_MAX_TILT_EXPONENT``)."""
     params = stable_increment_params(m, plan.h)
     proposal_law = replace(params, mu=0.0)  # the drift is added below
     h_max = _MAX_TILT_EXPONENT / m.psi_y_alpha  # psi_Y(alpha) = k alpha^rho

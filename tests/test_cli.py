@@ -529,6 +529,19 @@ class TestConfigAndIO:
         assert capsys.readouterr().err == ("error: transform is not finite on the hyperbolic "
                                            "contour (u=1e-300)\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["b"],
+        ["ruin-surface", "--method", "rft", "--u-min", "1"],
+        ["ruin-surface", "--method", "tulta", "--u-min", "1"],
+    ], ids=["b", "rft", "tulta"])
+    def test_phi_stall_names_t(self, capsys, argv):
+        # B's contour at t = 1e-200 reaches nodes ~3e200 where Halley stalls:
+        # the refusal names the t the user gave, not a contour node alone
+        assert cli.main(argv + ["--preset", "paper-ref", "--t-min", "1e-200"]) == 3
+        assert re.fullmatch(r"error: Halley iteration stalled for phi\(\(\S+j\)\) after 50 "
+                            r"iterations \(58 of 58 nodes unconverged\) \(t=1e-200\)\n",
+                            capsys.readouterr().err)
+
     @pytest.mark.parametrize("command, line, message", [
         # an unchecked approach=MC falls through to the naive simulator
         ("simulate", "approach=MC",

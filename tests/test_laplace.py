@@ -369,3 +369,13 @@ def test_cli_import_loads_numpy_alone():
             "print(*sorted(loaded - set(sys.stdlib_module_names) - {'tsruin', 'numpy'}))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == ""
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only a plan with threads > 1 uses the pool, so importing it (and the
+    # logging it loads) is left to that plan
+    code = ("import sys\nimport tsruin.cli\n"
+            "print(*[m for m in ('concurrent.futures', 'logging', 'queue', 'traceback')"
+            " if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == ""

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -456,6 +457,26 @@ class TestRunBatches:
         # its stderr printed as 0
         with pytest.raises(ValueError, match="^N must be >= 2, got 1$"):
             SimPlan(h=0.1, n=4, N=1, seed=5, threads=1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_refused_batch_stops_the_plan(self, threads):
+        # a batch that raises ends the plan with its own error: one thread
+        # starts no batch after it, and a pool cancels those not yet started
+        plan = SimPlan(h=0.1, n=1, N=20, seed=5, threads=threads)
+        first = np.random.default_rng(np.random.SeedSequence(entropy=(5, 0))).bit_generator.state
+        refusal, started = FloatingPointError("batch 0 refused"), []
+
+        def job(rng):
+            started.append(rng)
+            if rng.bit_generator.state == first:
+                raise refusal
+            time.sleep(0.1)
+            return 0.0
+
+        with pytest.raises(FloatingPointError) as exc:
+            _fold_batches(job, plan)
+        assert exc.value is refusal
+        assert len(started) == 1 if threads == 1 else 1 <= len(started) <= 2 * threads
 
     def test_batches_get_distinct_streams(self):
         plan = SimPlan(h=0.1, n=1, N=6, seed=5, threads=1)
